@@ -11,8 +11,8 @@ import numpy as np
 
 from subriemann import fixtures as fx
 from subriemann.fields import enumerate_commutators
+from subriemann.lattice import Lattice
 from subriemann.metric import (
-    LatticeSpec,
     ball_box_scan,
     ball_volume,
     distance_field,
@@ -26,8 +26,8 @@ def main():
     basis = enumerate_commutators(system)
     nsw = build_nsw(basis)
 
-    lattice = LatticeSpec([(-1.5, 1.5), (-1.5, 1.5)], 0.05,
-                          n_random_controls=24, tau=0.1)
+    lattice = Lattice([(-1.5, 1.5), (-1.5, 1.5)], 0.05,
+                      n_random_controls=24, tau=0.1)
     df = distance_field(system, [0.0, 0.0], lattice, seed=1)
     print("distances from the origin:")
     for target in ([1.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.5, 0.5]):

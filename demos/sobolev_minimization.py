@@ -10,9 +10,9 @@ and the fitted far-field decay exponent, which should sit near
 import numpy as np
 
 from subriemann import fixtures as fx
-from subriemann.metric import LatticeSpec, distance_field
+from subriemann.lattice import Lattice
+from subriemann.metric import distance_field
 from subriemann.sobolev import (
-    GridDomain,
     GridFunction,
     decay_profile,
     levy_concentration,
@@ -22,7 +22,9 @@ from subriemann.sobolev import (
 
 def main():
     system = fx.grushin()
-    dom = GridDomain([(-6, 6), (-40, 40)], [0.15, 1.0])
+    # one lattice carries the minimizer and the distance field the
+    # concentration and decay diagnostics compare it with
+    dom = Lattice([(-6, 6), (-40, 40)], [0.15, 1.0], n_random_controls=24, tau=0.1)
     x, y = dom.mesh
     gauge2 = x ** 2 + (np.abs(y) / 3.0) ** (2.0 / 3.0)
     u0 = GridFunction(dom, (0.0625 + gauge2) ** -1.0)
@@ -36,8 +38,7 @@ def main():
     center = dom.node_coords(peak)
     print(f"concentration peak at {center}")
 
-    lat = LatticeSpec(dom.box, dom.spacing, n_random_controls=24, tau=0.1)
-    df = distance_field(system, center, lat, seed=3)
+    df = distance_field(system, center, dom, seed=3)
 
     diag = levy_concentration(res.minimizer, [0.25, 0.5, 1.0, 2.0, 3.0],
                               [center], [df], p_star=4.0)

@@ -2,9 +2,10 @@
 
 Exact layer: rational polynomial algebra, Lie brackets, homogeneity and
 rank certificates, the ball-volume polynomial and its level sets, and
-automorphism certification.  Numerical layer: lattice subunit distance
-fields, ball volume estimates, growth-exponent scans, and a discretized
-minimizer for the optimal Sobolev constant.
+automorphism certification.  Numerical layer: one box lattice type
+shared by lattice subunit distance fields, ball volume estimates,
+growth-exponent scans, and a discretized minimizer for the optimal
+Sobolev constant.
 """
 
 from .polynomials import Polynomial, PolynomialError, format_polynomial, parse_polynomial, poly_det
@@ -43,6 +44,7 @@ from .automorph import (
     translation_directions,
     verify_transitive_family,
 )
+from .lattice import Lattice, LatticeError
 from .metric import (
     BallVolumeEstimate,
     DistanceField,

@@ -28,8 +28,8 @@ from .fields import (
     homogeneous_dimension,
     parse_system,
 )
+from .lattice import Lattice, LatticeError
 from .metric import (
-    LatticeSpec,
     MetricError,
     ball_volume,
     distance_field,
@@ -44,7 +44,7 @@ from .nsw import (
 )
 from .automorph import parse_family, verify_transitive_family
 from .polynomials import PolynomialError
-from .sobolev import GridDomain, SobolevError, bump, exponent_probe, minimize_quotient
+from .sobolev import SobolevError, bump, exponent_probe, minimize_quotient
 
 SCHEMA_VERSION = 1
 
@@ -209,8 +209,8 @@ def cmd_nsw(args) -> int:
     return EXIT_OK
 
 
-def _lattice_from_args(args) -> LatticeSpec:
-    return LatticeSpec(
+def _lattice_from_args(args) -> Lattice:
+    return Lattice(
         box=_parse_box(args.box),
         spacing=_parse_spacing(args.spacing),
         n_random_controls=args.controls,
@@ -232,8 +232,8 @@ def cmd_dist(args) -> int:
             writer.writerow([_fmt(float(v)) for v in pt] + [_fmt(dfield.query(pt))])
     else:
         for idx in np.ndindex(*lattice.shape):
-            coords = [lattice.axes()[k][idx[k]] for k in range(system.dim)]
-            writer.writerow([_fmt(float(c)) for c in coords] + [_fmt(float(dfield.values[idx]))])
+            writer.writerow([_fmt(c) for c in lattice.node_coords(idx)]
+                            + [_fmt(float(dfield.values[idx]))])
     _write(args.out, buf.getvalue())
     return EXIT_OK
 
@@ -245,13 +245,10 @@ def cmd_ballvol(args) -> int:
     dfield = distance_field(system, center, lattice, seed=args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["radius", "volume", "method", "standard_error"])
-    method = "monte-carlo" if args.mc else "grid"
+    writer.writerow(["radius", "volume"])
     for r in _parse_floats(args.radii):
-        est = ball_volume(system, center, r, dfield=dfield, method=method,
-                          n_samples=args.mc or 20000, seed=args.seed)
-        writer.writerow([_fmt(r), _fmt(est.estimate), est.method,
-                         _fmt(est.standard_error) if est.standard_error is not None else ""])
+        est = ball_volume(system, center, r, dfield=dfield)
+        writer.writerow([_fmt(r), _fmt(est.estimate)])
     _write(args.out, buf.getvalue())
     return EXIT_OK
 
@@ -308,7 +305,7 @@ def cmd_verify_auto(args) -> int:
 
 def cmd_probe_exponent(args) -> int:
     system = _load_system(args.system)
-    dom = GridDomain(_parse_box(args.box), _parse_spacing(args.spacing))
+    dom = Lattice(_parse_box(args.box), _parse_spacing(args.spacing))
     center = [0.5 * (lo + hi) for lo, hi in dom.box]
     widths = [(hi - lo) / 8.0 for lo, hi in dom.box]
     seed_fn = bump(dom, center, widths)
@@ -331,7 +328,7 @@ def cmd_probe_exponent(args) -> int:
 
 def cmd_sobolev(args) -> int:
     system = _load_system(args.system)
-    dom = GridDomain(_parse_box(args.box), _parse_spacing(args.spacing))
+    dom = Lattice(_parse_box(args.box), _parse_spacing(args.spacing))
     res = minimize_quotient(
         system, dom, p=args.p, n_starts=args.starts,
         max_iter=args.max_iter, rel_tol=args.tol, seed=args.seed,
@@ -377,8 +374,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker-parallelism cap (sweeps are currently sequential)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("analyze", help="hypothesis checks, Q, bracket basis, nu table")
@@ -421,8 +416,6 @@ def build_parser() -> _Parser:
     p.add_argument("--center", required=True)
     p.add_argument("--radii", required=True)
     lattice_opts(p)
-    p.add_argument("--mc", type=int, default=0,
-                   help="Monte-Carlo sample count (default: grid counting)")
     common(p)
     p.set_defaults(func=cmd_ballvol)
 
@@ -473,7 +466,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (FieldError, PolynomialError, MetricError, SobolevError, ValueError) as exc:
+    except (FieldError, PolynomialError, LatticeError, MetricError, SobolevError,
+            ValueError) as exc:
         _fail_property(str(exc))
 
 

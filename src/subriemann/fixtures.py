@@ -1,21 +1,18 @@
 """Built-in vector field systems used across tests and demos.
 
-Each builder returns a fresh `VectorFieldSystem`.  The same systems ship
-as text spec files under ``subriemann/fixtures/`` for the command line.
+Each builder returns a fresh `VectorFieldSystem`.  The named systems
+(`martinet`, `fourfield_r4`, `twofield_r3`, `chain3`) are parsed from
+their spec files under ``subriemann/fixtures/``; the parametric
+builders construct their fields directly, and their default instances
+ship as spec files too, for the command line.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .fields import VectorField, VectorFieldSystem
+from .fields import VectorField, VectorFieldSystem, parse_system
 from .polynomials import Polynomial
-
-
-def _P(dim, text):
-    from .polynomials import parse_polynomial
-
-    return parse_polynomial(text, dim)
 
 
 def euclidean(n: int = 2) -> VectorFieldSystem:
@@ -76,22 +73,12 @@ def bony(n: int = 3) -> VectorFieldSystem:
 
 def martinet() -> VectorFieldSystem:
     """Martinet fields d1 and d2 + x1^2 d3; weights (1,1,3), Q = 5."""
-    fields = [
-        VectorField.coordinate(3, 1),
-        VectorField([_P(3, "0"), _P(3, "1"), _P(3, "x1^2")]),
-    ]
-    return VectorFieldSystem(fields, [1, 1, 3], name="martinet")
+    return parse_system(fixture_path("martinet.vf").read_text())
 
 
 def fourfield_r4() -> VectorFieldSystem:
     """Four fields on R^4 with weights (1,2,4,4); Q = 11."""
-    fields = [
-        VectorField.coordinate(4, 1),
-        VectorField([_P(4, "0"), _P(4, "x1"), _P(4, "x1*x2"), _P(4, "0")]),
-        VectorField([_P(4, "0"), _P(4, "0"), _P(4, "x1^3"), _P(4, "0")]),
-        VectorField([_P(4, "0"), _P(4, "0"), _P(4, "0"), _P(4, "x1^3")]),
-    ]
-    return VectorFieldSystem(fields, [1, 2, 4, 4], name="r4-fourfields")
+    return parse_system(fixture_path("r4-fourfields.vf").read_text())
 
 
 def twofield_r3() -> VectorFieldSystem:
@@ -99,21 +86,12 @@ def twofield_r3() -> VectorFieldSystem:
 
     X1 = d1 - x2^2 d3,  X2 = d1 + d2 + (x1-x2)^2 d3.
     """
-    fields = [
-        VectorField([_P(3, "1"), _P(3, "0"), _P(3, "-x2^2")]),
-        VectorField([_P(3, "1"), _P(3, "1"), _P(3, "x1^2 - 2*x1*x2 + x2^2")]),
-    ]
-    return VectorFieldSystem(fields, [1, 1, 3], name="example6")
+    return parse_system(fixture_path("example6.vf").read_text())
 
 
 def chain3() -> VectorFieldSystem:
     """The chained system (d1, x1 d2, x2 d3); weights (1,2,3), Q = 6."""
-    fields = [
-        VectorField.coordinate(3, 1),
-        VectorField([_P(3, "0"), _P(3, "x1"), _P(3, "0")]),
-        VectorField([_P(3, "0"), _P(3, "0"), _P(3, "x2")]),
-    ]
-    return VectorFieldSystem(fields, [1, 2, 3], name="ex31")
+    return parse_system(fixture_path("ex31.vf").read_text())
 
 
 ALL_BUILDERS = {

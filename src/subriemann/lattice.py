@@ -1,0 +1,130 @@
+"""The truncated box lattice shared by the metric and Sobolev layers.
+
+One `Lattice` holds an axis-aligned box, the per-axis spacing, the node
+coordinates, the outer boundary shell and the Dirichlet ``free`` mask,
+plus the control-set resolution that distance fields read.  The exact
+polynomial coefficients of a vector field system are evaluated on the
+nodes once per (lattice, system) and cached.  This is the first module
+that turns exact polynomials into floats.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from .fields import VectorFieldSystem
+from .polynomials import Polynomial
+
+
+class LatticeError(RuntimeError):
+    pass
+
+
+def eval_grid(poly: Polynomial, coords) -> np.ndarray:
+    """Evaluate an exact polynomial on numpy coordinate arrays (broadcast together)."""
+    if len(coords) != poly.dim:
+        raise LatticeError("coordinate count mismatch")
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords)) if coords else ()
+    total = np.zeros(shape)
+    for e, c in poly.terms.items():
+        term = np.full(shape, float(c))
+        for x, k in zip(coords, e):
+            if k:
+                term = term * np.asarray(x, dtype=float) ** k
+        total = total + term
+    return total
+
+
+class Lattice:
+    """Axis-aligned box lattice with a Dirichlet mask and a control set.
+
+    ``boundary`` marks the outermost node shell.  ``free`` marks nodes
+    where a function may be nonzero: everything off the shell, further
+    restricted by an optional membership ``predicate`` on float
+    coordinates (the only way to express a non-box domain).
+
+    ``n_random_controls`` defaults to 2 m^2 extra unit directions on top
+    of the +-axis controls; ``tau`` defaults to twice the largest
+    spacing (steps must clear the snapping radius).
+    """
+
+    def __init__(self, box, spacing, predicate: Callable | None = None, *,
+                 n_random_controls: int | None = None, tau: float | None = None):
+        if not box:
+            raise LatticeError("empty box")
+        self.box = [(float(lo), float(hi)) for lo, hi in box]
+        if isinstance(spacing, (int, float)):
+            spacing = [float(spacing)] * len(self.box)
+        self.spacing = [float(h) for h in spacing]
+        if len(self.spacing) != len(self.box):
+            raise LatticeError("one spacing per axis is required")
+        if any(h <= 0 for h in self.spacing):
+            raise LatticeError("spacing must be positive")
+        if any(not hi > lo for lo, hi in self.box):
+            raise LatticeError("box intervals must be nonempty")
+        if tau is not None and tau <= 0:
+            raise LatticeError("tau must be positive")
+        self.shape = tuple(
+            int(round((hi - lo) / h)) + 1
+            for (lo, hi), h in zip(self.box, self.spacing)
+        )
+        if any(n < 3 for n in self.shape):
+            raise LatticeError("box too small for the boundary shell")
+        self.n_random_controls = n_random_controls
+        self.tau = tau
+        self.predicate = predicate
+        self.axes = [
+            lo + h * np.arange(n)
+            for (lo, _), h, n in zip(self.box, self.spacing, self.shape)
+        ]
+        self.mesh = np.meshgrid(*self.axes, indexing="ij")
+        boundary = np.zeros(self.shape, dtype=bool)
+        for ax in range(self.dim):
+            sl = [slice(None)] * self.dim
+            sl[ax] = 0
+            boundary[tuple(sl)] = True
+            sl[ax] = self.shape[ax] - 1
+            boundary[tuple(sl)] = True
+        self.boundary = boundary
+        free = ~boundary
+        if predicate is not None:
+            free &= np.vectorize(lambda *xs: bool(predicate(xs)))(*self.mesh)
+        self.free = free
+        self._field_cache: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.box)
+
+    def cell_volume(self) -> float:
+        return float(np.prod(self.spacing))
+
+    def node_index(self, point) -> tuple[int, ...]:
+        """Index of the node nearest to ``point``."""
+        idx = []
+        for (lo, _), h, n, x in zip(self.box, self.spacing, self.shape, point):
+            j = int(round((float(x) - lo) / h))
+            if not 0 <= j < n:
+                raise LatticeError(f"point {point} outside the lattice box")
+            idx.append(j)
+        return tuple(idx)
+
+    def node_coords(self, index) -> tuple[float, ...]:
+        return tuple(float(ax[i]) for ax, i in zip(self.axes, index))
+
+    def field_grids(self, system: VectorFieldSystem):
+        """Polynomial coefficients a_jk evaluated on the nodes, indexed [field][axis] (cached)."""
+        # the cache keeps the system alive so its id cannot be reused
+        cached = self._field_cache.get(id(system))
+        if cached is None:
+            grids = [
+                [eval_grid(f.coeffs[k], self.mesh) for k in range(system.dim)]
+                for f in system.fields
+            ]
+            cached = self._field_cache[id(system)] = (system, grids)
+        return cached[1]
+
+    def clamp(self, values: np.ndarray) -> np.ndarray:
+        return np.where(self.free, values, 0.0)

@@ -1,27 +1,34 @@
 """Numerical subunit distance fields and ball-volume probes.
 
-The subunit distance is approximated by breadth-first search on a
-lattice graph: from each node y, one edge per sampled control direction
-a leads to the node nearest to y + tau * sum_i a_i X_iI(y), at cost
-tau (|a| = 1 for every sampled direction).  Endpoint snapping to the
-lattice is not corrected; it is the dominant error term and shrinks with
-the spacing.  The estimate converges to the true distance as spacing and
-tau go to zero, but refinement is not guaranteed to be monotone.
+All probes run on a `Lattice` (``LatticeSpec`` is the same class), which
+also carries the control-set resolution: the number of random control
+directions and the step ``tau``.  The subunit distance is approximated
+by breadth-first search on a lattice graph: from each node y, one edge
+per sampled control direction a leads to the node nearest to
+y + tau * sum_i a_i X_i(y), at cost tau (|a| = 1 for every sampled
+direction).  Endpoint snapping to the lattice is not corrected; it is
+the dominant error term and shrinks with the spacing.  The estimate
+converges to the true distance as spacing and tau go to zero, but
+refinement is not guaranteed to be monotone.  Ball volumes count the
+lattice cells inside the ball; a ball that reaches the lattice's
+boundary shell is truncated.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import FieldError, VectorFieldSystem
+from .fields import VectorFieldSystem
+from .lattice import Lattice, eval_grid
 from .nsw import BallPolynomial, DomainSpec, eval_lambda
+
+LatticeSpec = Lattice  # alias: callers import the lattice under this name too
 
 
 class MetricError(RuntimeError):
@@ -30,62 +37,6 @@ class MetricError(RuntimeError):
 
 class BallTruncated(MetricError):
     pass
-
-
-@dataclass
-class LatticeSpec:
-    """Axis-aligned box lattice plus control-set resolution.
-
-    ``n_random_controls`` defaults to 2 m^2 extra unit directions on top
-    of the +-axis controls; ``tau`` defaults to twice the largest
-    spacing (steps must clear the snapping radius).
-    """
-
-    box: list[tuple[float, float]]
-    spacing: Sequence[float] | float
-    n_random_controls: int | None = None
-    tau: float | None = None
-
-    def __post_init__(self):
-        if not self.box:
-            raise MetricError("empty box")
-        if isinstance(self.spacing, (int, float)):
-            self.spacing = [float(self.spacing)] * len(self.box)
-        else:
-            self.spacing = [float(h) for h in self.spacing]
-        if len(self.spacing) != len(self.box):
-            raise MetricError("one spacing per axis is required")
-        if any(h <= 0 for h in self.spacing):
-            raise MetricError("spacing must be positive")
-        for lo, hi in self.box:
-            if not hi > lo:
-                raise MetricError("box intervals must be nonempty")
-        if self.tau is not None and self.tau <= 0:
-            raise MetricError("tau must be positive")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(
-            int(round((hi - lo) / h)) + 1 for (lo, hi), h in zip(self.box, self.spacing)
-        )
-
-    def axes(self) -> list[np.ndarray]:
-        return [
-            lo + h * np.arange(n)
-            for (lo, _), h, n in zip(self.box, self.spacing, self.shape)
-        ]
-
-    def node_index(self, point) -> tuple[int, ...]:
-        idx = []
-        for (lo, _), h, n, x in zip(self.box, self.spacing, self.shape, point):
-            j = int(round((float(x) - lo) / h))
-            if not 0 <= j < n:
-                raise MetricError(f"point {point} outside the lattice box")
-            idx.append(j)
-        return tuple(idx)
-
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
 
 
 def control_directions(m: int, n_random: int | None, seed: int = 0) -> np.ndarray:
@@ -111,7 +62,7 @@ def control_directions(m: int, n_random: int | None, seed: int = 0) -> np.ndarra
 @dataclass
 class DistanceField:
     source: tuple[float, ...]
-    lattice: LatticeSpec
+    lattice: Lattice
     values: np.ndarray        # per-node distance, +inf where unreached
     tau: float
     n_directions: int
@@ -123,34 +74,17 @@ class DistanceField:
     def max_reliable_radius(self) -> float:
         """Largest r with B(source, r) surely untruncated by the box."""
         finite = self.values[np.isfinite(self.values)]
-        boundary = _boundary_mask(self.values.shape)
-        edge_vals = self.values[boundary]
+        edge_vals = self.values[self.lattice.boundary]
         edge_min = float(edge_vals.min()) if edge_vals.size else math.inf
         return min(edge_min, float(finite.max()) if finite.size else 0.0)
 
 
-def _boundary_mask(shape) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for ax in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[ax] = 0
-        mask[tuple(sl)] = True
-        sl[ax] = shape[ax] - 1
-        mask[tuple(sl)] = True
-    return mask
-
-
-def _neighbor_tables(system: VectorFieldSystem, lattice: LatticeSpec,
+def _neighbor_tables(system: VectorFieldSystem, lattice: Lattice,
                      directions: np.ndarray, tau: float) -> list[np.ndarray]:
     """Flat target-node index per direction (-1 where the step exits)."""
     shape = lattice.shape
-    axes = lattice.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    # field component values on the grid, indexed [field][axis]
-    comp = [
-        [f.coeffs[k].eval_grid(mesh) for k in range(system.dim)]
-        for f in system.fields
-    ]
+    mesh = lattice.mesh
+    comp = lattice.field_grids(system)
     tables = []
     size = int(np.prod(shape))
     for a in directions:
@@ -177,7 +111,7 @@ def _neighbor_tables(system: VectorFieldSystem, lattice: LatticeSpec,
 def distance_field(
     system: VectorFieldSystem,
     source,
-    lattice: LatticeSpec,
+    lattice: Lattice,
     seed: int = 0,
 ) -> DistanceField:
     """Single-source subunit distance estimates on the lattice."""
@@ -211,57 +145,31 @@ class BallVolumeEstimate:
     center: tuple[float, ...]
     radius: float
     estimate: float
-    method: str
     sample_count: int
-    standard_error: float | None = None
 
 
 def ball_volume(
     system: VectorFieldSystem,
     center,
     r: float,
-    lattice: LatticeSpec | None = None,
+    lattice: Lattice | None = None,
     dfield: DistanceField | None = None,
-    method: str = "grid",
-    n_samples: int = 20000,
     seed: int = 0,
     check_truncation: bool = True,
 ) -> BallVolumeEstimate:
-    """Lebesgue volume of the subunit ball B(center, r).
-
-    Grid mode counts lattice cells inside the ball; Monte-Carlo mode
-    samples uniform points in the box and reuses the same distance
-    field for membership queries.
-    """
+    """Lebesgue volume of the subunit ball B(center, r): lattice cells inside it."""
     if dfield is None:
         if lattice is None:
             raise MetricError("either a lattice or a distance field is required")
         dfield = distance_field(system, center, lattice, seed=seed)
-    lattice = dfield.lattice
     inside = dfield.values < r
-    if check_truncation and bool(inside[_boundary_mask(inside.shape)].any()):
+    if check_truncation and bool(inside[dfield.lattice.boundary].any()):
         raise BallTruncated(
             f"ball of radius {r} at {tuple(map(float, center))} reaches the box boundary"
         )
-    if method == "grid":
-        est = float(inside.sum()) * lattice.cell_volume()
-        return BallVolumeEstimate(dfield.source, float(r), est, "grid", int(inside.sum()))
-    if method == "monte-carlo":
-        rng = np.random.default_rng(seed)
-        box = lattice.box
-        pts = np.column_stack(
-            [rng.uniform(lo, hi, size=n_samples) for lo, hi in box]
-        )
-        hits = 0
-        for row in pts:
-            if dfield.query(row) < r:
-                hits += 1
-        box_vol = float(np.prod([hi - lo for lo, hi in box]))
-        p = hits / n_samples
-        est = box_vol * p
-        se = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-        return BallVolumeEstimate(dfield.source, float(r), est, "monte-carlo", n_samples, se)
-    raise MetricError(f"unknown method {method!r}")
+    count = int(inside.sum())
+    return BallVolumeEstimate(dfield.source, float(r),
+                              float(count) * dfield.lattice.cell_volume(), count)
 
 
 @dataclass
@@ -328,12 +236,12 @@ def lattice_for_ball(
     reach: float = 2.0,
     n_random_controls: int | None = 24,
     shells: int = 10,
-) -> LatticeSpec:
+) -> Lattice:
     """Lattice sized to hold B(center, reach*r) with ~nodes_per_axis nodes."""
     ext = ball_extent(basis, center, reach * r)
     box = [(float(c) - e, float(c) + e) for c, e in zip(center, ext)]
     spacing = [2.0 * e / nodes_per_axis for e in ext]
-    return LatticeSpec(box, spacing, n_random_controls=n_random_controls,
+    return Lattice(box, spacing, n_random_controls=n_random_controls,
                        tau=float(r) / shells)
 
 
@@ -342,7 +250,7 @@ def ball_box_scan(
     nsw: BallPolynomial,
     centers: Sequence[Sequence],
     radii: Sequence[float],
-    lattice_for: Callable[[Sequence, float], LatticeSpec],
+    lattice_for: Callable[[Sequence, float], Lattice],
     seed: int = 0,
 ) -> BallBoxReport:
     """Table of |B(x,r)| / Lambda(x,r) over centers x radii.
@@ -383,7 +291,7 @@ def doubling_check(
     system: VectorFieldSystem,
     centers: Sequence[Sequence],
     radii: Sequence[float],
-    lattice_for: Callable[[Sequence], LatticeSpec],
+    lattice_for: Callable[[Sequence], Lattice],
     seed: int = 0,
 ) -> DoublingReport:
     """Observed doubling ratios |B(x,2r)| / |B(x,r)|."""
@@ -466,7 +374,7 @@ def isometry_checks(
     pairs: Sequence[tuple[Sequence, Sequence]],
     amap,
     t_values: Sequence[float],
-    lattice_for: Callable[[Sequence], LatticeSpec],
+    lattice_for: Callable[[Sequence], Lattice],
     seed: int = 0,
 ) -> IsometryReport:
     """Compare d(x,y) with d(A(x),A(y)) and with dilations of the pair."""
@@ -508,7 +416,7 @@ def poincare_check(
     center,
     r: float,
     test_functions: Sequence[tuple[str, object]],
-    lattice: LatticeSpec,
+    lattice: Lattice,
     seed: int = 0,
 ) -> PoincareReport:
     """Mean-oscillation versus r * integral of |Xf| on a discrete ball."""
@@ -516,21 +424,18 @@ def poincare_check(
     inside = dfield.values < r
     if not inside.any():
         raise MetricError("empty discrete ball")
-    axes = lattice.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = lattice.mesh
+    grids = lattice.field_grids(system)
     cell = lattice.cell_volume()
     rows = []
     for label, f in test_functions:
-        fvals = f.eval_grid(mesh)
+        fvals = eval_grid(f, mesh)
         avg = fvals[inside].mean()
         osc = float(np.abs(fvals[inside] - avg).sum()) * cell
+        partials = [eval_grid(f.partial(k + 1), mesh) for k in range(system.dim)]
         grad_sq = np.zeros_like(fvals)
-        for fld in system.fields:
-            xf = sum(
-                (fld.coeffs[k] * f.partial(k + 1) for k in range(system.dim)),
-                start=f * 0,
-            )
-            g = xf.eval_grid(mesh)
+        for coeffs in grids:
+            g = sum(a * d for a, d in zip(coeffs, partials))
             grad_sq = grad_sq + g * g
         grad_int = float(np.sqrt(grad_sq)[inside].sum()) * cell
         rhs = float(r) * grad_int

@@ -94,18 +94,20 @@ def build_nsw(
 ) -> BallPolynomial:
     """Assemble the ball-volume polynomial from a commutator basis.
 
-    Iterates over all ordered n-tuples of basis indices.  Repeated-index
+    Covers all ordered n-tuples of basis indices.  Repeated-index
     tuples determine singular matrices and are skipped; the remaining
     ordered tuples are grouped by sorted combination (the determinant is
     sign-invariant under column permutation and only |lambda_I| enters),
-    each carrying multiplicity n!.
+    each carrying multiplicity n!.  ``tuple_cap`` bounds the number of
+    determinants computed, C(q, n) for q basis entries.
     """
     system = basis.system
     n = system.dim
     q = len(basis.entries)
-    if q ** n > tuple_cap and not allow_over_cap:
+    n_dets = math.comb(q, n)
+    if n_dets > tuple_cap and not allow_over_cap:
         raise BudgetExceeded(
-            f"{q}^{n} ordered tuples exceed the cap of {tuple_cap}; "
+            f"C({q}, {n}) = {n_dets} determinants exceed the cap of {tuple_cap}; "
             "pass allow_over_cap=True to proceed"
         )
     slots: dict[int, list[LambdaEntry]] = {}

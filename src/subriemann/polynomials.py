@@ -224,22 +224,6 @@ class Polynomial:
             total += v
         return total
 
-    def eval_grid(self, coords):
-        """Evaluate on numpy coordinate arrays (broadcast together)."""
-        import numpy as np
-
-        if len(coords) != self.dim:
-            raise PolynomialError("coordinate count mismatch")
-        shape = np.broadcast_shapes(*(np.shape(c) for c in coords)) if coords else ()
-        total = np.zeros(shape)
-        for e, c in self.terms.items():
-            term = np.full(shape, float(c))
-            for x, k in zip(coords, e):
-                if k:
-                    term = term * np.asarray(x, dtype=float) ** k
-            total = total + term
-        return total
-
     # -- dilation and homogeneity ------------------------------------
 
     def dilate(self, weights: Sequence[int]) -> "Polynomial":

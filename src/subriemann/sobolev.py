@@ -1,13 +1,16 @@
 """Discretized variational problem for the optimal Sobolev constant.
 
 The continuum problem is C0 = inf { int |Xu|^p : ||u||_{p*} = 1 } with
-p* = pQ/(Q-p).  Here u lives on a truncated rectangular lattice with a
-Dirichlet mask (compact-support surrogate), Xu is assembled from the
-exact polynomial coefficients via centered differences, and the
-quotient is minimized by normalized projected gradient descent.
-Dirichlet truncation overestimates the constant; reports always carry
-the box and spacing so callers can test stability under box doubling
-instead of asserting absolute truth.
+p* = pQ/(Q-p).  Here u lives on a `Lattice` (``GridDomain`` is the same
+class) and is zero off its Dirichlet ``free`` mask, a compact-support
+surrogate.  Xu is assembled by finite differences, weighted by the
+polynomial coefficients that the lattice evaluates on its nodes, and the
+quotient is minimized by normalized projected gradient descent.  Distance fields
+for the concentration and decay diagnostics must come from a lattice
+with the same box and spacing as the function's.  Dirichlet truncation
+overestimates the constant; reports always carry the box and spacing so
+callers can test stability under box doubling instead of asserting
+absolute truth.
 """
 
 from __future__ import annotations
@@ -15,13 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from .fields import VectorFieldSystem
+from .lattice import Lattice, eval_grid
 from .nsw import DomainSpec
+
+GridDomain = Lattice  # alias: callers import the lattice under this name too
 
 
 class SobolevError(RuntimeError):
@@ -94,76 +100,10 @@ def _pstar_norm(values: np.ndarray, ps: float, cv: float) -> float:
     return float((np.abs(_smooth(values)) ** ps).sum() * cv) ** (1.0 / ps)
 
 
-class GridDomain:
-    """Truncated box lattice with a Dirichlet mask.
-
-    ``free`` marks nodes where a function may be nonzero; the outermost
-    ``boundary_layers`` node shells are always clamped, and an optional
-    membership predicate (on float coordinates) restricts further.
-    """
-
-    def __init__(self, box, spacing, predicate: Callable | None = None,
-                 boundary_layers: int = 1):
-        self.box = [(float(lo), float(hi)) for lo, hi in box]
-        if isinstance(spacing, (int, float)):
-            spacing = [float(spacing)] * len(self.box)
-        self.spacing = [float(h) for h in spacing]
-        if len(self.spacing) != len(self.box) or any(h <= 0 for h in self.spacing):
-            raise SobolevError("need one positive spacing per axis")
-        self.shape = tuple(
-            int(round((hi - lo) / h)) + 1
-            for (lo, hi), h in zip(self.box, self.spacing)
-        )
-        if any(n < 2 * boundary_layers + 1 for n in self.shape):
-            raise SobolevError("box too small for the boundary layer")
-        self.axes = [
-            lo + h * np.arange(n)
-            for (lo, _), h, n in zip(self.box, self.spacing, self.shape)
-        ]
-        self.mesh = np.meshgrid(*self.axes, indexing="ij")
-        free = np.ones(self.shape, dtype=bool)
-        b = boundary_layers
-        for ax in range(len(self.shape)):
-            sl = [slice(None)] * len(self.shape)
-            sl[ax] = slice(0, b)
-            free[tuple(sl)] = False
-            sl[ax] = slice(self.shape[ax] - b, None)
-            free[tuple(sl)] = False
-        if predicate is not None:
-            member = np.vectorize(lambda *xs: bool(predicate(xs)))(*self.mesh)
-            free &= member
-        self.free = free
-        self.predicate = predicate
-        self._field_cache: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.box)
-
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
-    def field_grids(self, system: VectorFieldSystem):
-        """Polynomial coefficients a_jk evaluated on the lattice (cached)."""
-        key = id(system)
-        if key not in self._field_cache:
-            self._field_cache[key] = [
-                [f.coeffs[k].eval_grid(self.mesh) for k in range(system.dim)]
-                for f in system.fields
-            ]
-        return self._field_cache[key]
-
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        return np.where(self.free, values, 0.0)
-
-    def node_coords(self, index) -> tuple[float, ...]:
-        return tuple(float(ax[i]) for ax, i in zip(self.axes, index))
-
-
 class GridFunction:
-    """Scalar field sampled on a GridDomain; zero at masked nodes."""
+    """Scalar field sampled on a Lattice; zero at masked nodes."""
 
-    def __init__(self, domain: GridDomain, values: np.ndarray):
+    def __init__(self, domain: Lattice, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != domain.shape:
             raise SobolevError("value array does not match the lattice shape")
@@ -184,7 +124,7 @@ class GridFunction:
         return GridFunction(self.domain, self.values.copy())
 
 
-def bump(domain: GridDomain, center, width) -> GridFunction:
+def bump(domain: Lattice, center, width) -> GridFunction:
     """Smooth Gaussian bump, the standard initial iterate."""
     if isinstance(width, (int, float)):
         width = [float(width)] * domain.dim
@@ -313,7 +253,7 @@ class MinimizeResult:
 
 def minimize_quotient(
     system: VectorFieldSystem,
-    domain: GridDomain,
+    domain: Lattice,
     p: float = 2.0,
     init_centers: Sequence[Sequence[float]] | None = None,
     init: GridFunction | None = None,
@@ -425,7 +365,7 @@ def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> Gri
     scale = [float(t) ** a for a in system.weights]
     box = [(lo * s, hi * s) for (lo, hi), s in zip(u.domain.box, scale)]
     spacing = [h * s for h, s in zip(u.domain.spacing, scale)]
-    new_dom = GridDomain(box, spacing)
+    new_dom = Lattice(box, spacing)
     if new_dom.shape != u.domain.shape:
         raise SobolevError("dilated lattice shape drifted")
     return GridFunction(new_dom, u.values)
@@ -457,7 +397,7 @@ def rescale(
     scaled = [
         dom.mesh[k] * float(rho) ** system.weights[k] for k in range(dom.dim)
     ]
-    args = [comp.eval_grid(scaled) for comp in tmap.components]
+    args = [eval_grid(comp, scaled) for comp in tmap.components]
     coords = [
         (args[k] - dom.box[k][0]) / dom.spacing[k] for k in range(dom.dim)
     ]
@@ -674,8 +614,8 @@ class DomainComparison:
 
 def domain_independence(
     system: VectorFieldSystem,
-    domain_a: GridDomain,
-    domain_b: GridDomain,
+    domain_a: Lattice,
+    domain_b: Lattice,
     p: float = 2.0,
     **options,
 ) -> DomainComparison:

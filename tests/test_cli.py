@@ -124,7 +124,7 @@ class TestBallvol:
                          "--out", str(out_file))
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "radius,volume,method,standard_error"
+        assert lines[0] == "radius,volume"
         small = float(lines[1].split(",")[1])
         large = float(lines[2].split(",")[1])
         assert small < large
@@ -210,6 +210,12 @@ class TestUsageAndErrors:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert out.strip()
+
+    def test_lattice_error_exits_3(self, capsys):
+        code, _, err = run(capsys, "dist", vf("euclidean2.vf"),
+                           "--source", "0,0", "--box=1,-1;-1,1", "--spacing", "0.5")
+        assert code == 3
+        assert json.loads(err.strip())["error"] == "property"
 
     def test_property_error_exits_3(self, capsys, tmp_path):
         pts = tmp_path / "pts.csv"

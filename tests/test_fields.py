@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from subriemann import fixtures as fx
 from subriemann.fields import (
     FieldError,
     VectorField,
@@ -172,6 +173,19 @@ class TestFlags:
 
 
 class TestSpecFiles:
+    @pytest.mark.parametrize("make, filename", [
+        (lambda: fx.euclidean(2), "euclidean2.vf"),
+        (lambda: fx.heisenberg(1), "heisenberg1.vf"),
+        (lambda: fx.grushin(1, 1, 2), "grushin-1-1-2.vf"),
+        (lambda: fx.bony(3), "bony3.vf"),
+    ], ids=["euclidean2", "heisenberg1", "grushin-1-1-2", "bony3"])
+    def test_parametric_builders_match_shipped_files(self, make, filename):
+        built = make()
+        shipped = parse_system(fx.fixture_path(filename).read_text())
+        assert built.fields == shipped.fields
+        assert built.weights == shipped.weights
+        assert built.name == shipped.name
+
     def test_round_trip_fixtures(self, systems):
         for name, system in systems.items():
             back = parse_system(format_system(system))

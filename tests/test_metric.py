@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from subriemann import fixtures as fx
+from subriemann.lattice import Lattice, LatticeError
 from subriemann.metric import (
     BallTruncated,
     LatticeSpec,
-    MetricError,
     ball_box_scan,
     ball_extent,
     ball_volume,
@@ -25,6 +25,7 @@ from subriemann.metric import (
 from subriemann.nsw import eval_lambda, parse_domain_spec
 from subriemann.automorph import PolynomialMap
 from subriemann.polynomials import parse_polynomial
+from subriemann.sobolev import GridDomain
 
 
 @pytest.fixture(scope="module")
@@ -35,25 +36,30 @@ def euclid_field():
 
 
 class TestLatticeSpec:
+    def test_one_lattice_type(self):
+        assert LatticeSpec is GridDomain is Lattice
+
     def test_shape_and_axes(self):
         lat = LatticeSpec([(0, 1), (-1, 1)], [0.5, 1.0])
         assert lat.shape == (3, 3)
-        assert np.allclose(lat.axes()[0], [0, 0.5, 1.0])
+        assert np.allclose(lat.axes[0], [0, 0.5, 1.0])
         assert lat.cell_volume() == 0.5
 
     def test_node_index_and_bounds(self):
         lat = LatticeSpec([(0, 1)], 0.25)
         assert lat.node_index([0.5]) == (2,)
-        with pytest.raises(MetricError):
+        with pytest.raises(LatticeError):
             lat.node_index([2.0])
 
     def test_validation(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(LatticeError):
             LatticeSpec([], 0.1)
-        with pytest.raises(MetricError):
+        with pytest.raises(LatticeError):
             LatticeSpec([(0, 1)], -0.1)
-        with pytest.raises(MetricError):
+        with pytest.raises(LatticeError):
             LatticeSpec([(1, 0)], 0.1)
+        with pytest.raises(LatticeError):  # no node off the boundary shell
+            LatticeSpec([(0, 1)], 1.0)
 
     def test_control_directions_are_unit(self):
         dirs = control_directions(3, 10, seed=4)
@@ -122,18 +128,6 @@ class TestBallVolume:
         system, df = euclid_field
         with pytest.raises(BallTruncated):
             ball_volume(system, [0, 0], 5.0, dfield=df)
-
-    def test_monte_carlo_agrees_with_grid(self, euclid_field):
-        system, df = euclid_field
-        grid = ball_volume(system, [0, 0], 1.0, dfield=df).estimate
-        mc = ball_volume(system, [0, 0], 1.0, dfield=df, method="monte-carlo",
-                         n_samples=4000, seed=7)
-        assert abs(mc.estimate - grid) < 6 * (mc.standard_error or 1.0) + 0.05 * grid
-
-    def test_unknown_method(self, euclid_field):
-        system, df = euclid_field
-        with pytest.raises(MetricError):
-            ball_volume(system, [0, 0], 1.0, dfield=df, method="nope")
 
 
 class TestBallExtent:

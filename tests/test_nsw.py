@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subriemann.fields import FieldError, homogeneous_dimension
+from subriemann import fixtures as fx
+from subriemann.fields import FieldError, enumerate_commutators, homogeneous_dimension
 from subriemann.nsw import (
     BudgetExceeded,
     DomainSpec,
@@ -69,6 +70,14 @@ class TestAssembly:
         # allow_over_cap proceeds anyway
         nsw = build_nsw(bases["martinet"], tuple_cap=1, allow_over_cap=True)
         assert nsw.Q == 5
+
+    @pytest.mark.parametrize("make, q", [
+        (lambda: fx.heisenberg(3), 8),   # 12^7 ordered tuples, C(12, 7) = 792
+        (lambda: fx.bony(6), 21),        # 12^6 ordered tuples, C(12, 6) = 924
+    ], ids=["heisenberg3", "bony6"])
+    def test_budget_counts_determinants(self, make, q):
+        nsw = build_nsw(enumerate_commutators(make()))
+        assert nsw.Q == q
 
     def test_json_dump(self, nsw_polys):
         payload = json.loads(nsw_polys["grushin-1-1-2"].to_json())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subriemann import fixtures as fx
+from subriemann.lattice import LatticeError
 from subriemann.metric import LatticeSpec, distance_field
 from subriemann.sobolev import (
     GridDomain,
@@ -57,7 +58,7 @@ class TestGridDomain:
         assert clamped[8, 8] == 1.0
 
     def test_rejects_bad_spacing(self):
-        with pytest.raises(SobolevError):
+        with pytest.raises(LatticeError):
             GridDomain([(-1, 1)], [0.5, 0.5])
 
 
