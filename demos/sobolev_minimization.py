@@ -32,7 +32,7 @@ def main():
     res = minimize_quotient(system, dom, p=2.0, init=u0, n_starts=1,
                             max_iter=4000, seed=0)
     print(f"quotient: {res.trace[0]:.4f} -> {res.constant:.4f} "
-          f"after {res.iterations} iterations (converged: {res.converged})")
+          f"after {res.iterations} iterations (stop reason: {res.stop_reason})")
 
     peak = np.unravel_index(np.abs(res.minimizer.values).argmax(), dom.shape)
     center = dom.node_coords(peak)

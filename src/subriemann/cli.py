@@ -338,6 +338,7 @@ def cmd_sobolev(args) -> int:
         "constant": f"{res.constant:.12g}",
         "iterations": res.iterations,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
         "start_quotients": [f"{q:.12g}" for q in res.start_quotients],
         "p": f"{args.p:.12g}",
         "p_star": f"{res.report.p_star:.12g}",

@@ -6,18 +6,21 @@ directions and the step ``tau``.  The subunit distance is approximated
 by breadth-first search on a lattice graph: from each node y, one edge
 per sampled control direction a leads to the node nearest to
 y + tau * sum_i a_i X_i(y), at cost tau (|a| = 1 for every sampled
-direction).  Endpoint snapping to the lattice is not corrected; it is
-the dominant error term and shrinks with the spacing.  The estimate
-converges to the true distance as spacing and tau go to zero, but
-refinement is not guaranteed to be monotone.  Ball volumes count the
-lattice cells inside the ball; a ball that reaches the lattice's
-boundary shell is truncated.
+direction).  The edges are stored as one ``(n_directions, n_nodes)``
+int32 table of target nodes, -1 where a step leaves the box, so a
+lattice may hold at most 2^31 - 1 nodes.  The search is
+level-synchronous in numpy: each level gathers the current frontier's
+targets from the table and labels the unreached ones.  Endpoint
+snapping to the lattice is not corrected; it is the dominant error
+term and shrinks with the spacing.  The estimate converges to the true
+distance as spacing and tau go to zero, but refinement is not
+guaranteed to be monotone.  Ball volumes count the lattice cells inside
+the ball; a ball that reaches the lattice's boundary shell is truncated.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -80,31 +83,45 @@ class DistanceField:
 
 
 def _neighbor_tables(system: VectorFieldSystem, lattice: Lattice,
-                     directions: np.ndarray, tau: float) -> list[np.ndarray]:
-    """Flat target-node index per direction (-1 where the step exits)."""
+                     directions: np.ndarray, tau: float) -> np.ndarray:
+    """Target node per (direction, flat source node), -1 where the step exits.
+
+    Returns one ``(n_directions, n_nodes)`` int32 array.  The step
+    arithmetic is float64: mesh + tau * sum_i a_i X_i, rounded to the
+    nearest node.  Along axis k it runs on the sub-grid of the axes that
+    axis k and its nonzero coefficients depend on, and broadcasts from
+    there; the skipped terms are exact zeros and the coefficients are
+    constant along the dropped axes, so the targets are the same as on
+    the full grid.
+    """
     shape = lattice.shape
+    size = int(np.prod(shape))
+    if size > np.iinfo(np.int32).max:
+        raise MetricError(f"{size} lattice nodes do not fit int32 node indices")
     mesh = lattice.mesh
     comp = lattice.field_grids(system)
-    tables = []
-    size = int(np.prod(shape))
-    for a in directions:
-        flat = np.full(size, -1, dtype=np.int64)
-        targets = []
+    dim = system.dim
+    # deps[i][k]: the axes coefficient k of field i depends on, None if it is zero
+    deps = [[None if c.is_zero() else {ax for ax in range(dim) if c.degree_in(ax + 1) > 0}
+             for c in f.coeffs] for f in system.fields]
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    tables = np.empty((len(directions), size), dtype=np.int32)
+    for d, a in enumerate(directions):
+        flat = np.zeros(shape, dtype=np.int64)
         valid = np.ones(shape, dtype=bool)
-        for k in range(system.dim):
-            disp = np.zeros(shape)
-            for i in range(system.m):
-                if a[i] != 0.0:
-                    disp = disp + a[i] * comp[i][k]
-            t = mesh[k] + tau * disp
+        for k in range(dim):
+            terms = [i for i in range(system.m) if a[i] != 0.0 and deps[i][k] is not None]
+            used = {k}.union(*(deps[i][k] for i in terms))
+            sub = tuple(slice(None) if ax in used else slice(0, 1) for ax in range(dim))
+            disp = np.zeros(mesh[k][sub].shape)
+            for i in terms:
+                disp += a[i] * comp[i][k][sub]
+            t = mesh[k][sub] + tau * disp
             lo, _ = lattice.box[k]
             j = np.rint((t - lo) / lattice.spacing[k]).astype(np.int64)
             valid &= (j >= 0) & (j < shape[k])
-            targets.append(j)
-        clipped = [np.clip(j, 0, shape[k] - 1) for k, j in enumerate(targets)]
-        flat_idx = np.ravel_multi_index(clipped, shape)
-        flat = np.where(valid.ravel(), flat_idx.ravel(), -1)
-        tables.append(flat)
+            flat += j * strides[k]
+        tables[d] = np.where(valid, flat, -1).ravel()
     return tables
 
 
@@ -114,28 +131,38 @@ def distance_field(
     lattice: Lattice,
     seed: int = 0,
 ) -> DistanceField:
-    """Single-source subunit distance estimates on the lattice."""
+    """Single-source subunit distance estimates on the lattice.
+
+    Level-synchronous breadth-first search over the stacked int32
+    neighbour tables: level k gathers every direction's targets from
+    the level k-1 frontier, keeps the unlabelled ones, labels them k
+    and makes them, deduplicated and sorted, the next frontier.  Hop
+    counts do not depend on visit order.  A node is worth hops * tau,
+    or +inf where no chain of steps reaches it.
+    """
     directions = control_directions(system.m, lattice.n_random_controls, seed=seed)
     if directions.size == 0:
         raise MetricError("empty control set")
     tau = lattice.tau if lattice.tau is not None else 2.0 * max(lattice.spacing)
+    tables = _neighbor_tables(system, lattice, directions, tau)
     shape = lattice.shape
-    size = int(np.prod(shape))
+    size = tables.shape[1]
     src = int(np.ravel_multi_index(lattice.node_index(source), shape))
-    tables = [t.tolist() for t in _neighbor_tables(system, lattice, directions, tau)]
-    hops = np.full(size, -1, dtype=np.int64)
+    # one slot past the last node: a -1 table entry reads it as labelled
+    hops = np.full(size + 1, -1, dtype=np.int32)
+    hops[size] = 0
     hops[src] = 0
-    hops_list = hops.tolist()
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        nd = hops_list[node] + 1
-        for tab in tables:
-            nb = tab[node]
-            if nb >= 0 and hops_list[nb] < 0:
-                hops_list[nb] = nd
-                queue.append(nb)
-    hops = np.array(hops_list, dtype=np.float64)
+    fresh = np.zeros(size, dtype=bool)
+    frontier = np.array([src])
+    level = 0
+    while frontier.size:
+        level += 1
+        targets = tables[:, frontier].ravel()
+        fresh[targets[hops[targets] < 0]] = True
+        frontier = np.flatnonzero(fresh)
+        fresh[frontier] = False
+        hops[frontier] = level
+    hops = hops[:size]
     values = np.where(hops >= 0, hops * tau, np.inf).reshape(shape)
     return DistanceField(tuple(float(v) for v in source), lattice, values, tau, len(directions))
 

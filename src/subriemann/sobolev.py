@@ -7,7 +7,8 @@ surrogate.  Xu is assembled by finite differences, weighted by the
 polynomial coefficients that the lattice evaluates on its nodes, and the
 quotient is minimized by normalized projected gradient descent.  Distance fields
 for the concentration and decay diagnostics must come from a lattice
-with the same box and spacing as the function's.  Dirichlet truncation
+with the same box and spacing as the function's; both diagnostics
+check this when the field carries its lattice.  Dirichlet truncation
 overestimates the constant; reports always carry the box and spacing so
 callers can test stability under box doubling instead of asserting
 absolute truth.
@@ -246,9 +247,14 @@ class MinimizeResult:
     constant: float                # p-energy at the normalized minimizer
     trace: list[float]             # quotient per accepted iterate (best start)
     iterations: int
-    converged: bool
+    stop_reason: str               # "converged", "stalled" or "max_iter"
     start_quotients: list[float]
     report: EnergyReport
+
+    @property
+    def converged(self) -> bool:
+        """True only when the patience/rel_tol rule stopped the descent."""
+        return self.stop_reason == "converged"
 
 
 def minimize_quotient(
@@ -269,7 +275,9 @@ def minimize_quotient(
     Backtracking line search on the scale-invariant quotient; every
     accepted iterate is renormalized to ||u||_{p*} = 1.  Stops when the
     relative quotient decrease over ``patience`` iterations drops below
-    ``rel_tol``; non-convergence returns the best iterate flagged.
+    ``rel_tol`` (stop reason ``"converged"``), when the line search finds
+    no decrease (``"stalled"``) or after ``max_iter`` iterations
+    (``"max_iter"``); the best start's iterate and stop reason are returned.
     """
     Q = sum(system.weights)
     if not (1 < p < Q):
@@ -309,7 +317,7 @@ def minimize_quotient(
         trace = [quotient]
         eta = 1.0 / max(float(np.abs(grad).max()), 1e-30)
         it = 0
-        converged = False
+        stop_reason = "max_iter"
         while it < max_iter:
             it += 1
             # gradient of the quotient at a normalized iterate
@@ -336,21 +344,21 @@ def minimize_quotient(
                 eta *= 0.5
             trace.append(quotient)
             if not accepted:
-                converged = True
+                stop_reason = "stalled"
                 break
             if it >= patience:
                 prev = trace[-1 - patience]
                 if prev - quotient < rel_tol * prev:
-                    converged = True
+                    stop_reason = "converged"
                     break
         start_quotients.append(quotient)
         if best is None or quotient < best[1]:
-            best = (values, quotient, trace, it, converged)
+            best = (values, quotient, trace, it, stop_reason)
 
-    values, quotient, trace, it, converged = best
+    values, quotient, trace, it, stop_reason = best
     u = GridFunction(domain, values)
     rep = energy_report(system, u, p)
-    return MinimizeResult(u, quotient, trace, it, converged, start_quotients, rep)
+    return MinimizeResult(u, quotient, trace, it, stop_reason, start_quotients, rep)
 
 
 def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> GridFunction:
@@ -427,6 +435,20 @@ class ConcentrationDiagnostics:
             raise SobolevError("Levy values must be non-decreasing in rho")
 
 
+def _check_aligned(dfield, domain: Lattice) -> None:
+    """Require a distance field on the function's nodes.
+
+    The values must have the lattice's shape.  A field that carries its
+    ``lattice`` (a `DistanceField`) must also have the same box and
+    spacing; a bare ``values`` array is taken to be on the nodes.
+    """
+    lat = getattr(dfield, "lattice", None)
+    if dfield.values.shape != domain.shape or (
+        lat is not None and (lat.box != domain.box or lat.spacing != domain.spacing)
+    ):
+        raise SobolevError("distance field lattice does not match the function")
+
+
 def levy_concentration(
     u: GridFunction,
     rho_grid: Sequence[float],
@@ -449,8 +471,7 @@ def levy_concentration(
         raise SobolevError("zero function has no concentration profile")
     dmats = []
     for df in distance_fields:
-        if df.values.shape != u.domain.shape:
-            raise SobolevError("distance field lattice does not match the function")
+        _check_aligned(df, u.domain)
         dmats.append(df.values)
 
     def q_of(rho: float) -> tuple[float, int]:
@@ -571,8 +592,7 @@ def decay_profile(
     Dirichlet boundary layer.  A fit is rejected when the RMS residual
     exceeds the threshold or the profile shows no decay at all.
     """
-    if dfield.values.shape != u.domain.shape:
-        raise SobolevError("distance field lattice does not match the function")
+    _check_aligned(dfield, u.domain)
     d = dfield.values
     sel = (d >= r_inner) & (d <= r_outer) & (np.abs(u.values) > value_floor)
     sel &= np.isfinite(d) & (d > 0)

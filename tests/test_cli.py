@@ -189,6 +189,8 @@ class TestSobolev:
         summary = json.loads(out)
         assert float(summary["constant"]) > 0
         assert summary["p_star"] == "4"
+        assert summary["stop_reason"] == "max_iter"
+        assert summary["converged"] is False
         assert trace.read_text().startswith("iteration,quotient")
         sidecar = json.loads((tmp_path / "u.raw.json").read_text())
         import numpy as np

@@ -1,6 +1,8 @@
 """Lattice distance fields, ball volumes, and growth scans."""
 
 import math
+import types
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,8 @@ from subriemann.lattice import Lattice, LatticeError
 from subriemann.metric import (
     BallTruncated,
     LatticeSpec,
+    MetricError,
+    _neighbor_tables,
     ball_box_scan,
     ball_extent,
     ball_volume,
@@ -110,6 +114,107 @@ class TestDistanceField:
         df = distance_field(system, [0, 0], lat, seed=0)
         assert math.isinf(df.query([0.0, 0.5]))
         assert df.query([0.5, 0.0]) < math.inf
+        # steps of tau = 2 spacings along x2 = 0 reach 5 of the 81 nodes
+        assert np.isfinite(df.values).sum() == 5
+        assert_matches_reference(system, [0, 0], lat, seed=0)
+
+
+def reference_hops(system, source, lattice, seed):
+    """Hop counts by a plain FIFO breadth-first search, -1 where unreached."""
+    directions = control_directions(system.m, lattice.n_random_controls, seed=seed)
+    tau = lattice.tau if lattice.tau is not None else 2.0 * max(lattice.spacing)
+    tables = _neighbor_tables(system, lattice, directions, tau).tolist()
+    src = int(np.ravel_multi_index(lattice.node_index(source), lattice.shape))
+    hops = [-1] * len(tables[0])
+    hops[src] = 0
+    queue = deque([src])
+    while queue:
+        node = queue.popleft()
+        for tab in tables:
+            nb = tab[node]
+            if nb >= 0 and hops[nb] < 0:
+                hops[nb] = hops[node] + 1
+                queue.append(nb)
+    return np.array(hops).reshape(lattice.shape)
+
+
+def reference_tables(system, lattice, directions, tau):
+    """Neighbour tables by the step arithmetic on the full node grid."""
+    shape = lattice.shape
+    comp = lattice.field_grids(system)
+    tables = []
+    for a in directions:
+        valid = np.ones(shape, dtype=bool)
+        targets = []
+        for k in range(system.dim):
+            disp = np.zeros(shape)
+            for i in range(system.m):
+                disp = disp + a[i] * comp[i][k]
+            t = lattice.mesh[k] + tau * disp
+            j = np.rint((t - lattice.box[k][0]) / lattice.spacing[k]).astype(np.int64)
+            valid &= (j >= 0) & (j < shape[k])
+            targets.append(np.clip(j, 0, shape[k] - 1))
+        tables.append(np.where(valid, np.ravel_multi_index(targets, shape), -1).ravel())
+    return np.array(tables)
+
+
+def assert_matches_reference(system, source, lattice, seed):
+    """distance_field labels every node with the reference hop count."""
+    df = distance_field(system, source, lattice, seed=seed)
+    hops = reference_hops(system, source, lattice, seed)
+    reached = hops >= 0
+    assert np.array_equal(np.isfinite(df.values), reached)
+    ratio = df.values[reached] / df.tau
+    assert np.array_equal(np.rint(ratio), hops[reached])
+    assert np.allclose(ratio, hops[reached], rtol=0, atol=1e-9)
+    assert np.array_equal(df.values[reached], hops[reached] * df.tau)
+
+
+GRUSHIN_LATTICE = dict(box=[(-1.5, 1.5)] * 2, spacing=0.1, n_random_controls=12, tau=0.2)
+MARTINET_LATTICE = dict(box=[(-1, 1)] * 3, spacing=0.125, n_random_controls=6, tau=0.25)
+
+
+class TestFrontierBFS:
+    """The level-synchronous BFS labels every node as a FIFO BFS does."""
+
+    @pytest.mark.parametrize("name, lattice, source, seed", [
+        ("grushin-1-1-2", GRUSHIN_LATTICE, [0.3, -0.2], 0),
+        ("grushin-1-1-2", GRUSHIN_LATTICE, [0.3, -0.2], 1),
+        ("grushin-1-1-2", GRUSHIN_LATTICE, [0.3, -0.2], 5),
+        ("martinet", MARTINET_LATTICE, [0.5, 0.0, 0.25], 0),
+        ("martinet", MARTINET_LATTICE, [0.5, 0.0, 0.25], 2),
+        ("martinet", MARTINET_LATTICE, [0.5, 0.0, 0.25], 7),
+        ("martinet", MARTINET_LATTICE, [-1.0, 0.5, 1.0], 3),  # on the boundary shell
+    ])
+    def test_matches_reference_bfs(self, systems, name, lattice, source, seed):
+        assert_matches_reference(systems[name], source, LatticeSpec(**lattice), seed)
+
+    @pytest.mark.parametrize("name", ["grushin-1-1-2", "martinet", "heisenberg1",
+                                      "r4-fourfields", "ex31"])
+    def test_tables_match_full_grid_arithmetic(self, systems, name):
+        system = systems[name]
+        lat = LatticeSpec([(-1, 1.1)] * system.dim, 0.15 if system.dim < 4 else 0.35)
+        directions = control_directions(system.m, 8, seed=1)
+        tables = _neighbor_tables(system, lat, directions, 0.3)
+        assert np.array_equal(tables, reference_tables(system, lat, directions, 0.3))
+
+    def test_tables_are_stacked_int32(self):
+        system = fx.martinet()
+        lat = LatticeSpec([(-1, 1), (-1, 1), (-1, 1)], 0.25,
+                          n_random_controls=6, tau=0.25)
+        directions = control_directions(system.m, 6, seed=0)
+        tables = _neighbor_tables(system, lat, directions, 0.25)
+        assert tables.dtype == np.int32
+        assert tables.shape == (len(directions), 9 ** 3)
+        assert tables.min() >= -1 and tables.max() < 9 ** 3
+        assert (tables == -1).any()  # steps out of the box exit
+
+    def test_int32_node_limit(self):
+        # refused before any per-node array is allocated
+        lat = types.SimpleNamespace(shape=(1 << 11,) * 3, n_random_controls=0,
+                                    tau=0.1, spacing=[0.01] * 3)
+        with pytest.raises(MetricError, match="int32"):
+            distance_field(fx.martinet(), [0, 0, 0], lat)
 
 
 class TestBallVolume:

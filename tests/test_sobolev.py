@@ -1,6 +1,7 @@
 """Discrete Sobolev quotient: energies, minimization, diagnostics."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -162,6 +163,31 @@ class TestMinimize:
         assert len(res.start_quotients) == 2
         assert res.constant == pytest.approx(min(res.start_quotients))
 
+    def test_stop_reason_max_iter(self):
+        system = fx.grushin()
+        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=5, seed=0)
+        assert res.iterations == 5
+        assert res.stop_reason == "max_iter"
+        assert res.converged is False
+
+    def test_stalled_line_search_is_not_converged(self):
+        # one free node: every normalized candidate has the same quotient
+        dom = GridDomain([(-1, 1), (-1, 1)], 1.0)
+        res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=50)
+        assert res.stop_reason == "stalled"
+        assert res.iterations == 1
+        assert res.converged is False
+
+    def test_stop_reason_converged(self):
+        system = fx.grushin()
+        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=2000,
+                                patience=5, rel_tol=1e-2, seed=0)
+        assert res.stop_reason == "converged"
+        assert res.converged is True
+        assert res.iterations < 2000
+
     def test_explicit_init_is_used(self):
         system = fx.grushin()
         dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
@@ -286,6 +312,15 @@ class TestLevyConcentration:
         with pytest.raises(SobolevError):
             levy_concentration(u, [0.5], [[0.0, 0.0]], [], p_star=4.0)
 
+    def test_shifted_lattice_rejected(self):
+        dom = GridDomain([(-2, 2), (-2, 2)], 0.5)
+        u = bump(dom, [0, 0], 0.5)
+        shifted = LatticeSpec([(-1, 3), (-2, 2)], 0.5, n_random_controls=4, tau=0.5)
+        df = distance_field(fx.euclidean(2), [0, 0], shifted, seed=1)
+        assert df.values.shape == dom.shape
+        with pytest.raises(SobolevError):
+            levy_concentration(u, [0.5], [[0.0, 0.0]], [df], p_star=4.0)
+
 
 class TestDecayProfile:
     def make_distance_field(self, dom):
@@ -309,6 +344,20 @@ class TestDecayProfile:
         u = GridFunction(dom, np.ones(dom.shape))
         fit = decay_profile(u, df, 1.0, 3.0)
         assert fit.rejected
+
+    def test_lattice_contract(self):
+        dom = GridDomain([(-4, 4), (-4, 4)], 0.1)
+        u = bump(dom, [0, 0], 0.5)
+        for box, spacing in (([(-3, 5), (-4, 4)], 0.1),      # same shape, shifted box
+                             ([(-4, 4), (-4, 4)], [0.1, 0.1 + 1e-9])):
+            lat = LatticeSpec(box, spacing, n_random_controls=4, tau=0.2)
+            df = distance_field(fx.euclidean(2), [0, 0], lat, seed=1)
+            assert df.values.shape == dom.shape
+            with pytest.raises(SobolevError, match="does not match"):
+                decay_profile(u, df, 1.0, 3.0)
+        # a bare values array carries no lattice: only its shape is checked
+        bare = types.SimpleNamespace(values=self.make_distance_field(dom).values)
+        assert decay_profile(u, bare, 1.0, 3.0).n_points > 0
 
     def test_empty_annulus(self):
         dom = GridDomain([(-4, 4), (-4, 4)], 0.1)
