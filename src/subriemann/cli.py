@@ -337,6 +337,8 @@ def cmd_sobolev(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "constant": f"{res.constant:.12g}",
         "iterations": res.iterations,
+        "evaluations": res.evaluations,
+        "grad_norm": f"{res.grad_norm:.12g}",
         "converged": res.converged,
         "stop_reason": res.stop_reason,
         "start_quotients": [f"{q:.12g}" for q in res.start_quotients],

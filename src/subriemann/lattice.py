@@ -4,12 +4,14 @@ One `Lattice` holds an axis-aligned box, the per-axis spacing, the node
 coordinates, the outer boundary shell and the Dirichlet ``free`` mask,
 plus the control-set resolution that distance fields read.  The exact
 polynomial coefficients of a vector field system are evaluated on the
-nodes once per (lattice, system) and cached.  This is the first module
-that turns exact polynomials into floats.
+nodes once per (lattice, system) and cached, and so is the assembled
+sparse horizontal-gradient operator X_h built from them.  This is the
+first module that turns exact polynomials into floats.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,6 +37,25 @@ def eval_grid(poly: Polynomial, coords) -> np.ndarray:
                 term = term * np.asarray(x, dtype=float) ** k
         total = total + term
     return total
+
+
+@dataclass(frozen=True)
+class HorizontalOperator:
+    """X_h: the forward and backward one-sided realizations of every X_j.
+
+    ``matrix`` has one row per (realization, field, node), ordered
+    forward before backward, then by field, then by flat node index, so
+    ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
+    X_j^- u on every node.  Its columns are the free nodes only, in the
+    order of ``free_index`` (flat node indices): x = u.ravel()[free_index].
+    ``transpose`` is X_h^T, also in CSR.
+    """
+
+    matrix: object
+    transpose: object
+    free_index: np.ndarray
+    n_fields: int
+    n_nodes: int
 
 
 class Lattice:
@@ -93,6 +114,7 @@ class Lattice:
             free &= np.vectorize(lambda *xs: bool(predicate(xs)))(*self.mesh)
         self.free = free
         self._field_cache: dict = {}
+        self._operator_cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -125,6 +147,59 @@ class Lattice:
             ]
             cached = self._field_cache[id(system)] = (system, grids)
         return cached[1]
+
+    def horizontal_operator(self, system: VectorFieldSystem) -> HorizontalOperator:
+        """The sparse operator X_h of ``system`` on this lattice (cached).
+
+        X_j^+ u(i) = sum_k a_jk(i) (u(i + e_k) - u(i)) / h_k and X_j^- u(i)
+        = sum_k a_jk(i) (u(i) - u(i - e_k)) / h_k at every node i, with u
+        zero off the free nodes (so also outside the box).  Axes whose
+        coefficient vanishes on the whole lattice are skipped.
+        """
+        cached = self._operator_cache.get(id(system))
+        if cached is None:
+            op = self._assemble_operator(system)
+            cached = self._operator_cache[id(system)] = (system, op)
+        return cached[1]
+
+    def _assemble_operator(self, system: VectorFieldSystem) -> HorizontalOperator:
+        # imported on first use: the metric layer and a bare import never need it
+        from scipy import sparse
+
+        grids = self.field_grids(system)
+        n_nodes = int(np.prod(self.shape))
+        n_rows = 2 * len(grids) * n_nodes
+        # int32 row and column indices keep the CSR arrays at 12 bytes per entry
+        index = np.int32 if n_rows < 2 ** 31 else np.int64
+        free_index = np.flatnonzero(self.free)
+        # column of each node, with a trailing -1 slot for "outside the box"
+        column = np.full(n_nodes + 1, -1, dtype=index)
+        column[free_index] = np.arange(free_index.size)
+        node = np.arange(n_nodes, dtype=index).reshape(self.shape)
+        rows, cols, vals = [], [], []
+        for r, side in enumerate((1, -1)):
+            for j, comps in enumerate(grids):
+                row = (r * len(grids) + j) * n_nodes + node.ravel()
+                for k, g in enumerate(comps):
+                    if not np.any(g):
+                        continue
+                    coef = (g / self.spacing[k]).ravel()
+                    # the neighbour one step along axis k on this side
+                    step = np.full(self.shape, n_nodes, dtype=index)
+                    here = [slice(None)] * self.dim
+                    there = [slice(None)] * self.dim
+                    lo, hi = slice(None, -1), slice(1, None)
+                    here[k], there[k] = (lo, hi) if side > 0 else (hi, lo)
+                    step[tuple(here)] = node[tuple(there)]
+                    for c, v in ((column[step.ravel()], side * coef),
+                                 (column[node.ravel()], -side * coef)):
+                        keep = (c >= 0) & (v != 0.0)
+                        rows.append(row[keep])
+                        cols.append(c[keep])
+                        vals.append(v[keep])
+        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        matrix = sparse.csr_array(entries, shape=(n_rows, free_index.size))
+        return HorizontalOperator(matrix, matrix.T.tocsr(), free_index, len(grids), n_nodes)
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         return np.where(self.free, values, 0.0)

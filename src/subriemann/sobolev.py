@@ -3,21 +3,28 @@
 The continuum problem is C0 = inf { int |Xu|^p : ||u||_{p*} = 1 } with
 p* = pQ/(Q-p).  Here u lives on a `Lattice` (``GridDomain`` is the same
 class) and is zero off its Dirichlet ``free`` mask, a compact-support
-surrogate.  Xu is assembled by finite differences, weighted by the
-polynomial coefficients that the lattice evaluates on its nodes, and the
-quotient is minimized by normalized projected gradient descent.  Distance fields
-for the concentration and decay diagnostics must come from a lattice
-with the same box and spacing as the function's; both diagnostics
-check this when the field carries its lattice.  Dirichlet truncation
-overestimates the constant; reports always carry the box and spacing so
-callers can test stability under box doubling instead of asserting
-absolute truth.
+surrogate; the unknowns are the values on the free nodes.  Xu is the
+lattice's assembled sparse operator X_h (`Lattice.horizontal_operator`):
+the forward and the backward one-sided difference realizations of every
+X_j, weighted by the polynomial coefficients evaluated on the nodes.
+The energy averages |Xu|^p over the two realizations, so it is one
+sparse product and its gradient one transposed product; the
+diagnostics (`horizontal_gradient`, `exponent_probe`) use the same X_h.
+The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
+local average, is minimized by limited-memory BFGS on the free nodes.
+Distance fields for the concentration and decay diagnostics must come
+from a lattice with the same box and spacing as the function's; both
+diagnostics check this when the field carries its lattice.  Dirichlet
+truncation overestimates the constant; reports always carry the box and
+spacing so callers can test stability under box doubling instead of
+asserting absolute truth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,41 +46,6 @@ class SupportEscape(SobolevError):
     pass
 
 
-def _cdiff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered difference along one axis, zero outside the box.
-
-    With the zero-extension convention the operator is antisymmetric
-    (D^T = -D), which keeps the energy gradient an exact adjoint.
-    """
-    pad = [(0, 0)] * u.ndim
-    pad[axis] = (1, 1)
-    up = np.pad(u, pad)
-    fwd = [slice(None)] * u.ndim
-    bwd = [slice(None)] * u.ndim
-    fwd[axis] = slice(2, None)
-    bwd[axis] = slice(None, -2)
-    return (up[tuple(fwd)] - up[tuple(bwd)]) / (2.0 * h)
-
-
-def _shift(u: np.ndarray, axis: int, by: int) -> np.ndarray:
-    pad = [(0, 0)] * u.ndim
-    pad[axis] = (1, 1)
-    up = np.pad(u, pad)
-    sl = [slice(None)] * u.ndim
-    sl[axis] = slice(1 + by, up.shape[axis] - 1 + by)
-    return up[tuple(sl)]
-
-
-def _fdiff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference with zero extension; adjoint is -_bdiff."""
-    return (_shift(u, axis, 1) - u) / h
-
-
-def _bdiff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Backward difference with zero extension; adjoint is -_fdiff."""
-    return (u - _shift(u, axis, -1)) / h
-
-
 _SMOOTH_WEIGHT = 1.0 / 16.0
 
 
@@ -92,13 +64,16 @@ def _smooth(u: np.ndarray) -> np.ndarray:
     comparably evaluated extremal profile.
     """
     a = _SMOOTH_WEIGHT
+    lo, hi = slice(None, -1), slice(1, None)
     for ax in range(u.ndim):
-        u = a * _shift(u, ax, -1) + (1.0 - 2.0 * a) * u + a * _shift(u, ax, 1)
+        out = (1.0 - 2.0 * a) * u
+        below = [slice(None)] * u.ndim
+        above = [slice(None)] * u.ndim
+        below[ax], above[ax] = lo, hi
+        out[tuple(above)] += a * u[tuple(below)]
+        out[tuple(below)] += a * u[tuple(above)]
+        u = out
     return u
-
-
-def _pstar_norm(values: np.ndarray, ps: float, cv: float) -> float:
-    return float((np.abs(_smooth(values)) ** ps).sum() * cv) ** (1.0 / ps)
 
 
 class GridFunction:
@@ -135,24 +110,22 @@ def bump(domain: Lattice, center, width) -> GridFunction:
     return GridFunction(domain, np.exp(-r2))
 
 
+def _realizations(system: VectorFieldSystem, u: GridFunction) -> np.ndarray:
+    """X_j^+ u and X_j^- u on every node, shape (2, m, n_nodes)."""
+    op = u.domain.horizontal_operator(system)
+    y = op.matrix @ u.values.ravel()[op.free_index]
+    return y.reshape(2, op.n_fields, op.n_nodes)
+
+
 def horizontal_gradient(system: VectorFieldSystem, u: GridFunction) -> np.ndarray:
     """(X_1 u, ..., X_m u) on the lattice, shape (m, *grid).
 
-    X_j u = sum_k a_jk * (centered difference along axis k), with the
-    polynomial coefficients a_jk evaluated exactly at the nodes.
+    The mean of the forward and the backward realizations of X_h u,
+    which is X_j u = sum_k a_jk * (centered difference along axis k),
+    with the polynomial coefficients a_jk evaluated exactly at the nodes.
     """
-    dom = u.domain
-    grids = dom.field_grids(system)
-    diffs = [_cdiff(u.values, k, dom.spacing[k]) for k in range(dom.dim)]
-    out = np.empty((system.m, *dom.shape))
-    for j in range(system.m):
-        acc = np.zeros(dom.shape)
-        for k in range(dom.dim):
-            g = grids[j][k]
-            if np.any(g):
-                acc = acc + g * diffs[k]
-        out[j] = acc
-    return out
+    y = _realizations(system, u)
+    return 0.5 * (y[0] + y[1]).reshape(system.m, *u.domain.shape)
 
 
 @dataclass
@@ -172,6 +145,77 @@ def _pstar(Q: int, p: float) -> float:
     return p * Q / (Q - p)
 
 
+def _energy_and_gradient(op, x: np.ndarray, p: float, cv: float, eps: float = 0.0,
+                         need_gradient: bool = True):
+    """int |X_h u|^p and its gradient on the free-node values x of u.
+
+    The energy averages the forward- and backward-difference
+    realizations of Xu.  A purely centered scheme annihilates the
+    checkerboard mode, so its discrete infimum collapses to 0; the
+    one-sided pair has no null modes, is still exact on linear
+    functions, and the average is second-order accurate.  With eps > 0
+    |Xu|^p is regularized to (|Xu|^2 + eps^2)^{p/2}.  The gradient is
+    nodal (cell volume ``cv`` included) and lives on the free nodes.
+    """
+    y = op.matrix @ x
+    if p == 2.0 and eps == 0.0:
+        # the weight |Xu|^{p-2} is identically 1
+        energy = 0.5 * cv * float(y @ y)
+        flux = y
+    else:
+        y = y.reshape(2, op.n_fields, op.n_nodes)
+        speed2 = (y * y).sum(axis=1) + eps * eps
+        energy = 0.5 * cv * float((speed2 ** (p / 2.0)).sum())
+        # subgradient 0 where |Xu| = 0 (one-sided derivative of t^p)
+        with np.errstate(divide="ignore"):
+            weight = np.where(speed2 > 0.0, speed2 ** (p / 2.0 - 1.0), 0.0)
+        flux = (y * weight[:, None, :]).ravel()
+    if not need_gradient:
+        return energy, None
+    return energy, 0.5 * p * cv * (op.transpose @ flux)
+
+
+class _Quotient:
+    """E(u) / ||S u||_{p*}^p as a function of the free-node values x of u."""
+
+    def __init__(self, system: VectorFieldSystem, domain: Lattice, p: float,
+                 eps: float = 0.0):
+        self.p = float(p)
+        self.p_star = _pstar(sum(system.weights), p)
+        self.eps = float(eps)
+        self.domain = domain
+        self.op = domain.horizontal_operator(system)
+        self.cv = domain.cell_volume()
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The full node grid of x (zero off the free nodes)."""
+        u = np.zeros(self.op.n_nodes)
+        u[self.op.free_index] = x
+        return u.reshape(self.domain.shape)
+
+    def norm(self, x: np.ndarray, need_gradient: bool = True):
+        """||S u||_{p*} and its gradient."""
+        ps = self.p_star
+        su = _smooth(self.values(x))
+        mag = np.abs(su)
+        mag_pm1 = mag ** (ps - 1.0)
+        nrm = (self.cv * float(np.vdot(mag_pm1, mag))) ** (1.0 / ps)
+        if not need_gradient or nrm == 0.0:
+            return nrm, None
+        dual = _smooth(np.copysign(mag_pm1, su)).ravel()[self.op.free_index]
+        return nrm, self.cv * nrm ** (1.0 - ps) * dual
+
+    def __call__(self, x: np.ndarray):
+        """(quotient, its gradient, ||S u||_{p*}); the quotient is inf at u = 0."""
+        nrm, dnorm = self.norm(x)
+        if nrm == 0.0:
+            return math.inf, None, 0.0
+        p = self.p
+        energy, denergy = _energy_and_gradient(self.op, x, p, self.cv, self.eps)
+        quotient = energy / nrm ** p
+        return quotient, (denergy - (p * energy / nrm) * dnorm) / nrm ** p, nrm
+
+
 def energy_report(system: VectorFieldSystem, u: GridFunction, p: float) -> EnergyReport:
     """Midpoint-rule p-energy and L^{p*} norm of u.
 
@@ -179,82 +223,125 @@ def energy_report(system: VectorFieldSystem, u: GridFunction, p: float) -> Energ
     the minimizer descends, so minimizer constants and oracle
     evaluations of reference profiles are directly comparable.
     """
-    Q = sum(system.weights)
-    ps = _pstar(Q, p)
-    grids = u.domain.field_grids(system)
-    energy, _ = _energy_and_gradient(
-        system, u.domain, u.values, p, grids, 0.0, need_gradient=False
-    )
-    nrm = _pstar_norm(u.values, ps, u.domain.cell_volume())
-    quot = energy / nrm ** p if nrm > 0 else None
-    return EnergyReport(float(p), ps, energy, nrm, quot, u.domain.box, u.domain.spacing)
-
-
-def _energy_and_gradient(system, dom, values, p, grids, eps, need_gradient=True):
-    """int |Xu|^p and its nodal gradient (cell volume included).
-
-    The energy averages the forward- and backward-difference
-    realizations of Xu.  A purely centered scheme annihilates the
-    checkerboard mode, so its discrete infimum collapses to 0; the
-    one-sided pair has no null modes, is still exact on linear
-    functions, and the average is second-order accurate.
-    """
-    cv = dom.cell_volume()
-    energy = 0.0
-    total_grad = np.zeros(dom.shape) if need_gradient else None
-    for diff_op, adj_op in ((_fdiff, _bdiff), (_bdiff, _fdiff)):
-        diffs = [diff_op(values, k, dom.spacing[k]) for k in range(dom.dim)]
-        comps = []
-        speed2 = np.zeros(dom.shape)
-        for j in range(len(grids)):
-            acc = np.zeros(dom.shape)
-            for k in range(dom.dim):
-                g = grids[j][k]
-                if np.any(g):
-                    acc = acc + g * diffs[k]
-            comps.append(acc)
-            speed2 = speed2 + acc * acc
-        if eps > 0.0:
-            energy += 0.5 * float(((speed2 + eps * eps) ** (p / 2.0)).sum() * cv)
-            weight = (speed2 + eps * eps) ** (p / 2.0 - 1.0)
-        else:
-            energy += 0.5 * float((speed2 ** (p / 2.0)).sum() * cv)
-            if p == 2.0:
-                weight = None
-            else:
-                # subgradient 0 where |Xu| = 0 (one-sided derivative of t^p)
-                with np.errstate(divide="ignore"):
-                    weight = np.where(speed2 > 0.0, speed2 ** (p / 2.0 - 1.0), 0.0)
-        if not need_gradient:
-            continue
-        for k in range(dom.dim):
-            flux = np.zeros(dom.shape)
-            for j in range(len(grids)):
-                g = grids[j][k]
-                if np.any(g):
-                    term = g * comps[j]
-                    flux = flux + (term if weight is None else weight * term)
-            # the adjoint of each one-sided difference is minus the other
-            total_grad = total_grad - adj_op(flux, k, dom.spacing[k])
-    if need_gradient:
-        total_grad = 0.5 * p * cv * dom.clamp(total_grad)
-    return energy, total_grad
+    quot = _Quotient(system, u.domain, p)
+    x = u.values.ravel()[quot.op.free_index]
+    energy, _ = _energy_and_gradient(quot.op, x, p, quot.cv, need_gradient=False)
+    nrm, _ = quot.norm(x, need_gradient=False)
+    ratio = energy / nrm ** p if nrm > 0 else None
+    return EnergyReport(float(p), quot.p_star, energy, nrm, ratio, u.domain.box, u.domain.spacing)
 
 
 @dataclass
 class MinimizeResult:
     minimizer: GridFunction
     constant: float                # p-energy at the normalized minimizer
-    trace: list[float]             # quotient per accepted iterate (best start)
-    iterations: int
+    trace: list[float]             # quotient per iteration (best start)
+    iterations: int                # L-BFGS iterations of the best start
     stop_reason: str               # "converged", "stalled" or "max_iter"
     start_quotients: list[float]
     report: EnergyReport
+    evaluations: int               # quotient+gradient evaluations of the best start
+    grad_norm: float               # 2-norm of the quotient gradient on the free nodes, at the minimizer
 
     @property
     def converged(self) -> bool:
         """True only when the patience/rel_tol rule stopped the descent."""
         return self.stop_reason == "converged"
+
+
+_MEMORY = 10             # L-BFGS curvature pairs kept
+_ARMIJO = 1e-4           # sufficient-decrease constant
+_MAX_BACKTRACKS = 60     # step halvings before the line search fails
+# relative quotient change that rounding alone produces is ~2e-15 (the
+# spread of E(cu) / ||S cu||^p over scalings c): smaller drops are no decrease
+_ROUNDOFF = 1e-14
+
+
+def _direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g by the L-BFGS two-loop recursion over (s, y, 1/s.y) pairs, oldest first.
+
+    With no pairs the step is steepest descent scaled so that its
+    largest entry is 1.
+    """
+    if not pairs:
+        return -g / max(float(np.abs(g).max()), 1e-30)
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
+
+
+def _rescale_pairs(pairs, c: float) -> None:
+    """The curvature pairs of the iterate scaled by c: s -> c s, y -> y / c (s.y is kept).
+
+    The quotient is scale-invariant, so its gradient at c x is g / c and
+    the L-BFGS direction from the rescaled pairs is c times the old one.
+    """
+    for pair in pairs:
+        pair[0] = pair[0] * c
+        pair[1] = pair[1] / c
+
+
+def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
+           rel_tol: float):
+    """Minimize the quotient from x; the iterate is renormalized when its norm drifts.
+
+    Returns (normalized x, quotient, trace, iterations, stop reason,
+    evaluations, gradient norm at the normalized x).
+    """
+    f, g, nrm = quotient(x)
+    evaluations = 1
+    trace = [f]
+    pairs: deque = deque(maxlen=_MEMORY)
+    it = 0
+    stop_reason = "max_iter"
+    while it < max_iter:
+        it += 1
+        d = _direction(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            # the curvature pairs give no descent direction: start afresh
+            pairs.clear()
+            d = _direction(g, pairs)
+            slope = float(g @ d)
+        t = 1.0
+        accepted = False
+        for _ in range(_MAX_BACKTRACKS):
+            cand = x + t * d
+            c_f, c_g, c_nrm = quotient(cand)
+            evaluations += 1
+            # Armijo sufficient decrease, and a strict decrease beyond rounding
+            if c_f <= f + _ARMIJO * t * slope and f - c_f > _ROUNDOFF * f:
+                accepted = True
+                break
+            t *= 0.5
+        trace.append(c_f if accepted else f)
+        if not accepted:
+            stop_reason = "stalled"
+            break
+        s, y = cand - x, c_g - g
+        sy = float(s @ y)
+        if sy > 1e-12 * float(y @ y):
+            pairs.append([s, y, 1.0 / sy])
+        x, f, g, nrm = cand, c_f, c_g, c_nrm
+        if not 0.5 <= nrm <= 2.0:
+            # u -> u / nrm leaves the quotient alone and scales its gradient by nrm
+            x, g = x / nrm, g * nrm
+            _rescale_pairs(pairs, 1.0 / nrm)
+            nrm = 1.0
+        if it >= patience:
+            prev = trace[-1 - patience]
+            if prev - f < rel_tol * prev:
+                stop_reason = "converged"
+                break
+    return x / nrm, f, trace, it, stop_reason, evaluations, float(np.linalg.norm(g)) * nrm
 
 
 def minimize_quotient(
@@ -270,23 +357,28 @@ def minimize_quotient(
     seed: int = 0,
     eps: float | None = None,
 ) -> MinimizeResult:
-    """Normalized projected gradient descent on E(u) = int|Xu|^p / ||u||_{p*}^p.
+    """Minimize the quotient E(u) / ||S u||_{p*}^p by L-BFGS on the free nodes.
 
-    Backtracking line search on the scale-invariant quotient; every
-    accepted iterate is renormalized to ||u||_{p*} = 1.  Stops when the
+    Each start is normalized to ||S u||_{p*} = 1 and descended by
+    limited-memory BFGS (two-loop recursion over the last 10 curvature
+    pairs) with an Armijo backtracking line search that also requires a
+    strict decrease larger than rounding, so the trace falls
+    monotonically.  The quotient
+    gradient comes from the quotient rule; the iterate is renormalized
+    whenever its norm leaves [1/2, 2].  ``max_iter`` counts L-BFGS
+    iterations (accepted steps) per start.  A start stops when the
     relative quotient decrease over ``patience`` iterations drops below
     ``rel_tol`` (stop reason ``"converged"``), when the line search finds
     no decrease (``"stalled"``) or after ``max_iter`` iterations
-    (``"max_iter"``); the best start's iterate and stop reason are returned.
+    (``"max_iter"``).  The best start's normalized iterate, stop reason,
+    iteration and evaluation counts and final gradient norm are returned.
     """
     Q = sum(system.weights)
     if not (1 < p < Q):
         raise SobolevError(f"need 1 < p < Q; got p = {p}, Q = {Q}")
-    ps = _pstar(Q, p)
     if eps is None:
         eps = 1e-8 if p < 1.5 else 0.0
-    grids = domain.field_grids(system)
-    cv = domain.cell_volume()
+    quotient = _Quotient(system, domain, p, eps)
     rng = np.random.default_rng(seed)
 
     centers = list(init_centers or [])
@@ -309,56 +401,20 @@ def minimize_quotient(
     start_quotients = []
     for start in starts:
         u = start if isinstance(start, GridFunction) else bump(domain, start, widths)
-        if not np.any(u.values):
+        x = u.values.ravel()[quotient.op.free_index]
+        if not np.any(x):
             raise SobolevError("initial iterate is fully masked")
-        values = u.values / _pstar_norm(u.values, ps, cv)
-        energy, grad = _energy_and_gradient(system, domain, values, p, grids, eps)
-        quotient = energy  # ||u||_{p*} = 1
-        trace = [quotient]
-        eta = 1.0 / max(float(np.abs(grad).max()), 1e-30)
-        it = 0
-        stop_reason = "max_iter"
-        while it < max_iter:
-            it += 1
-            # gradient of the quotient at a normalized iterate
-            sm = _smooth(values)
-            dnorm = _smooth((np.abs(sm) ** (ps - 2.0)) * sm) * cv
-            direction = grad - p * energy * domain.clamp(dnorm)
-            accepted = False
-            for _ in range(60):
-                cand = values - eta * direction
-                nrm = _pstar_norm(cand, ps, cv)
-                if nrm == 0.0:
-                    eta *= 0.5
-                    continue
-                cand = cand / nrm
-                c_energy, c_grad = _energy_and_gradient(
-                    system, domain, cand, p, grids, eps
-                )
-                if c_energy < quotient:
-                    values, energy, grad = cand, c_energy, c_grad
-                    quotient = c_energy
-                    accepted = True
-                    eta *= 1.3
-                    break
-                eta *= 0.5
-            trace.append(quotient)
-            if not accepted:
-                stop_reason = "stalled"
-                break
-            if it >= patience:
-                prev = trace[-1 - patience]
-                if prev - quotient < rel_tol * prev:
-                    stop_reason = "converged"
-                    break
-        start_quotients.append(quotient)
-        if best is None or quotient < best[1]:
-            best = (values, quotient, trace, it, stop_reason)
+        x = x / quotient.norm(x, need_gradient=False)[0]
+        run = _lbfgs(quotient, x, max_iter, patience, rel_tol)
+        start_quotients.append(run[1])
+        if best is None or run[1] < best[1]:
+            best = run
 
-    values, quotient, trace, it, stop_reason = best
-    u = GridFunction(domain, values)
+    x, constant, trace, it, stop_reason, evaluations, grad_norm = best
+    u = GridFunction(domain, quotient.values(x))
     rep = energy_report(system, u, p)
-    return MinimizeResult(u, quotient, trace, it, stop_reason, start_quotients, rep)
+    return MinimizeResult(u, constant, trace, it, stop_reason, start_quotients, rep,
+                          evaluations, grad_norm)
 
 
 def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> GridFunction:
@@ -558,9 +614,9 @@ def exponent_probe(
                         f"dilated support leaves the domain box at t = {t}"
                     )
         ut = dilate_function(system, u, t)
-        grad = horizontal_gradient(system, ut)
-        speed = np.sqrt((grad * grad).sum(axis=0))
-        denom = float(speed.sum()) * ut.domain.cell_volume()
+        y = _realizations(system, ut)
+        # int |Xu| = 1/2 sum_{+-} int |X^{+-} u|, the energy's two realizations
+        denom = 0.5 * float(np.sqrt((y * y).sum(axis=1)).sum()) * ut.domain.cell_volume()
         if denom == 0.0:
             raise SobolevError("seed function has zero horizontal gradient")
         ratios.append(ut.norm(q) / denom)

@@ -191,6 +191,10 @@ class TestSobolev:
         assert summary["p_star"] == "4"
         assert summary["stop_reason"] == "max_iter"
         assert summary["converged"] is False
+        assert summary["iterations"] == 40
+        # one evaluation at the start, at least one per iteration
+        assert summary["evaluations"] >= 41
+        assert 0.0 < float(summary["grad_norm"]) < float("inf")
         assert trace.read_text().startswith("iteration,quotient")
         sidecar = json.loads((tmp_path / "u.raw.json").read_text())
         import numpy as np

@@ -14,7 +14,10 @@ from subriemann.sobolev import (
     GridFunction,
     SobolevError,
     SupportEscape,
+    _Quotient,
+    _direction,
     _energy_and_gradient,
+    _rescale_pairs,
     bump,
     decay_profile,
     dilate_function,
@@ -108,25 +111,133 @@ class TestHorizontalGradient:
         assert g[1][i, j] == pytest.approx(3.0 * x_val ** 2)
 
 
+def _shift(u, axis, by):
+    pad = [(0, 0)] * u.ndim
+    pad[axis] = (1, 1)
+    up = np.pad(u, pad)
+    sl = [slice(None)] * u.ndim
+    sl[axis] = slice(1 + by, up.shape[axis] - 1 + by)
+    return up[tuple(sl)]
+
+
+def _fdiff(u, axis, h):
+    return (_shift(u, axis, 1) - u) / h
+
+
+def _bdiff(u, axis, h):
+    return (u - _shift(u, axis, -1)) / h
+
+
+def reference_energy_and_gradient(system, dom, values, p):
+    """The stencil energy and nodal gradient that X_h replaced (eps = 0).
+
+    Padded one-sided differences with hand-written adjoints: the
+    adjoint of each one-sided difference is minus the other.
+    """
+    grids = dom.field_grids(system)
+    cv = dom.cell_volume()
+    energy = 0.0
+    total_grad = np.zeros(dom.shape)
+    for diff_op, adj_op in ((_fdiff, _bdiff), (_bdiff, _fdiff)):
+        diffs = [diff_op(values, k, dom.spacing[k]) for k in range(dom.dim)]
+        comps = []
+        speed2 = np.zeros(dom.shape)
+        for j in range(len(grids)):
+            acc = np.zeros(dom.shape)
+            for k in range(dom.dim):
+                g = grids[j][k]
+                if np.any(g):
+                    acc = acc + g * diffs[k]
+            comps.append(acc)
+            speed2 = speed2 + acc * acc
+        energy += 0.5 * float((speed2 ** (p / 2.0)).sum() * cv)
+        with np.errstate(divide="ignore"):
+            weight = np.where(speed2 > 0.0, speed2 ** (p / 2.0 - 1.0), 0.0)
+        for k in range(dom.dim):
+            flux = np.zeros(dom.shape)
+            for j in range(len(grids)):
+                g = grids[j][k]
+                if np.any(g):
+                    flux = flux + weight * (g * comps[j])
+            total_grad = total_grad - adj_op(flux, k, dom.spacing[k])
+    return energy, 0.5 * p * cv * dom.clamp(total_grad)
+
+
+PARITY_CASES = {
+    "grushin": (fx.grushin, GridDomain([(-1, 1), (-1.5, 1)], [0.25, 0.125])),
+    "martinet": (fx.martinet, GridDomain([(-1, 1)] * 3, 0.25)),
+    "euclidean3": (lambda: fx.euclidean(3), GridDomain([(-1, 1)] * 3, [0.25, 0.5, 0.2])),
+    "grushin-disc": (fx.grushin, GridDomain([(-1, 1), (-1, 1)], 0.125,
+                                            predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
+}
+
+
 class TestEnergyAndGradient:
+    @pytest.mark.parametrize("p", [1.7, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_operator_matches_stencil_reference(self, case, p):
+        make_system, dom = PARITY_CASES[case]
+        system = make_system()
+        if case == "grushin-disc":
+            # the predicate cuts interior nodes out of the free mask
+            assert (~dom.free & ~dom.boundary).any()
+        rng = np.random.default_rng(11)
+        values = dom.clamp(rng.normal(size=dom.shape))
+        op = dom.horizontal_operator(system)
+        x = values.ravel()[op.free_index]
+        energy, grad = _energy_and_gradient(op, x, p, dom.cell_volume())
+        ref_energy, ref_grad = reference_energy_and_gradient(system, dom, values, p)
+        assert energy == pytest.approx(ref_energy, rel=1e-12)
+        full = np.zeros(dom.shape)
+        full.ravel()[op.free_index] = grad
+        scale = np.abs(ref_grad).max()
+        np.testing.assert_allclose(full, ref_grad, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_operator_is_cached_with_its_transpose(self):
+        system = fx.martinet()
+        dom = GridDomain([(-1, 1)] * 3, 0.5)
+        op = dom.horizontal_operator(system)
+        assert dom.horizontal_operator(system) is op
+        assert op.matrix.format == op.transpose.format == "csr"
+        assert op.matrix.shape == (2 * system.m * op.n_nodes, int(dom.free.sum()))
+        assert (op.transpose != op.matrix.T).nnz == 0
+
     @pytest.mark.parametrize("p", [1.7, 2.0, 2.5])
     def test_gradient_matches_finite_differences(self, p):
         system = fx.grushin()
         dom = GridDomain([(-1, 1), (-1, 1)], 0.5)
         rng = np.random.default_rng(5)
-        values = dom.clamp(rng.normal(size=dom.shape))
-        grids = dom.field_grids(system)
+        op = dom.horizontal_operator(system)
+        cv = dom.cell_volume()
+        values = rng.normal(size=op.free_index.size)
         eps = 1e-8 if p < 2 else 0.0
-        energy, grad = _energy_and_gradient(system, dom, values, p, grids, eps)
-        direction = dom.clamp(rng.normal(size=dom.shape))
+        energy, grad = _energy_and_gradient(op, values, p, cv, eps)
+        direction = rng.normal(size=values.size)
         h = 1e-6
-        ep, _ = _energy_and_gradient(system, dom, values + h * direction, p,
-                                     grids, eps, need_gradient=False)
-        em, _ = _energy_and_gradient(system, dom, values - h * direction, p,
-                                     grids, eps, need_gradient=False)
+        ep, _ = _energy_and_gradient(op, values + h * direction, p, cv, eps,
+                                     need_gradient=False)
+        em, _ = _energy_and_gradient(op, values - h * direction, p, cv, eps,
+                                     need_gradient=False)
         numeric = (ep - em) / (2 * h)
-        analytic = float((grad * direction).sum())
+        analytic = float(grad @ direction)
         assert numeric == pytest.approx(analytic, rel=1e-4)
+
+    @pytest.mark.parametrize("p", [1.7, 2.0, 2.5])
+    def test_quotient_gradient_matches_finite_differences(self, p):
+        # E(u) / ||S u||_{p*}^p, smoothing and quotient rule included
+        system = fx.grushin()
+        dom = GridDomain([(-1, 1), (-1, 1)], 0.25)
+        quotient = _Quotient(system, dom, p, 1e-8 if p < 2 else 0.0)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=quotient.op.free_index.size)
+        f, grad, nrm = quotient(x)
+        assert nrm == pytest.approx(quotient.norm(x, need_gradient=False)[0])
+        direction = rng.normal(size=x.size)
+        h = 1e-6
+        numeric = (quotient(x + h * direction)[0] - quotient(x - h * direction)[0]) / (2 * h)
+        assert numeric == pytest.approx(float(grad @ direction), rel=1e-4)
+        # scale invariance: the gradient is orthogonal to the iterate
+        assert abs(float(grad @ x)) <= 1e-10 * np.linalg.norm(grad) * np.linalg.norm(x)
 
     def test_energy_report_consistency(self, euclid2, small_domain):
         u = bump(small_domain, [0, 0], 0.6)
@@ -188,6 +299,31 @@ class TestMinimize:
         assert res.converged is True
         assert res.iterations < 2000
 
+    def test_solver_record(self):
+        system = fx.grushin()
+        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=30, seed=0)
+        assert res.evaluations >= res.iterations + 1
+        quotient = _Quotient(system, dom, 2.0)
+        f, grad, nrm = quotient(res.minimizer.values.ravel()[quotient.op.free_index])
+        assert nrm == pytest.approx(1.0, rel=1e-12)
+        assert f == pytest.approx(res.constant, rel=1e-12)
+        assert res.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
+
+    def test_rescaled_pairs_scale_the_direction(self):
+        # at c x the quotient gradient is g / c; rescaled pairs give c d
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=40)
+        pairs = []
+        for _ in range(4):
+            s, y = rng.normal(size=40), rng.normal(size=40)
+            y += 3.0 * s  # keeps s.y > 0
+            pairs.append([s, y, 1.0 / float(s @ y)])
+        d = _direction(g, pairs)
+        c = 0.37
+        _rescale_pairs(pairs, c)
+        np.testing.assert_allclose(_direction(g / c, pairs), c * d, rtol=1e-12)
+
     def test_explicit_init_is_used(self):
         system = fx.grushin()
         dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
@@ -242,6 +378,25 @@ class TestExponentProbe:
         spec = parse_domain_spec("dim = 2\nbox = -1,1 ; -1,1\n")
         with pytest.raises(SupportEscape):
             exponent_probe(system, spec, 3.5, u, [2.0])
+
+    def test_checkerboard_keeps_its_interior_gradient(self):
+        # the centered scheme annihilates a checkerboard away from its edge;
+        # the probe's int |Xu| averages the two one-sided realizations instead
+        system = fx.euclidean(2)
+        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        i, j = np.indices(dom.shape)
+        x, y = dom.mesh
+        block = (np.abs(x) <= 1) & (np.abs(y) <= 1)
+        u = GridFunction(dom, np.where(block, (-1.0) ** (i + j), 0.0))
+        inner = (np.abs(x) < 1) & (np.abs(y) < 1)
+        assert np.allclose(horizontal_gradient(system, u)[:, inner], 0.0)
+        h = dom.spacing[0]
+        speeds = [np.sqrt(d(u.values, 0, h) ** 2 + d(u.values, 1, h) ** 2)
+                  for d in (_fdiff, _bdiff)]
+        assert np.allclose(speeds[0][inner], 2 * math.sqrt(2) / h)
+        denom = 0.5 * float(sum(s.sum() for s in speeds)) * dom.cell_volume()
+        report = exponent_probe(system, None, 2.0, u, [1.0])
+        assert report.ratios[0] == pytest.approx(u.norm(2.0) / denom, rel=1e-12)
 
     def test_kappa_must_exceed_one(self):
         dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
