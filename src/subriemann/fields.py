@@ -21,6 +21,9 @@ class FieldError(ValueError):
     pass
 
 
+_ZERO = Fraction(0)
+
+
 class VectorField:
     """Y = sum_k b_k(x) d/dx_k with polynomial b_k."""
 
@@ -62,7 +65,7 @@ class VectorField:
 
     def at(self, point) -> list[Fraction]:
         """Exact value YI(x) as a rational vector."""
-        return [c.eval(point) for c in self.coeffs]
+        return [c.eval(point) if c.terms else _ZERO for c in self.coeffs]
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField([a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -276,28 +279,33 @@ def enumerate_commutators(system: VectorFieldSystem, max_length: int | None = No
     return CommutatorBasis(system, entries)
 
 
+def _echelon_add(rows: list[tuple[int, list[Fraction]]], vector) -> bool:
+    """Grow an echelon basis over Q by one vector; True if it was new.
+
+    ``rows`` holds (pivot column, row) pairs with a 1 at the pivot and 0
+    at the pivot columns of earlier rows.  The vector, a list of
+    Fractions, is reduced against them in order; if anything is left it
+    is scaled to a 1 at its first nonzero entry and appended.
+    """
+    v = list(vector)
+    for col, row in rows:
+        c = v[col]
+        if c:
+            v = [a - c * b if b else a for a, b in zip(v, row)]
+    pivot = next((j for j, a in enumerate(v) if a), None)
+    if pivot is None:
+        return False
+    inv = v[pivot]
+    rows.append((pivot, [a / inv if a else a for a in v]))
+    return True
+
+
 def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     """Rank over Q of a list of rational vectors, by exact elimination."""
-    rows = [list(map(Fraction, v)) for v in vectors if any(x != 0 for x in v)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    rows: list = []
+    for v in vectors:
+        _echelon_add(rows, [Fraction(x) for x in v])
+    return len(rows)
 
 
 @dataclass
@@ -315,11 +323,21 @@ class H2Report:
 
 
 def check_h2(system: VectorFieldSystem, basis: CommutatorBasis | None = None) -> H2Report:
-    """Hormander condition at the origin plus generator independence."""
+    """Hormander condition at the origin plus generator independence.
+
+    One elimination runs over the basis values at the origin, in basis
+    order: its rank is the rank at 0, and each entry that adds a new
+    direction is counted under its degree in ``spanning_degrees``.
+    """
     if basis is None:
         basis = enumerate_commutators(system)
-    vectors = [e.vf.at([0] * system.dim) for e in basis]
-    rank = rational_rank(vectors)
+    origin = [0] * system.dim
+    rows: list = []
+    degrees: dict[int, int] = {}
+    for e in basis:
+        if _echelon_add(rows, e.vf.at(origin)):
+            degrees[e.degree] = degrees.get(e.degree, 0) + 1
+    rank = len(rows)
     # symbolic linear independence of X_1..X_m: rank of the coefficient matrix
     monomials = sorted(
         {(k, e) for f in system.fields for k, c in enumerate(f.coeffs) for e in c.terms}
@@ -329,24 +347,7 @@ def check_h2(system: VectorFieldSystem, basis: CommutatorBasis | None = None) ->
         for f in system.fields
     ]
     independent = rational_rank(coeff_rows) == system.m
-    degrees: dict[int, int] = {}
-    seen: list[list[Fraction]] = []
-    for e in basis:
-        v = e.vf.at([0] * system.dim)
-        if rational_rank(seen + [v]) > len(seen):
-            # record the degree at which new directions appear
-            seen = _reduce_basis(seen + [v])
-            degrees[e.degree] = degrees.get(e.degree, 0) + 1
     return H2Report(rank == system.dim and independent, rank, independent, degrees)
-
-
-def _reduce_basis(rows):
-    # keep an independent subset in echelon form for incremental rank tests
-    out = []
-    for v in rows:
-        if rational_rank(out + [v]) > len(out):
-            out.append(v)
-    return out
 
 
 def homogeneous_dimension(system: VectorFieldSystem) -> int:
@@ -364,21 +365,29 @@ class FlagData:
 
 
 def flag_at(basis: CommutatorBasis, point) -> FlagData:
-    """Exact flag dimensions, weights, and nu(x) at a rational point."""
+    """Exact flag dimensions, weights, and nu(x) at a rational point.
+
+    nu_j(x) is the rank of the basis values of degree <= j at x.  One
+    elimination runs over the degree blocks in order, and entries are
+    no longer evaluated once the rank reaches n.
+    """
     system = basis.system
     n = system.dim
     pt = tuple(Fraction(v) for v in point)
     if len(pt) != n:
         raise FieldError("point dimension mismatch")
     max_deg = system.weights[-1]
-    values: dict[int, list[list[Fraction]]] = {}
+    by_degree: dict[int, list[BasisEntry]] = {}
     for e in basis:
-        values.setdefault(e.degree, []).append(e.vf.at(pt))
+        by_degree.setdefault(e.degree, []).append(e)
     nu_j = []
-    acc: list[list[Fraction]] = []
+    rows: list = []
     for j in range(1, max_deg + 1):
-        acc.extend(values.get(j, []))
-        nu_j.append(rational_rank(acc))
+        for e in by_degree.get(j, []):
+            if len(rows) == n:
+                break
+            _echelon_add(rows, e.vf.at(pt))
+        nu_j.append(len(rows))
     if nu_j[-1] != n:
         raise FieldError(f"flag does not reach full rank at {pt}; Hormander fails there")
     step = next(j for j, r in enumerate(nu_j, start=1) if r == n)

@@ -5,6 +5,13 @@ n-tuples of commutator basis entries and lambda_I is the exact
 determinant of their coefficient matrix.  The signed determinants are
 stored symbolically; absolute values are applied only at evaluation, so
 the symbolic layer stays exact.
+
+Point queries (``f_k``, ``eval_lambda``, ``pointwise_nu``) read a merged
+form of each degree slot, built once with the polynomial: most lambda_I
+are rational multiples of one another, and |c p(x)| = |c| |p(x)|, so a
+slot is a short sum of weights times |primitive integer polynomial|.  A
+query clears the point's common denominator, evaluates each distinct
+monomial once in integers and builds one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .fields import CommutatorBasis, FieldError, rational_rank
-from .polynomials import Polynomial, format_polynomial, poly_det
+from .fields import CommutatorBasis, FieldError
+from .polynomials import Polynomial, PolynomialError, format_polynomial, poly_det
 
 DEFAULT_TUPLE_CAP = 2_000_000
 
@@ -41,8 +48,30 @@ class LambdaEntry:
     multiplicity: int
 
 
+def _primitive(poly: Polynomial) -> tuple[Fraction, dict[tuple[int, ...], int]]:
+    """Split p = c * q with q a primitive integer polynomial.
+
+    q's coefficients are coprime and the one at its least exponent tuple
+    is positive, so every nonzero rational multiple of p has the same q.
+    """
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    ints = {e: int(c * den) for e, c in poly.terms.items()}
+    g = math.gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return Fraction(g, den), {e: v // g for e, v in ints.items()}
+
+
 class BallPolynomial:
-    """Coefficient family {f_k}, k in [n, Q], of Lambda(x, r)."""
+    """Coefficient family {f_k}, k in [n, Q], of Lambda(x, r).
+
+    ``slots`` keeps every nonzero lambda_I per degree k.  For evaluation
+    each slot is merged into f_k(x) = sum_q w_q |q(x)| / scale over the
+    distinct primitive integer polynomials q of its entries, with
+    w_q = scale * sum of multiplicity * |c| over the entries c * q.  One
+    integer ``scale`` (the lcm of the weights' denominators) serves all
+    slots, and the distinct monomials of all slots are listed once.
+    """
 
     def __init__(self, basis: CommutatorBasis, slots: dict[int, list[LambdaEntry]]):
         self.basis = basis
@@ -52,13 +81,62 @@ class BallPolynomial:
         top = self.slots.get(self.Q, [])
         if not any(e.poly.is_constant() and not e.poly.is_zero() for e in top):
             raise FieldError("degree-Q slot must contain a nonzero constant")
+        self._merge()
+
+    def _merge(self) -> None:
+        merged: dict[int, dict[tuple, Fraction]] = {}
+        for k, entries in self.slots.items():
+            weights = merged[k] = {}
+            for e in entries:
+                c, q = _primitive(e.poly)
+                key = tuple(sorted(q.items()))
+                weights[key] = weights.get(key, Fraction(0)) + e.multiplicity * abs(c)
+        self._scale = math.lcm(*(w.denominator for ws in merged.values() for w in ws.values()))
+        index: dict[tuple[int, ...], int] = {}
+        self._slot_terms: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+        for k, weights in merged.items():
+            self._slot_terms[k] = [
+                (int(w * self._scale), tuple((c, index.setdefault(e, len(index))) for e, c in key))
+                for key, w in weights.items()
+            ]
+        # x^e * D^(top - |e|) is an integer for x = a / D and every monomial
+        self._top = max(sum(e) for e in index)
+        self._monomials = [
+            (self._top - sum(e), tuple((j, k) for j, k in enumerate(e) if k))
+            for e in index
+        ]
+
+    def _point_values(self, x) -> tuple[list[int], int]:
+        """x^e * D^(top - |e|) for each monomial, in integers, and D^top.
+
+        D is the common denominator of the point's coordinates.
+        """
+        pt = [Fraction(v) for v in x]
+        if len(pt) != self.n:
+            raise PolynomialError(f"point length {len(pt)} != dimension {self.n}")
+        d = math.lcm(*(v.denominator for v in pt))
+        a = [v.numerator * (d // v.denominator) for v in pt]
+        values = []
+        for deficit, factors in self._monomials:
+            v = d ** deficit
+            for j, k in factors:
+                v *= a[j] ** k
+            values.append(v)
+        return values, d ** self._top
+
+    def _slot_sum(self, k: int, values: list[int]) -> int:
+        """scale * D^top * f_k(x), an integer."""
+        return sum(
+            w * abs(sum(c * values[i] for c, i in terms))
+            for w, terms in self._slot_terms[k]
+        )
 
     def f_k(self, k: int, x) -> Fraction:
-        """Exact f_k(x) = sum over tuples of |lambda_I(x)|."""
-        total = Fraction(0)
-        for e in self.slots.get(k, []):
-            total += e.multiplicity * abs(e.poly.eval(x))
-        return total
+        """Exact f_k(x) = sum over tuples of |lambda_I(x)|, from the merged slot."""
+        values, d_top = self._point_values(x)
+        if k not in self._slot_terms:
+            return Fraction(0)
+        return Fraction(self._slot_sum(k, values), self._scale * d_top)
 
     def entry_polynomials(self, k: int) -> list[Polynomial]:
         return [e.poly for e in self.slots.get(k, [])]
@@ -87,6 +165,27 @@ class BallPolynomial:
         return json.dumps(payload, indent=2)
 
 
+def _has_perfect_matching(rows: Sequence[int], n: int) -> bool:
+    """Whether n row bitmasks over n columns admit a perfect matching.
+
+    Kuhn's augmenting-path search.  Without one, every term of the
+    Leibniz expansion of a matrix with this nonzero pattern has a zero
+    factor, so its determinant is identically zero.
+    """
+    owner = [-1] * n  # column -> matched row
+
+    def augment(r: int, seen: list[bool]) -> bool:
+        for c in range(n):
+            if rows[r] >> c & 1 and not seen[c]:
+                seen[c] = True
+                if owner[c] < 0 or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return all(augment(r, [False] * n) for r in range(len(rows)))
+
+
 def build_nsw(
     basis: CommutatorBasis,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
@@ -99,7 +198,11 @@ def build_nsw(
     ordered tuples are grouped by sorted combination (the determinant is
     sign-invariant under column permutation and only |lambda_I| enters),
     each carrying multiplicity n!.  ``tuple_cap`` bounds the number of
-    determinants computed, C(q, n) for q basis entries.
+    determinants, C(q, n) for q basis entries.  A combination whose
+    pattern of nonzero coefficients admits no perfect matching between
+    entries and coordinates has an identically zero determinant; it is
+    skipped without computing one (most combinations of the larger
+    systems are of this kind).
     """
     system = basis.system
     n = system.dim
@@ -110,9 +213,15 @@ def build_nsw(
             f"C({q}, {n}) = {n_dets} determinants exceed the cap of {tuple_cap}; "
             "pass allow_over_cap=True to proceed"
         )
+    supports = [
+        sum(1 << k for k, c in enumerate(e.vf.coeffs) if not c.is_zero())
+        for e in basis.entries
+    ]
     slots: dict[int, list[LambdaEntry]] = {}
     perm = math.factorial(n)
     for combo in itertools.combinations(range(q), n):
+        if not _has_perfect_matching([supports[i] for i in combo], n):
+            continue
         entries = [basis.entries[i] for i in combo]
         matrix = [list(e.vf.coeffs) for e in entries]
         det = poly_det(matrix)
@@ -126,22 +235,31 @@ def build_nsw(
 
 
 def eval_lambda(nsw: BallPolynomial, x, r) -> Fraction:
-    """Exact Lambda(x, r) for rational x and r > 0."""
+    """Exact Lambda(x, r) for rational x and r > 0.
+
+    With r = p/q and K the top degree, Lambda(x, r) is the integer
+    sum_k S_k p^k q^(K-k) over scale * D^top * q^K, where S_k is f_k(x)
+    on the common denominator scale * D^top of every slot.
+    """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    total = Fraction(0)
-    for k in nsw.slots:
-        fk = nsw.f_k(k, x)
-        if fk:
-            total += fk * r ** k
-    return total
+    values, d_top = nsw._point_values(x)
+    p, q = r.numerator, r.denominator
+    top = max(nsw.slots)
+    num = sum(nsw._slot_sum(k, values) * p ** k * q ** (top - k) for k in nsw.slots)
+    return Fraction(num, nsw._scale * d_top * q ** top)
 
 
 def pointwise_nu(nsw: BallPolynomial, x) -> int:
-    """nu(x) = min{ d(I) : lambda_I(x) != 0 }, decided exactly."""
+    """nu(x) = min{ d(I) : lambda_I(x) != 0 }, decided exactly.
+
+    f_k(x) is a sum of nonnegative terms, so it is nonzero exactly when
+    some lambda_I of degree k is; the integer slot sums decide it.
+    """
+    values, _ = nsw._point_values(x)
     for k in nsw.slots:
-        if nsw.f_k(k, x) != 0:
+        if nsw._slot_sum(k, values):
             return k
     raise FieldError(f"all lambda_I vanish at {x}; Hormander fails there")
 

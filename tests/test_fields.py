@@ -8,6 +8,8 @@ import pytest
 from subriemann import fixtures as fx
 from subriemann.fields import (
     FieldError,
+    FlagData,
+    H2Report,
     VectorField,
     VectorFieldSystem,
     check_h1,
@@ -25,6 +27,74 @@ from subriemann.fields import (
 from subriemann.polynomials import Polynomial, parse_polynomial
 
 from test_polynomials import random_poly, random_point
+
+
+def reference_rank(vectors):
+    """Rank by a full elimination of the whole list, as before echelon growth."""
+    rows = [list(map(Fraction, v)) for v in vectors if any(x != 0 for x in v)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / pv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reference_flag_at(basis, point):
+    """flag_at with one full rank computation per prefix of degree blocks."""
+    system = basis.system
+    n = system.dim
+    pt = tuple(Fraction(v) for v in point)
+    values = {}
+    for e in basis:
+        values.setdefault(e.degree, []).append(e.vf.at(pt))
+    nu_j = []
+    acc = []
+    for j in range(1, system.weights[-1] + 1):
+        acc.extend(values.get(j, []))
+        nu_j.append(reference_rank(acc))
+    assert nu_j[-1] == n
+    step = next(j for j, r in enumerate(nu_j, start=1) if r == n)
+    weights = []
+    prev = 0
+    for s, r in enumerate(nu_j, start=1):
+        weights.extend([s] * (r - prev))
+        prev = r
+    return FlagData(pt, nu_j, tuple(weights), sum(weights), step)
+
+
+def reference_check_h2(system, basis):
+    """check_h2 with a rank test over the whole prefix for every entry."""
+    origin = [0] * system.dim
+    vectors = [e.vf.at(origin) for e in basis]
+    rank = reference_rank(vectors)
+    monomials = sorted(
+        {(k, e) for f in system.fields for k, c in enumerate(f.coeffs) for e in c.terms}
+    )
+    coeff_rows = [[f.coeffs[k].terms.get(e, Fraction(0)) for (k, e) in monomials]
+                  for f in system.fields]
+    independent = reference_rank(coeff_rows) == system.m
+    degrees = {}
+    seen = []
+    for e in basis:
+        v = e.vf.at(origin)
+        if reference_rank(seen + [v]) > len(seen):
+            seen.append(v)
+            degrees[e.degree] = degrees.get(e.degree, 0) + 1
+    return H2Report(rank == system.dim and independent, rank, independent, degrees)
 
 
 def random_field(rng, dim):
@@ -170,6 +240,51 @@ class TestFlags:
         basis = enumerate_commutators(system, max_length=1)
         with pytest.raises(FieldError):
             flag_at(basis, [0, 0])
+
+
+class TestIncrementalElimination:
+    def test_rank_matches_full_elimination(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            ncols = rng.randint(1, 5)
+            base = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, 3))]
+            rows = []
+            for _ in range(rng.randint(0, 7)):
+                kind = rng.random()
+                if kind < 0.2:
+                    rows.append([0] * ncols)
+                elif kind < 0.6:
+                    # a combination of the base rows: rank stays low
+                    coef = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in base]
+                    rows.append([sum(c * b[i] for c, b in zip(coef, base)) for i in range(ncols)])
+                else:
+                    rows.append([rng.randint(-2, 2) for _ in range(ncols)])
+            assert rational_rank(rows) == reference_rank(rows), rows
+
+    def test_flag_matches_prefix_ranks(self, wide_bases, query_points):
+        for name, basis in wide_bases.items():
+            for x in query_points[name]:
+                assert flag_at(basis, x) == reference_flag_at(basis, x), (name, x)
+
+    def test_h2_report_matches(self, wide_bases):
+        for name, basis in wide_bases.items():
+            assert check_h2(basis.system, basis) == reference_check_h2(basis.system, basis), name
+        # repeated and dependent generators, full rank reached late
+        x1 = parse_polynomial("x1", 3)
+        fields = [VectorField.coordinate(3, 1),
+                  VectorField.coordinate(3, 1) * 2,
+                  VectorField([Polynomial.zero(3), x1, x1 * x1])]
+        system = VectorFieldSystem(fields, [1, 2, 3])
+        basis = enumerate_commutators(system)
+        rep = check_h2(system, basis)
+        assert rep == reference_check_h2(system, basis)
+        assert not rep.fields_independent
+
+    def test_flag_wrong_point_length_raises(self, bases):
+        for x in ([0, 0], [0, 0, 0, 0]):
+            with pytest.raises(FieldError):
+                flag_at(bases["martinet"], x)
 
 
 class TestSpecFiles:
