@@ -48,7 +48,13 @@ class HorizontalOperator:
     ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
     X_j^- u on every node.  Its columns are the free nodes only, in the
     order of ``free_index`` (flat node indices): x = u.ravel()[free_index].
-    ``transpose`` is X_h^T, also in CSR.
+    ``transpose`` is X_h^T, also in CSR.  ``diag`` is the diagonal of
+    X_h^T X_h: the column sums of squares, one per free node, and 1 on a
+    free node with no entries.  The Sobolev solver's L-BFGS takes its
+    inverse as the initial inverse Hessian (Jacobi scaling).  It grows
+    with the squared coefficients and inverse squared spacings, so it
+    varies strongly on a Grushin grid and is constant on the free nodes
+    of a Euclidean lattice.
     """
 
     matrix: object
@@ -56,6 +62,7 @@ class HorizontalOperator:
     free_index: np.ndarray
     n_fields: int
     n_nodes: int
+    diag: np.ndarray
 
 
 class Lattice:
@@ -169,37 +176,50 @@ class Lattice:
         grids = self.field_grids(system)
         n_nodes = int(np.prod(self.shape))
         n_rows = 2 * len(grids) * n_nodes
-        # int32 row and column indices keep the CSR arrays at 12 bytes per entry
-        index = np.int32 if n_rows < 2 ** 31 else np.int64
+        # int32 indices keep the CSR arrays at 12 bytes per entry
+        max_nnz = n_rows * (self.dim + 1)
+        index = np.int32 if max_nnz < 2 ** 31 else np.int64
         free_index = np.flatnonzero(self.free)
-        # column of each node, with a trailing -1 slot for "outside the box"
-        column = np.full(n_nodes + 1, -1, dtype=index)
-        column[free_index] = np.arange(free_index.size)
-        node = np.arange(n_nodes, dtype=index).reshape(self.shape)
-        rows, cols, vals = [], [], []
-        for r, side in enumerate((1, -1)):
-            for j, comps in enumerate(grids):
-                row = (r * len(grids) + j) * n_nodes + node.ravel()
-                for k, g in enumerate(comps):
-                    if not np.any(g):
-                        continue
-                    coef = (g / self.spacing[k]).ravel()
+        # column of each node, -1 off the free nodes
+        column = np.full(self.shape, -1, dtype=index)
+        column.ravel()[free_index] = np.arange(free_index.size, dtype=index)
+        data, indices, counts = [], [], []
+        for side in (1, -1):
+            for comps in grids:
+                axes = [k for k, g in enumerate(comps) if np.any(g)]
+                # one slot per neighbour along an active axis plus the self
+                # slot, ordered by column so every row comes out sorted: the
+                # forward neighbour along axis 0 has the largest column
+                n = len(axes)
+                cols = np.full((n_nodes, n + 1), -1, dtype=index)
+                vals = np.zeros(cols.shape)
+                self_slot = 0 if side > 0 else n
+                cols[:, self_slot] = column.ravel()
+                for i, k in enumerate(axes):
+                    slot = n - i if side > 0 else i
+                    coef = (comps[k] / self.spacing[k]).ravel()
                     # the neighbour one step along axis k on this side
-                    step = np.full(self.shape, n_nodes, dtype=index)
-                    here = [slice(None)] * self.dim
-                    there = [slice(None)] * self.dim
-                    lo, hi = slice(None, -1), slice(1, None)
-                    here[k], there[k] = (lo, hi) if side > 0 else (hi, lo)
-                    step[tuple(here)] = node[tuple(there)]
-                    for c, v in ((column[step.ravel()], side * coef),
-                                 (column[node.ravel()], -side * coef)):
-                        keep = (c >= 0) & (v != 0.0)
-                        rows.append(row[keep])
-                        cols.append(c[keep])
-                        vals.append(v[keep])
-        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        matrix = sparse.csr_array(entries, shape=(n_rows, free_index.size))
-        return HorizontalOperator(matrix, matrix.T.tocsr(), free_index, len(grids), n_nodes)
+                    there = np.full(self.shape, -1, dtype=index)
+                    lo, hi = [slice(None)] * self.dim, [slice(None)] * self.dim
+                    lo[k], hi[k] = slice(None, -1), slice(1, None)
+                    dst, src = (lo, hi) if side > 0 else (hi, lo)
+                    there[tuple(dst)] = column[tuple(src)]
+                    cols[:, slot] = there.ravel()
+                    vals[:, slot] = side * coef
+                    vals[:, self_slot] -= vals[:, slot]
+                keep = (cols >= 0) & (vals != 0.0)
+                data.append(vals[keep])
+                indices.append(cols[keep])
+                counts.append(keep.sum(axis=1, dtype=index))
+        indptr = np.zeros(n_rows + 1, dtype=index)
+        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        indices = np.concatenate(indices)
+        data = np.concatenate(data)
+        matrix = sparse.csr_array((data, indices, indptr), shape=(n_rows, free_index.size))
+        diag = np.bincount(indices, data * data, minlength=free_index.size)
+        diag[diag == 0.0] = 1.0
+        return HorizontalOperator(matrix, matrix.T.tocsr(), free_index, len(grids), n_nodes,
+                                  diag)
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         return np.where(self.free, values, 0.0)

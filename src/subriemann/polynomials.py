@@ -199,10 +199,15 @@ class Polynomial:
         return Polynomial(self.dim, out)
 
     def eval(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point.
+
+        ``int`` and ``Fraction`` coordinates are used as they are; any
+        other coordinate (a float, a decimal string) goes through
+        ``Fraction`` first.
+        """
         if len(point) != self.dim:
             raise PolynomialError(f"point length {len(point)} != dimension {self.dim}")
-        pt = [Fraction(v) for v in point]
+        pt = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in point]
         total = Fraction(0)
         for e, c in self.terms.items():
             v = c

@@ -11,7 +11,13 @@ The energy averages |Xu|^p over the two realizations, so it is one
 sparse product and its gradient one transposed product; the
 diagnostics (`horizontal_gradient`, `exponent_probe`) use the same X_h.
 The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
-local average, is minimized by limited-memory BFGS on the free nodes.
+local average, is minimized by limited-memory BFGS on the free nodes,
+Jacobi-scaled: the initial inverse Hessian is D^-1 with D the diagonal
+of X_h^T X_h (`HorizontalOperator.diag`, built with X_h).  Degenerate
+fields make D vary strongly over the lattice (X_2 = 3x^2 d_y of Grushin
+gives a 540-fold range on a 16 x 160 box), and an unscaled start then
+needs thousands of iterations; on a Euclidean lattice D is constant and
+the scaling changes nothing.
 Distance fields for the concentration and decay diagnostics must come
 from a lattice with the same box and spacing as the function's; both
 diagnostics check this when the field carries its lattice.  Dirichlet
@@ -256,14 +262,16 @@ _MAX_BACKTRACKS = 60     # step halvings before the line search fails
 _ROUNDOFF = 1e-14
 
 
-def _direction(g: np.ndarray, pairs) -> np.ndarray:
+def _direction(g: np.ndarray, pairs, diag_inv: np.ndarray) -> np.ndarray:
     """-H g by the L-BFGS two-loop recursion over (s, y, 1/s.y) pairs, oldest first.
 
-    With no pairs the step is steepest descent scaled so that its
-    largest entry is 1.
+    The initial inverse Hessian is D^-1 = ``diag_inv`` (Jacobi scaling),
+    scaled by s.y / y.D^-1 y of the newest pair.  With no pairs the step
+    is -D^-1 g scaled so that its largest entry is 1.
     """
     if not pairs:
-        return -g / max(float(np.abs(g).max()), 1e-30)
+        d = diag_inv * g
+        return -d / max(float(np.abs(d).max()), 1e-30)
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
@@ -271,7 +279,7 @@ def _direction(g: np.ndarray, pairs) -> np.ndarray:
         q -= alpha * y
         alphas.append(alpha)
     _, y, rho = pairs[-1]
-    q *= 1.0 / (rho * float(y @ y))
+    q *= diag_inv / (rho * float(y @ (diag_inv * y)))
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - rho * float(y @ q)) * s
     return -q
@@ -295,6 +303,7 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
     Returns (normalized x, quotient, trace, iterations, stop reason,
     evaluations, gradient norm at the normalized x).
     """
+    diag_inv = 1.0 / quotient.op.diag
     f, g, nrm = quotient(x)
     evaluations = 1
     trace = [f]
@@ -303,12 +312,12 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
     stop_reason = "max_iter"
     while it < max_iter:
         it += 1
-        d = _direction(g, pairs)
+        d = _direction(g, pairs, diag_inv)
         slope = float(g @ d)
         if not slope < 0.0:
             # the curvature pairs give no descent direction: start afresh
             pairs.clear()
-            d = _direction(g, pairs)
+            d = _direction(g, pairs, diag_inv)
             slope = float(g @ d)
         t = 1.0
         accepted = False
@@ -360,8 +369,11 @@ def minimize_quotient(
 
     Each start is normalized to ||S u||_{p*} = 1 and descended by
     limited-memory BFGS (two-loop recursion over the last 10 curvature
-    pairs) with an Armijo backtracking line search that also requires a
-    strict decrease larger than rounding, so the trace falls
+    pairs).  The recursion's initial inverse Hessian is D^-1 scaled by
+    s.y / y.D^-1 y of the newest pair, with D = diag(X_h^T X_h) on the
+    free nodes (Jacobi scaling); the first step is -D^-1 g with its
+    largest entry scaled to 1.  The Armijo backtracking line search also
+    requires a strict decrease larger than rounding, so the trace falls
     monotonically.  The quotient
     gradient comes from the quotient rule; the iterate is renormalized
     whenever its norm leaves [1/2, 2].  ``max_iter`` counts L-BFGS

@@ -3,9 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.  The
 slow entries are criterion 7 with the Euclidean decay fit that shares
 its critical-exponent minimization on an R^3 grid (~10 s on 2 vCPUs)
-and the Grushin far-field decay fit (~10 s); they carry the ``slow``
-marker, and both solves must stop on the convergence rule.  Everything
-else finishes in seconds.
+and the Grushin far-field decay fit (~2 s); they carry the ``slow``
+marker, and both solves must stop on the convergence rule, the Grushin
+one inside the benchmark's 1000-iteration budget.  Everything else
+finishes in seconds.
 """
 
 import csv
@@ -419,6 +420,8 @@ def test_decay_exponent_grushin(grushin):
     res = minimize_quotient(grushin, dom, 2.0, init=u0, n_starts=1,
                             max_iter=15000, seed=0)
     assert res.stop_reason == "converged"
+    # inside the benchmark's fixed budget for the same solve (DECAY_MAX_ITER)
+    assert res.iterations < 1000
     peak = np.unravel_index(np.abs(res.minimizer.values).argmax(), dom.shape)
     center = dom.node_coords(peak)
     lat = LatticeSpec(dom.box, dom.spacing, n_random_controls=24, tau=0.1)

@@ -51,6 +51,39 @@ class TestArithmetic:
             assert (a + b).eval(pt) == a.eval(pt) + b.eval(pt)
             assert (a * b).eval(pt) == a.eval(pt) * b.eval(pt)
 
+    def test_eval_point_types(self):
+        # int and Fraction coordinates are used as they are, floats and
+        # strings go through Fraction; every kind gives the value of the
+        # all-Fraction point
+        def reference(poly, point):
+            pt = [Fraction(v) for v in point]
+            total = Fraction(0)
+            for e, c in poly.terms.items():
+                v = c
+                for x, k in zip(pt, e):
+                    v *= x ** k
+                total += v
+            return total
+
+        rng = random.Random(17)
+        for _ in range(40):
+            dim = rng.randint(1, 3)
+            poly = random_poly(rng, dim)
+            ints = [rng.randint(-6, 6) for _ in range(dim)]
+            fracs = random_point(rng, dim)
+            floats = [rng.randint(-24, 24) / 8 for _ in range(dim)]
+            mixed = [(ints, fracs, floats)[i % 3][i] for i in range(dim)]
+            strings = [str(v) for v in fracs]
+            for point in (ints, fracs, floats, mixed, strings):
+                value = poly.eval(point)
+                assert type(value) is Fraction
+                assert value == reference(poly, point)
+        assert type(Polynomial.zero(2).eval([1, 2])) is Fraction
+        assert Polynomial.constant(2, 3).eval([True, 0.5]) == Fraction(3)
+        for bad in ([1], [1, 2, 3], [Fraction(1, 2)] * 3):
+            with pytest.raises(PolynomialError):
+                Polynomial.variable(2, 1).eval(bad)
+
     def test_pow(self):
         x = Polynomial.variable(2, 1)
         y = Polynomial.variable(2, 2)
