@@ -37,8 +37,7 @@ def main():
     print("\nball volumes at the origin:")
     for r in (0.25, 0.5, 1.0):
         lat = lattice_for_ball(basis, [0.0, 0.0], r)
-        vol = ball_volume(system, [0.0, 0.0], r,
-                          dfield=distance_field(system, [0.0, 0.0], lat, seed=1))
+        vol = ball_volume(system, [0.0, 0.0], r, lattice=lat, seed=1)
         lam = float(eval_lambda(nsw, [0, 0], round(r * 4096) / 4096))
         print(f"  r = {r}: |B| ~ {vol.estimate:.5f}, Lambda = {lam:.5f}, "
               f"ratio {vol.estimate / lam:.3f}")

@@ -10,9 +10,12 @@ direction).  The edges are stored as one ``(n_directions, n_nodes)``
 int32 table of target nodes, -1 where a step leaves the box, so a
 lattice may hold at most 2^31 - 1 nodes.  The search is
 level-synchronous in numpy: each level gathers the current frontier's
-targets from the table and labels the unreached ones.  Endpoint
-snapping to the lattice is not corrected; it is the dominant error
-term and shrinks with the spacing.  The estimate converges to the true
+targets from the table and labels the unreached ones.  A ball volume
+alone runs the same search bounded by its radius: it stops after the
+last level L with L * tau < r and computes only the frontier's targets,
+with the tables' arithmetic, so it builds no tables and expands only
+the ball's nodes.  Endpoint snapping to the lattice is not corrected;
+it is the dominant error term and shrinks with the spacing.  The estimate converges to the true
 distance as spacing and tau go to zero, but refinement is not
 guaranteed to be monotone.  Ball volumes count the lattice cells inside
 the ball; a ball that reaches the lattice's boundary shell is truncated.
@@ -82,6 +85,31 @@ class DistanceField:
         return min(edge_min, float(finite.max()) if finite.size else 0.0)
 
 
+def _controls(system: VectorFieldSystem, lattice: Lattice, seed: int):
+    """The lattice's control directions and step tau."""
+    directions = control_directions(system.m, lattice.n_random_controls, seed=seed)
+    if directions.size == 0:
+        raise MetricError("empty control set")
+    tau = lattice.tau if lattice.tau is not None else 2.0 * max(lattice.spacing)
+    return directions, tau
+
+
+def _coefficient_axes(system: VectorFieldSystem):
+    """deps[i][k]: the axes coefficient k of field i depends on, None if it is zero."""
+    return [[None if c.is_zero() else {ax for ax in range(system.dim) if c.degree_in(ax + 1) > 0}
+             for c in f.coeffs] for f in system.fields]
+
+
+def _strides(shape) -> np.ndarray:
+    return np.cumprod((1,) + shape[:0:-1])[::-1]
+
+
+def _snap(lattice: Lattice, k: int, t: np.ndarray):
+    """Node index along axis k nearest to coordinate t, and whether it is in the box."""
+    j = np.rint((t - lattice.box[k][0]) / lattice.spacing[k]).astype(np.int64)
+    return j, (j >= 0) & (j < lattice.shape[k])
+
+
 def _neighbor_tables(system: VectorFieldSystem, lattice: Lattice,
                      directions: np.ndarray, tau: float) -> np.ndarray:
     """Target node per (direction, flat source node), -1 where the step exits.
@@ -101,10 +129,8 @@ def _neighbor_tables(system: VectorFieldSystem, lattice: Lattice,
     mesh = lattice.mesh
     comp = lattice.field_grids(system)
     dim = system.dim
-    # deps[i][k]: the axes coefficient k of field i depends on, None if it is zero
-    deps = [[None if c.is_zero() else {ax for ax in range(dim) if c.degree_in(ax + 1) > 0}
-             for c in f.coeffs] for f in system.fields]
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    deps = _coefficient_axes(system)
+    strides = _strides(shape)
     tables = np.empty((len(directions), size), dtype=np.int32)
     for d, a in enumerate(directions):
         flat = np.zeros(shape, dtype=np.int64)
@@ -116,13 +142,79 @@ def _neighbor_tables(system: VectorFieldSystem, lattice: Lattice,
             disp = np.zeros(mesh[k][sub].shape)
             for i in terms:
                 disp += a[i] * comp[i][k][sub]
-            t = mesh[k][sub] + tau * disp
-            lo, _ = lattice.box[k]
-            j = np.rint((t - lo) / lattice.spacing[k]).astype(np.int64)
-            valid &= (j >= 0) & (j < shape[k])
+            j, inside = _snap(lattice, k, mesh[k][sub] + tau * disp)
+            valid &= inside
             flat += j * strides[k]
         tables[d] = np.where(valid, flat, -1).ravel()
     return tables
+
+
+def _frontier_steps(system: VectorFieldSystem, lattice: Lattice,
+                    directions: np.ndarray, tau: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The columns of `_neighbor_tables` for given nodes, computed on demand.
+
+    ``steps(nodes)`` returns the ``(n_directions, len(nodes))`` targets
+    of the flat ``nodes``, -1 where a step exits.  The mesh and
+    coefficient values are gathered at the nodes and broadcast over all
+    directions, in the same float64 operations and order as the tables:
+    a zero control adds an exact zero to the running sum, which leaves
+    it unchanged, so the targets are the tables' own.
+    """
+    mesh = [g.ravel() for g in lattice.mesh]
+    comp = lattice.field_grids(system)
+    deps = _coefficient_axes(system)
+    strides = _strides(lattice.shape)
+    # per axis: the control column and coefficient grid of each field that moves along it
+    axes = [[(directions[:, i, None], comp[i][k].ravel())
+             for i in range(system.m) if deps[i][k] is not None]
+            for k in range(system.dim)]
+
+    def steps(nodes: np.ndarray) -> np.ndarray:
+        flat = np.zeros((len(directions), nodes.size), dtype=np.int64)
+        valid = np.ones(flat.shape, dtype=bool)
+        for k, terms in enumerate(axes):
+            disp = np.zeros(flat.shape)
+            for a, grid in terms:
+                disp += a * grid[nodes]
+            j, inside = _snap(lattice, k, mesh[k][nodes] + tau * disp)
+            valid &= inside
+            flat += j * strides[k]
+        return np.where(valid, flat, -1)
+
+    return steps
+
+
+def _search(size: int, src: int, steps: Callable[[np.ndarray], np.ndarray],
+            within: Callable[[int], bool] = lambda level: True) -> np.ndarray:
+    """Hop counts of a level-synchronous breadth-first search, -1 where unlabelled.
+
+    ``steps(frontier)`` gives every direction's targets of the frontier
+    nodes, -1 where a step exits.  Level k gathers them for the level
+    k-1 frontier, keeps the unlabelled ones, labels them k and makes
+    them, deduplicated and sorted, the next frontier.  The search labels
+    only the levels that ``within`` accepts and stops at the first one
+    it rejects, or when the frontier empties.  Hop counts do not depend
+    on visit order.
+    """
+    # one slot past the last node: a -1 target reads it as labelled
+    hops = np.full(size + 1, -1, dtype=np.int32)
+    hops[size] = 0
+    fresh = np.zeros(size, dtype=bool)
+    frontier = np.array([src] if within(0) else [], dtype=np.intp)
+    hops[frontier] = 0
+    level = 0
+    while frontier.size and within(level + 1):
+        level += 1
+        targets = steps(frontier).ravel()
+        fresh[targets[hops[targets] < 0]] = True
+        frontier = np.flatnonzero(fresh)
+        fresh[frontier] = False
+        hops[frontier] = level
+    return hops[:size]
+
+
+def _source_node(lattice: Lattice, source) -> int:
+    return int(np.ravel_multi_index(lattice.node_index(source), lattice.shape))
 
 
 def distance_field(
@@ -131,39 +223,17 @@ def distance_field(
     lattice: Lattice,
     seed: int = 0,
 ) -> DistanceField:
-    """Single-source subunit distance estimates on the lattice.
+    """Single-source subunit distance estimates on the whole lattice.
 
-    Level-synchronous breadth-first search over the stacked int32
-    neighbour tables: level k gathers every direction's targets from
-    the level k-1 frontier, keeps the unlabelled ones, labels them k
-    and makes them, deduplicated and sorted, the next frontier.  Hop
-    counts do not depend on visit order.  A node is worth hops * tau,
-    or +inf where no chain of steps reaches it.
+    A level-synchronous breadth-first search over the stacked int32
+    neighbour tables, run until no node is left to reach.  A node is
+    worth hops * tau, or +inf where no chain of steps reaches it.
     """
-    directions = control_directions(system.m, lattice.n_random_controls, seed=seed)
-    if directions.size == 0:
-        raise MetricError("empty control set")
-    tau = lattice.tau if lattice.tau is not None else 2.0 * max(lattice.spacing)
+    directions, tau = _controls(system, lattice, seed)
     tables = _neighbor_tables(system, lattice, directions, tau)
-    shape = lattice.shape
-    size = tables.shape[1]
-    src = int(np.ravel_multi_index(lattice.node_index(source), shape))
-    # one slot past the last node: a -1 table entry reads it as labelled
-    hops = np.full(size + 1, -1, dtype=np.int32)
-    hops[size] = 0
-    hops[src] = 0
-    fresh = np.zeros(size, dtype=bool)
-    frontier = np.array([src])
-    level = 0
-    while frontier.size:
-        level += 1
-        targets = tables[:, frontier].ravel()
-        fresh[targets[hops[targets] < 0]] = True
-        frontier = np.flatnonzero(fresh)
-        fresh[frontier] = False
-        hops[frontier] = level
-    hops = hops[:size]
-    values = np.where(hops >= 0, hops * tau, np.inf).reshape(shape)
+    hops = _search(tables.shape[1], _source_node(lattice, source),
+                   lambda frontier: tables[:, frontier])
+    values = np.where(hops >= 0, hops * tau, np.inf).reshape(lattice.shape)
     return DistanceField(tuple(float(v) for v in source), lattice, values, tau, len(directions))
 
 
@@ -184,19 +254,36 @@ def ball_volume(
     seed: int = 0,
     check_truncation: bool = True,
 ) -> BallVolumeEstimate:
-    """Lebesgue volume of the subunit ball B(center, r): lattice cells inside it."""
-    if dfield is None:
-        if lattice is None:
-            raise MetricError("either a lattice or a distance field is required")
-        dfield = distance_field(system, center, lattice, seed=seed)
-    inside = dfield.values < r
-    if check_truncation and bool(inside[dfield.lattice.boundary].any()):
+    """Lebesgue volume of the subunit ball B(center, r): lattice cells inside it.
+
+    The cells inside are the nodes with distance < r.  Given ``dfield``,
+    they are read from it.  Otherwise a search on ``lattice`` labels
+    only the ball: it expands level L while L * tau < r, the product the
+    full field's values are made of, and computes each frontier's
+    neighbour targets on demand instead of building tables for the whole
+    box.  The count is the one a full `distance_field` with the same
+    seed gives.
+    """
+    if dfield is not None:
+        lattice = dfield.lattice
+        source = dfield.source
+        inside = dfield.values < r
+    elif lattice is None:
+        raise MetricError("either a lattice or a distance field is required")
+    else:
+        source = tuple(float(v) for v in center)
+        directions, tau = _controls(system, lattice, seed)
+        hops = _search(int(np.prod(lattice.shape)), _source_node(lattice, center),
+                       _frontier_steps(system, lattice, directions, tau),
+                       # the product hops * tau that a full field's values hold
+                       within=lambda level: np.int32(level) * tau < r)
+        inside = (hops >= 0).reshape(lattice.shape)
+    if check_truncation and bool(inside[lattice.boundary].any()):
         raise BallTruncated(
             f"ball of radius {r} at {tuple(map(float, center))} reaches the box boundary"
         )
     count = int(inside.sum())
-    return BallVolumeEstimate(dfield.source, float(r),
-                              float(count) * dfield.lattice.cell_volume(), count)
+    return BallVolumeEstimate(source, float(r), float(count) * lattice.cell_volume(), count)
 
 
 @dataclass
@@ -283,15 +370,16 @@ def ball_box_scan(
     """Table of |B(x,r)| / Lambda(x,r) over centers x radii.
 
     ``lattice_for(center, r)`` supplies a lattice per pair, so each
-    radius is resolved at a comparable number of shells.
+    radius is resolved at a comparable number of shells.  Each volume
+    is a radius-bounded `ball_volume` search with the given seed: it
+    labels only the ball, not the whole lattice, and counts the same
+    cells as a full distance field would.
     """
     rows = []
     for center in centers:
         rat_center = [_snap_rational(v) for v in center]
         for r in radii:
-            lattice = lattice_for(center, r)
-            dfield = distance_field(system, center, lattice, seed=seed)
-            vol = ball_volume(system, center, r, dfield=dfield,
+            vol = ball_volume(system, center, r, lattice=lattice_for(center, r), seed=seed,
                               check_truncation=False).estimate
             lam = float(eval_lambda(nsw, rat_center, _snap_rational(r)))
             rows.append(RatioRow(tuple(map(float, center)), float(r), vol, lam))

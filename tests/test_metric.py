@@ -14,6 +14,8 @@ from subriemann.metric import (
     BallTruncated,
     LatticeSpec,
     MetricError,
+    RatioRow,
+    _frontier_steps,
     _neighbor_tables,
     ball_box_scan,
     ball_extent,
@@ -215,6 +217,101 @@ class TestFrontierBFS:
                                     tau=0.1, spacing=[0.01] * 3)
         with pytest.raises(MetricError, match="int32"):
             distance_field(fx.martinet(), [0, 0, 0], lat)
+
+
+FIXTURES = ["euclidean2", "heisenberg1", "grushin-1-1-2", "bony3", "martinet",
+            "r4-fourfields", "example6", "ex31"]
+
+
+def small_lattice(dim):
+    return LatticeSpec([(-1, 1.1)] * dim, 0.15 if dim < 4 else 0.35,
+                       n_random_controls=8, tau=0.3)
+
+
+def reference_ball_box_scan(system, nsw, centers, radii, lattice_for, seed=0):
+    """The scan as it was: a full distance field per (center, radius)."""
+    rows = []
+    for center in centers:
+        rat_center = [Fraction(float(v)).limit_denominator(1 << 16) for v in center]
+        for r in radii:
+            dfield = distance_field(system, center, lattice_for(center, r), seed=seed)
+            vol = ball_volume(system, center, r, dfield=dfield, check_truncation=False).estimate
+            lam = float(eval_lambda(nsw, rat_center, Fraction(float(r)).limit_denominator(1 << 16)))
+            rows.append(RatioRow(tuple(map(float, center)), float(r), vol, lam))
+    return rows
+
+
+def assert_same_volume(system, center, r, lattice, seed, check_truncation=False):
+    """The bounded search counts the cells that the full field puts inside B(center, r)."""
+    full = ball_volume(system, center, r, seed=seed, check_truncation=check_truncation,
+                       dfield=distance_field(system, center, lattice, seed=seed))
+    bounded = ball_volume(system, center, r, lattice=lattice, seed=seed,
+                          check_truncation=check_truncation)
+    assert bounded == full
+    return full
+
+
+class TestBoundedBall:
+    """ball_volume(lattice=...) searches only the ball, with the full field's answer."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_frontier_steps_match_tables(self, systems, name):
+        system = systems[name]
+        lat = small_lattice(system.dim)
+        directions = control_directions(system.m, 8, seed=1)
+        tables = _neighbor_tables(system, lat, directions, 0.3)
+        steps = _frontier_steps(system, lat, directions, 0.3)
+        assert np.array_equal(steps(np.arange(tables.shape[1])), tables)
+        nodes = np.unique(np.random.default_rng(3).integers(0, tables.shape[1], 40))
+        assert np.array_equal(steps(nodes), tables[:, nodes])
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_volumes_match_full_field(self, systems, name, seed):
+        system = systems[name]
+        lat = small_lattice(system.dim)
+        center = [0.1] * system.dim
+        # 0.6 is 2 * 0.3 exactly in floats; 3 * 0.3 lands just below 0.9
+        for r in (0.0, 0.3, 0.45, 0.6, 0.9, 1.2, math.inf):
+            assert_same_volume(system, center, r, lat, seed)
+
+    def test_radius_on_a_level(self):
+        # tau = 0.125 and r = 4 tau = 0.5: the level-4 shell lies outside the ball
+        system = fx.grushin()
+        lat = LatticeSpec([(-1.5, 1.5)] * 2, 0.05, n_random_controls=12, tau=0.125)
+        df = distance_field(system, [0.2, 0.0], lat, seed=2)
+        assert (df.values == 0.5).any()
+        full = assert_same_volume(system, [0.2, 0.0], 0.5, lat, seed=2)
+        assert full.sample_count == int((df.values < 0.5).sum())
+        assert full.sample_count < int((df.values <= 0.5).sum())
+
+    def test_frontier_empties_before_the_radius(self):
+        # d1 steps never leave the line x2 = 0: 5 nodes are reachable
+        from subriemann.fields import parse_system
+
+        system = parse_system("dim = 2\nweights = 1,1\nX1 = 1*d1\nX2 = 1*d1\n")
+        lat = LatticeSpec([(-1, 1), (-1, 1)], 0.25, n_random_controls=0, tau=0.5)
+        for r in (10.0, math.inf):
+            est = assert_same_volume(system, [0, 0], r, lat, seed=0)
+            assert est.sample_count == 5
+
+    def test_truncation_raises_on_both_paths(self):
+        system = fx.euclidean(2)
+        lat = LatticeSpec([(-1, 1), (-1, 1)], 0.1, n_random_controls=8, tau=0.2)
+        with pytest.raises(BallTruncated):
+            ball_volume(system, [0, 0], 1.5, lattice=lat, seed=1)
+        with pytest.raises(BallTruncated):
+            ball_volume(system, [0, 0], 1.5, dfield=distance_field(system, [0, 0], lat, seed=1))
+        assert_same_volume(system, [0, 0], 1.5, lat, seed=1)
+        assert_same_volume(system, [0, 0], 0.5, lat, seed=1, check_truncation=True)
+
+    def test_scan_matches_full_field_scan(self, systems, bases, nsw_polys):
+        # criterion 4's Grushin inputs
+        name = "grushin-1-1-2"
+        basis = bases[name]
+        args = (systems[name], nsw_polys[name], [[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]],
+                [2.0 ** -k for k in range(1, 6)], lambda c, r: lattice_for_ball(basis, c, r))
+        assert ball_box_scan(*args, seed=2).rows == reference_ball_box_scan(*args, seed=2)
 
 
 class TestBallVolume:
