@@ -376,7 +376,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("analyze", help="hypothesis checks, Q, bracket basis, nu table")
@@ -405,6 +404,8 @@ def build_parser() -> _Parser:
         p.add_argument("--tau", type=float, default=None)
         p.add_argument("--controls", type=int, default=None,
                        help="extra random control directions")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the random control directions")
 
     p = sub.add_parser("dist", help="lattice subunit distance field")
     p.add_argument("system")
@@ -456,6 +457,7 @@ def build_parser() -> _Parser:
     p.add_argument("--starts", type=int, default=3)
     p.add_argument("--trace", help="write the per-iterate quotient CSV here")
     p.add_argument("--dump-grid", help="write the raw minimizer grid (little-endian f8)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random starts")
     common(p)
     p.set_defaults(func=cmd_sobolev)
 

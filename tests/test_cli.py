@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from subriemann.cli import main
+from subriemann.cli import build_parser, main
 from subriemann.fixtures import fixture_path
 
 
@@ -207,6 +207,31 @@ class TestUsageAndErrors:
     def test_missing_required_option_exits_1(self, capsys):
         code, _, err = run(capsys, "dist", vf("euclidean2.vf"))
         assert code == 1
+
+    # only dist, ballvol and sobolev draw random numbers; the parser
+    # rejects --seed before any file is opened
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "x.vf"),
+        ("nu", "x.vf", "--points", "p.csv"),
+        ("nsw", "x.vf"),
+        ("growth", "x.vf", "--domain", "d.json", "--kappa", "1"),
+        ("verify-auto", "x.vf", "x.family"),
+        ("probe-exponent", "x.vf", "--kappa", "1", "--t", "1",
+         "--box=-1,1;-1,1", "--spacing", "0.5"),
+    ])
+    def test_seed_only_where_read(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--seed", "1")
+        assert code == 1
+        assert "unrecognized arguments: --seed 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "x.vf", "--source", "0,0", "--box=-1,1;-1,1", "--spacing", "0.5"),
+        ("ballvol", "x.vf", "--center", "0,0", "--radii", "1",
+         "--box=-1,1;-1,1", "--spacing", "0.5"),
+        ("sobolev", "x.vf", "--box=-1,1;-1,1", "--spacing", "0.5"),
+    ])
+    def test_seed_kept_where_read(self, argv):
+        assert build_parser().parse_args([*argv, "--seed", "7"]).seed == 7
 
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, substitution, and determinant tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,6 +27,28 @@ def random_poly(rng, dim, max_terms=4, max_deg=3, max_coef=5):
 
 def random_point(rng, dim, max_num=6):
     return [Fraction(rng.randint(-max_num, max_num), rng.randint(1, 5)) for _ in range(dim)]
+
+
+def leibniz_det(mat):
+    """Reference determinant: the signed sum over all permutations."""
+    n = len(mat)
+    dim = mat[0][0].dim
+    total = Polynomial.zero(dim)
+    for perm in itertools.permutations(range(n)):
+        if any(mat[i][j].is_zero() for i, j in enumerate(perm)):
+            continue
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Polynomial.constant(dim, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
+def sparse_matrix(rng, n, dim=2, zero_frac=0.5):
+    return [[Polynomial.zero(dim) if rng.random() < zero_frac
+             else random_poly(rng, dim, max_terms=2, max_deg=2)
+             for _ in range(n)] for _ in range(n)]
 
 
 class TestArithmetic:
@@ -191,3 +214,38 @@ class TestDeterminant:
     def test_singular(self):
         row = [parse_polynomial("x1", 2), parse_polynomial("x2", 2)]
         assert poly_det([row, row]).is_zero()
+        # proportional rows: every term cancels, none is structurally zero
+        dependent = [[parse_polynomial(e, 2) for e in row]
+                     for row in (["x1", "x2"], ["x1*x2", "x2^2"])]
+        assert poly_det(dependent).is_zero()
+        rng = random.Random(47)
+        mat = sparse_matrix(rng, 5, zero_frac=0.2)
+        assert poly_det(mat[:4] + [mat[1]]).is_zero()
+        assert poly_det(mat[:2] + [[Polynomial.zero(2)] * 5] + mat[3:]).is_zero()
+
+    def test_matches_leibniz_up_to_seven(self):
+        rng = random.Random(41)
+        mats = [sparse_matrix(rng, n) for n in range(1, 8) for _ in range(6 if n <= 5 else 2)]
+        mats += [sparse_matrix(rng, n, zero_frac=0.0) for n in (5, 6)]
+        for mat in mats:
+            assert poly_det(mat) == leibniz_det(mat)
+
+    def test_cancelling_minors(self):
+        # the bottom 2x2 minor on columns {0, 1} is x1*x2^2 - x2*x1*x2 = 0
+        rows = [["1", "x1", "0", "x2"],
+                ["0", "1", "x2", "1"],
+                ["x1", "x2", "0", "1"],
+                ["x1*x2", "x2^2", "1", "0"]]
+        mat = [[parse_polynomial(e, 2) for e in row] for row in rows]
+        det = poly_det(mat)
+        assert det == leibniz_det(mat)
+        assert not det.is_zero()
+
+    def test_rejects_malformed(self):
+        x = parse_polynomial("x1", 2)
+        with pytest.raises(PolynomialError):
+            poly_det([])
+        with pytest.raises(PolynomialError):
+            poly_det([[x, x]])
+        with pytest.raises(PolynomialError):
+            poly_det([[x, x], [x, parse_polynomial("x1", 3)]])
