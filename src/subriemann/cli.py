@@ -55,11 +55,10 @@ EXIT_PROPERTY = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the contract here is 1
+    # argparse prints plain text and exits with 2 on bad usage; here every
+    # usage error is the one JSON object of _fail_usage and exit code 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _fail_usage(message)
 
 
 def _fmt(x) -> str:

@@ -237,6 +237,19 @@ class TestUsageAndErrors:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, text", [
+        (("analyze", "x.vf", "--bogus"), "unrecognized arguments: --bogus"),
+        (("dist", "x.vf"), "the following arguments are required: --source"),
+        (("frobnicate",), "invalid choice: 'frobnicate'"),
+    ], ids=["unknown-option", "missing-required", "unknown-command"])
+    def test_argparse_errors_print_json_usage(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert text in payload["message"]
+
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0

@@ -15,6 +15,7 @@ from subriemann.sobolev import (
     GridFunction,
     SobolevError,
     SupportEscape,
+    _ROUNDOFF,
     _Quotient,
     _direction,
     _energy_and_gradient,
@@ -174,6 +175,20 @@ PARITY_CASES = {
 }
 
 
+def x_squared_dy():
+    """X = x^2 d_y on the plane: it vanishes on the whole line {x = 0}."""
+    comps = [Polynomial.zero(2), Polynomial.variable(2, 1) ** 2]
+    return VectorFieldSystem([VectorField(comps)], [1, 3])
+
+
+# the PARITY_CASES lattices, plus a predicate lattice with empty columns
+GRAM_CASES = {
+    **PARITY_CASES,
+    "x2dy-disc": (x_squared_dy, GridDomain([(-1, 1), (-1, 1)], 0.25,
+                                           predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
+}
+
+
 def reference_coo_operator(system, dom):
     """X_h as it was assembled before: COO blocks, concatenated, then CSR."""
     from scipy import sparse
@@ -227,6 +242,23 @@ class TestOperatorAssembly:
         normal = (op.matrix.T @ op.matrix).diagonal()
         assert normal.min() > 0.0
         np.testing.assert_allclose(op.diag, normal, rtol=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_gram_is_the_normal_matrix(self, case):
+        make_system, dom = GRAM_CASES[case]
+        op = dom.horizontal_operator(make_system())
+        dense = op.matrix.toarray()
+        normal = dense.T @ dense
+        assert op.gram.format == "csr"
+        np.testing.assert_allclose(op.gram.toarray(), normal, rtol=1e-13)
+        gram_diag = op.gram.diagonal()
+        empty = gram_diag == 0.0
+        assert empty.any() == (case == "x2dy-disc")
+        if case == "x2dy-disc":
+            assert (~dom.free & ~dom.boundary).any()
+            x_free = dom.mesh[0].ravel()[op.free_index]
+            np.testing.assert_array_equal(empty, x_free == 0.0)
+        np.testing.assert_array_equal(op.diag, np.where(empty, 1.0, gram_diag))
 
     def test_diag_is_constant_on_a_euclidean_lattice(self):
         spacing = [0.25, 0.5, 0.2]
@@ -334,6 +366,14 @@ class TestEnergyAndGradient:
             minimize_quotient(euclid2, small_domain, p=1.0)
 
 
+def scaling_spread(system, res):
+    """(max - min) / min of the p = 2 quotient at c u over 50 scalings c in [1/2, 2]."""
+    quotient = _Quotient(system, res.minimizer.domain, 2.0)
+    x = res.minimizer.values.ravel()[quotient.op.free_index]
+    values = np.array([quotient(c * x)[0] for c in np.linspace(0.5, 2.0, 50)])
+    return (values.max() - values.min()) / values.min()
+
+
 class TestMinimize:
     def test_quotient_decreases(self):
         system = fx.grushin()
@@ -423,6 +463,24 @@ class TestMinimize:
         assert res.stop_reason == "converged"
         assert res.iterations < 300
         assert res.constant == pytest.approx(unscaled_constant, rel=1e-4)
+
+    def test_scaling_spread_below_roundoff_on_the_criterion_8_grid(self):
+        # the line search counts a drop below _ROUNDOFF * f as no decrease,
+        # so the rounding noise of the quotient along the ray c x must stay
+        # below it at the minimizer
+        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800, seed=0)
+        assert res.stop_reason == "converged"
+        assert scaling_spread(fx.grushin(), res) < _ROUNDOFF
+
+    @pytest.mark.slow
+    def test_scaling_spread_below_roundoff_on_the_decay_grid(self):
+        dom = GridDomain([(-8, 8), (-80, 80)], [0.125, 1.0])
+        x, y = dom.mesh
+        u0 = GridFunction(dom, (0.0625 + x ** 2 + (np.abs(y) / 3.0) ** (2.0 / 3.0)) ** -1.0)
+        res = minimize_quotient(fx.grushin(), dom, 2.0, init=u0, n_starts=1, max_iter=15000)
+        assert res.stop_reason == "converged"
+        assert scaling_spread(fx.grushin(), res) < _ROUNDOFF
 
     def test_explicit_init_is_used(self):
         system = fx.grushin()
