@@ -1,11 +1,13 @@
 """Toolkit for dilation-homogeneous Hormander vector field systems.
 
 Exact layer: rational polynomial algebra, Lie brackets, homogeneity and
-rank certificates, the ball-volume polynomial and its level sets, and
-automorphism certification.  Numerical layer: one box lattice type
-shared by lattice subunit distance fields, ball volume estimates,
-growth-exponent scans, and a discretized minimizer for the optimal
-Sobolev constant.
+rank certificates, the ball-volume polynomial, pointwise nu and its
+level sets, domain specs and evaluation plans, and automorphism
+certification.  Numerical layer: one box lattice type shared by lattice
+subunit distance fields, ball volume estimates and ball-box ratio
+scans; the growth-exponent scan of the ball-volume polynomial; and a
+discretized minimizer for the optimal Sobolev constant with its
+concentration, exponent and decay diagnostics.
 """
 
 from .polynomials import Polynomial, PolynomialError, format_polynomial, parse_polynomial, poly_det
@@ -30,9 +32,9 @@ from .nsw import (
     build_nsw,
     eval_lambda,
     level_set_probe,
-    metivier_report,
     nu_tilde,
     parse_domain_spec,
+    parse_plan,
     pointwise_nu,
 )
 from .automorph import (
@@ -52,10 +54,7 @@ from .metric import (
     ball_box_scan,
     ball_volume,
     distance_field,
-    doubling_check,
     growth_exponent_scan,
-    isometry_checks,
-    poincare_check,
 )
 from .sobolev import (
     EnergyReport,

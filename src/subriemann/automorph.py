@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import FieldError, VectorFieldSystem, check_h1
+from .fields import FieldError, VectorFieldSystem, check_h1, spec_lines
 from .nsw import BallPolynomial, pointwise_nu
 from .polynomials import Polynomial, format_polynomial, parse_polynomial, poly_det
 
@@ -313,13 +313,7 @@ def parse_family(text: str) -> TransitiveFamily:
     h_zero: list[int] = []
     t_lines: dict[int, str] = {}
     w_lines: dict[int, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for raw, key, value in spec_lines(text):
         if key == "dim":
             dim = int(value)
         elif key == "h_zero":

@@ -37,9 +37,11 @@ from .metric import (
 )
 from .nsw import (
     build_nsw,
-    eval_lambda,
     evaluation_table_csv,
+    nu_tilde,
     parse_domain_spec,
+    parse_plan,
+    parse_rows,
     pointwise_nu,
 )
 from .automorph import parse_family, verify_transitive_family
@@ -88,16 +90,12 @@ def _fail_property(msg: str):
     raise SystemExit(EXIT_PROPERTY)
 
 
-def _read_points(path: str, dim: int):
-    pts = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) < dim:
-                _fail_usage(f"point row {row} has fewer than {dim} columns")
-            pts.append(tuple(Fraction(v.strip()) for v in row[:dim]))
-    return pts
+def _read_csv(path: str, parse, width: int):
+    """``parse(text, width)`` of the file at ``path``; a bad row is a usage error."""
+    try:
+        return parse(Path(path).read_text(), width)
+    except (OSError, ValueError) as exc:
+        _fail_usage(f"cannot read {path!r}: {exc}")
 
 
 def _parse_floats(text: str):
@@ -138,7 +136,7 @@ def cmd_analyze(args) -> int:
     nsw = build_nsw(basis)
     points = [tuple(Fraction(0) for _ in range(system.dim))]
     if args.points:
-        points = _read_points(args.points, system.dim)
+        points = _read_csv(args.points, parse_rows, system.dim)
     nu_rows = [(pt, pointwise_nu(nsw, pt)) for pt in points]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -178,7 +176,7 @@ def cmd_analyze(args) -> int:
 def cmd_nu(args) -> int:
     system = _load_system(args.system)
     nsw = build_nsw(enumerate_commutators(system))
-    points = _read_points(args.points, system.dim)
+    points = _read_csv(args.points, parse_rows, system.dim)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([f"x{i+1}" for i in range(system.dim)] + ["nu"])
@@ -196,14 +194,7 @@ def cmd_nsw(args) -> int:
     else:
         print(nsw.to_json())
     if args.eval:
-        rows = []
-        with open(args.eval, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                x = [Fraction(v) for v in row[: system.dim]]
-                r = Fraction(row[system.dim])
-                rows.append((x, r))
+        rows = _read_csv(args.eval, parse_plan, system.dim)
         _write(args.out, evaluation_table_csv(nsw, rows))
     return EXIT_OK
 
@@ -226,8 +217,8 @@ def cmd_dist(args) -> int:
     writer = csv.writer(buf)
     writer.writerow([f"x{i+1}" for i in range(system.dim)] + ["distance"])
     if args.query:
-        targets = [[float(v) for v in pt] for pt in _read_points(args.query, system.dim)]
-        for pt in targets:
+        for row in _read_csv(args.query, parse_rows, system.dim):
+            pt = [float(v) for v in row]
             writer.writerow([_fmt(float(v)) for v in pt] + [_fmt(dfield.query(pt))])
     else:
         for idx in np.ndindex(*lattice.shape):
@@ -261,21 +252,17 @@ def cmd_growth(args) -> int:
         _fail_usage(f"cannot load domain spec: {exc}")
     kappas = _parse_floats(args.kappa)
     if args.plan:
-        plan = []
-        with open(args.plan, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                x = [Fraction(v) for v in row[: system.dim]]
-                plan.append((x, Fraction(row[system.dim])))
+        plan = _read_csv(args.plan, parse_plan, system.dim)
     else:
         radii = [Fraction(1, 2 ** k) for k in range(1, 9)]
         plan = [(list(pt), r) for pt in domain.sample_points() for r in radii]
-    report = growth_exponent_scan(system, nsw, domain, kappas, plan, mode="lambda")
+    report = growth_exponent_scan(nsw, kappas, plan)
     _write(args.out, report.to_csv())
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kappa_infima": {f"{k:.12g}": f"{v:.12g}" for k, v in report.kappa_infima.items()},
+        # the largest nu over the domain's sample points; null without samples
+        "nu_tilde": nu_tilde(nsw, domain) if domain.samples else None,
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -288,15 +275,10 @@ def cmd_verify_auto(args) -> int:
     except (OSError, FieldError, PolynomialError) as exc:
         _fail_usage(f"cannot load family spec: {exc}")
     nsw = build_nsw(enumerate_commutators(system))
+    n = system.dim
     pairs = []
     if args.pairs:
-        with open(args.pairs, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                vals = [Fraction(v) for v in row]
-                n = system.dim
-                pairs.append((vals[:n], vals[n: 2 * n]))
+        pairs = [(row[:n], row[n:]) for row in _read_csv(args.pairs, parse_rows, 2 * n)]
     report = verify_transitive_family(system, nsw, family, pairs)
     print(str(report))
     return EXIT_OK if report.ok else EXIT_PROPERTY

@@ -461,18 +461,25 @@ def parse_field(text: str, dim: int) -> VectorField:
     return VectorField(comps)
 
 
+def spec_lines(text: str):
+    """(raw line, key, value) for each ``key = value`` line of a spec file.
+
+    ``#`` starts a comment and blank lines are skipped; key and value are
+    stripped.
+    """
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, _, value = line.partition("=")
+            yield raw, key.strip(), value.strip()
+
+
 def parse_system(text: str) -> VectorFieldSystem:
     dim = None
     weights = None
     name = ""
     field_lines: list[tuple[int, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for raw, key, value in spec_lines(text):
         if key == "dim":
             dim = int(value)
         elif key == "weights":

@@ -5,9 +5,10 @@ coordinates, the outer boundary shell and the Dirichlet ``free`` mask,
 plus the control-set resolution that distance fields read.  The exact
 polynomial coefficients of a vector field system are evaluated on the
 nodes once per (lattice, system) and cached, and so is the assembled
-sparse horizontal-gradient operator X_h built from them, with its
-transpose and its Gram matrix X_h^T X_h.  This is the first module
-that turns exact polynomials into floats.
+sparse horizontal-gradient operator X_h built from them, with its Gram
+matrix X_h^T X_h.  X_h^T itself is not kept: the p != 2 gradient reads
+the transposed view ``matrix.T``.  This is the first module that turns
+exact polynomials into floats.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class HorizontalOperator:
     ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
     X_j^- u on every node.  Its columns are the free nodes only, in the
     order of ``free_index`` (flat node indices): x = u.ravel()[free_index].
-    ``transpose`` is X_h^T, also in CSR.  ``gram`` is the Gram matrix
-    A = X_h^T X_h on the free nodes, in CSR: the p = 2 energy is
-    1/2 x.Ax and its gradient Ax, one product instead of X_h and X_h^T.
+    ``gram`` is the Gram matrix A = X_h^T X_h on the free nodes, in CSR:
+    the p = 2 energy is 1/2 x.Ax and its gradient Ax, one product
+    instead of X_h and X_h^T.
     ``diag`` is the diagonal of A: the column sums of squares, one per
     free node, and 1 on a free node with no entries.  The Sobolev
     solver's L-BFGS takes its inverse as the initial inverse Hessian
@@ -62,7 +63,6 @@ class HorizontalOperator:
     """
 
     matrix: object
-    transpose: object
     gram: object
     free_index: np.ndarray
     n_fields: int
@@ -221,12 +221,11 @@ class Lattice:
         indices = np.concatenate(indices)
         data = np.concatenate(data)
         matrix = sparse.csr_array((data, indices, indptr), shape=(n_rows, free_index.size))
-        transpose = matrix.T.tocsr()
-        gram = transpose @ matrix
+        # X_h^T in CSR only while the product is formed
+        gram = matrix.T.tocsr() @ matrix
         diag = gram.diagonal()
         diag[diag == 0.0] = 1.0
-        return HorizontalOperator(matrix, transpose, gram, free_index, len(grids), n_nodes,
-                                  diag)
+        return HorizontalOperator(matrix, gram, free_index, len(grids), n_nodes, diag)
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         return np.where(self.free, values, 0.0)

@@ -1,8 +1,12 @@
-"""Numerical subunit distance fields and ball-volume probes.
+"""Numerical subunit distance fields, ball volumes and growth scans.
 
-All probes run on a `Lattice` (``LatticeSpec`` is the same class), which
-also carries the control-set resolution: the number of random control
-directions and the step ``tau``.  The subunit distance is approximated
+The lattice probes are `distance_field`, `ball_volume` and the ball-box
+ratio table `ball_box_scan` (with `lattice_for_ball` to size a lattice
+per ball); `growth_exponent_scan` reads the exact ball-volume polynomial
+instead of a lattice.  The lattice probes run on a `Lattice`
+(``LatticeSpec`` is the same class), which also carries the control-set
+resolution: the number of random control directions and the step
+``tau``.  The subunit distance is approximated
 by breadth-first search on a lattice graph: from each node y, one edge
 per sampled control direction a leads to the node nearest to
 y + tau * sum_i a_i X_i(y), at cost tau (|a| = 1 for every sampled
@@ -31,8 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import VectorFieldSystem
-from .lattice import Lattice, eval_grid
-from .nsw import BallPolynomial, DomainSpec, eval_lambda
+from .lattice import Lattice
+from .nsw import BallPolynomial, eval_lambda
 
 LatticeSpec = Lattice  # alias: callers import the lattice under this name too
 
@@ -342,21 +346,23 @@ def ball_extent(basis, point, r: float) -> list[float]:
     return out
 
 
+_BALL_REACH = 2.0  # `lattice_for_ball`'s box holds B(center, _BALL_REACH * r)
+_BALL_SHELLS = 10  # and its tau = r / _BALL_SHELLS: every radius spans as many levels
+
+
 def lattice_for_ball(
     basis,
     center,
     r: float,
     nodes_per_axis: int = 48,
-    reach: float = 2.0,
     n_random_controls: int | None = 24,
-    shells: int = 10,
 ) -> Lattice:
-    """Lattice sized to hold B(center, reach*r) with ~nodes_per_axis nodes."""
-    ext = ball_extent(basis, center, reach * r)
+    """Lattice sized to hold B(center, 2r) with ~nodes_per_axis nodes and tau = r/10."""
+    ext = ball_extent(basis, center, _BALL_REACH * r)
     box = [(float(c) - e, float(c) + e) for c, e in zip(center, ext)]
     spacing = [2.0 * e / nodes_per_axis for e in ext]
     return Lattice(box, spacing, n_random_controls=n_random_controls,
-                       tau=float(r) / shells)
+                   tau=float(r) / _BALL_SHELLS)
 
 
 def ball_box_scan(
@@ -392,38 +398,6 @@ def _snap_rational(x, max_den: int = 1 << 16) -> Fraction:
 
 
 @dataclass
-class DoublingReport:
-    rows: list  # (center, r, vol_r, vol_2r, ratio)
-    Q: int
-
-    @property
-    def max_constant(self) -> float:
-        """Largest observed |B(x,2r)| / (2^Q |B(x,r)|)."""
-        return max(row[4] for row in self.rows) / 2.0 ** self.Q
-
-
-def doubling_check(
-    system: VectorFieldSystem,
-    centers: Sequence[Sequence],
-    radii: Sequence[float],
-    lattice_for: Callable[[Sequence], Lattice],
-    seed: int = 0,
-) -> DoublingReport:
-    """Observed doubling ratios |B(x,2r)| / |B(x,r)|."""
-    Q = sum(system.weights)
-    rows = []
-    for center in centers:
-        lattice = lattice_for(center)
-        dfield = distance_field(system, center, lattice, seed=seed)
-        for r in radii:
-            v1 = ball_volume(system, center, r, dfield=dfield).estimate
-            v2 = ball_volume(system, center, 2 * r, dfield=dfield).estimate
-            if v1 > 0:
-                rows.append((tuple(map(float, center)), float(r), v1, v2, v2 / v1))
-    return DoublingReport(rows, Q)
-
-
-@dataclass
 class GrowthScanReport:
     kappa_infima: dict[float, float]
     table: list  # (kappa, center, r, value)
@@ -437,19 +411,14 @@ class GrowthScanReport:
 
 
 def growth_exponent_scan(
-    system: VectorFieldSystem,
     nsw: BallPolynomial,
-    domain: DomainSpec,
     kappas: Sequence[float],
     plan: Sequence[tuple[Sequence, object]],
-    mode: str = "lambda",
-    volume_for: Callable[[Sequence, float], float] | None = None,
 ) -> GrowthScanReport:
-    """Empirical inf over the plan of |B(x,r)| / r^kappa, per kappa.
+    """Empirical inf over the plan of Lambda(x,r) / r^kappa, per kappa.
 
-    In 'lambda' mode the ball-volume polynomial stands in for |B| (the
-    two are equivalent up to fixed constants); 'volume' mode uses the
-    supplied measured-volume callback.
+    The ball-volume polynomial stands in for |B(x,r)|: the two are
+    equivalent up to fixed constants.
     """
     Q = nsw.Q
     for kappa in kappas:
@@ -458,102 +427,9 @@ def growth_exponent_scan(
     table = []
     infima = {float(k): math.inf for k in kappas}
     for x, r in plan:
-        xr = [_snap_rational(v) for v in x]
-        rr = _snap_rational(r)
-        if mode == "lambda":
-            vol = float(eval_lambda(nsw, xr, rr))
-        elif mode == "volume":
-            if volume_for is None:
-                raise MetricError("volume mode needs a volume_for callback")
-            vol = volume_for(x, float(r))
-        else:
-            raise MetricError(f"unknown mode {mode!r}")
+        vol = float(eval_lambda(nsw, [_snap_rational(v) for v in x], _snap_rational(r)))
         for kappa in kappas:
             value = vol / float(r) ** kappa
             table.append((float(kappa), tuple(x), float(r), value))
             infima[float(kappa)] = min(infima[float(kappa)], value)
     return GrowthScanReport(infima, table)
-
-
-@dataclass
-class IsometryReport:
-    rows: list  # (kind, detail, reference, mapped, rel_error)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(row[4] for row in self.rows) if self.rows else 0.0
-
-
-def isometry_checks(
-    system: VectorFieldSystem,
-    pairs: Sequence[tuple[Sequence, Sequence]],
-    amap,
-    t_values: Sequence[float],
-    lattice_for: Callable[[Sequence], Lattice],
-    seed: int = 0,
-) -> IsometryReport:
-    """Compare d(x,y) with d(A(x),A(y)) and with dilations of the pair."""
-    rows = []
-    for x, y in pairs:
-        d_ref = _pair_distance(system, x, y, lattice_for, seed)
-        ax = [float(v) for v in amap([_snap_rational(v) for v in x])]
-        ay = [float(v) for v in amap([_snap_rational(v) for v in y])]
-        d_map = _pair_distance(system, ax, ay, lattice_for, seed)
-        rows.append(("automorphism", (tuple(x), tuple(y)), d_ref, d_map,
-                     abs(d_map - d_ref) / max(d_ref, 1e-12)))
-        for t in t_values:
-            xt = system.dilation_float(x, t)
-            yt = system.dilation_float(y, t)
-            d_t = _pair_distance(system, xt, yt, lattice_for, seed)
-            rows.append(
-                ("dilation", (tuple(x), tuple(y), t), t * d_ref, d_t,
-                 abs(d_t - t * d_ref) / max(t * d_ref, 1e-12))
-            )
-    return IsometryReport(rows)
-
-
-def _pair_distance(system, x, y, lattice_for, seed) -> float:
-    dfield = distance_field(system, x, lattice_for(x), seed=seed)
-    return dfield.query(y)
-
-
-@dataclass
-class PoincareReport:
-    rows: list  # (label, oscillation, gradient_side, ratio)
-
-    @property
-    def max_ratio(self) -> float:
-        return max(row[3] for row in self.rows) if self.rows else 0.0
-
-
-def poincare_check(
-    system: VectorFieldSystem,
-    center,
-    r: float,
-    test_functions: Sequence[tuple[str, object]],
-    lattice: Lattice,
-    seed: int = 0,
-) -> PoincareReport:
-    """Mean-oscillation versus r * integral of |Xf| on a discrete ball."""
-    dfield = distance_field(system, center, lattice, seed=seed)
-    inside = dfield.values < r
-    if not inside.any():
-        raise MetricError("empty discrete ball")
-    mesh = lattice.mesh
-    grids = lattice.field_grids(system)
-    cell = lattice.cell_volume()
-    rows = []
-    for label, f in test_functions:
-        fvals = eval_grid(f, mesh)
-        avg = fvals[inside].mean()
-        osc = float(np.abs(fvals[inside] - avg).sum()) * cell
-        partials = [eval_grid(f.partial(k + 1), mesh) for k in range(system.dim)]
-        grad_sq = np.zeros_like(fvals)
-        for coeffs in grids:
-            g = sum(a * d for a, d in zip(coeffs, partials))
-            grad_sq = grad_sq + g * g
-        grad_int = float(np.sqrt(grad_sq)[inside].sum()) * cell
-        rhs = float(r) * grad_int
-        ratio = 0.0 if osc == 0.0 else (math.inf if rhs == 0.0 else osc / rhs)
-        rows.append((label, osc, rhs, ratio))
-    return PoincareReport(rows)

@@ -16,6 +16,7 @@ monomial once in integers and builds one Fraction at the end.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .fields import CommutatorBasis, FieldError
+from .fields import CommutatorBasis, FieldError, spec_lines
 from .polynomials import Polynomial, PolynomialError, format_polynomial, poly_det
 
 DEFAULT_TUPLE_CAP = 2_000_000
@@ -308,13 +309,7 @@ def parse_domain_spec(text: str) -> DomainSpec:
     dim = None
     box = None
     samples: list[tuple[tuple[Fraction, ...], str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for raw, key, value in spec_lines(text):
         if key == "dim":
             dim = int(value)
         elif key == "box":
@@ -339,7 +334,10 @@ def parse_domain_spec(text: str) -> DomainSpec:
 
 
 def nu_tilde(nsw: BallPolynomial, domain: DomainSpec) -> int:
-    """Max of nu over the closure samples: a lower-bound certificate."""
+    """The paper's nu~ on the sample set: max of nu over every sample point.
+
+    The max over the samples is a lower bound for the max over the closure.
+    """
     pts = domain.sample_points()
     if not pts:
         raise ValueError("domain has no sample points")
@@ -373,9 +371,29 @@ def level_set_probe(
     return LevelSetReport(not bad, bad)
 
 
-def metivier_report(nsw: BallPolynomial, samples: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff nu = Q at every sample (evidence for equiregularity)."""
-    return all(pointwise_nu(nsw, pt) == nsw.Q for pt in samples)
+def parse_rows(text: str, width: int) -> list[tuple[Fraction, ...]]:
+    """Rational CSV rows, each cut to its first ``width`` cells.
+
+    Blank rows and rows whose first cell starts with ``#`` are skipped.  A
+    row with fewer than ``width`` cells, or a cell that is not a rational
+    number, raises ValueError naming the row.
+    """
+    rows = []
+    for row in csv.reader(text.splitlines()):
+        if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
+            continue
+        if len(row) < width:
+            raise ValueError(f"row {row} has fewer than {width} columns")
+        try:
+            rows.append(tuple(Fraction(cell) for cell in row[:width]))
+        except ValueError as exc:
+            raise ValueError(f"row {row}: {exc}") from None
+    return rows
+
+
+def parse_plan(text: str, dim: int) -> list[tuple[list[Fraction], Fraction]]:
+    """(x, r) pairs from CSV rows x1, ..., x_dim, r (the ``.plan`` fixture format)."""
+    return [(list(row[:dim]), row[dim]) for row in parse_rows(text, dim + 1)]
 
 
 def evaluation_table_csv(nsw: BallPolynomial, rows) -> str:

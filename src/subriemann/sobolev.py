@@ -183,7 +183,7 @@ def _energy_and_gradient(op, x: np.ndarray, p: float, cv: float, eps: float = 0.
     flux = (y * weight[:, None, :]).ravel()
     if not need_gradient:
         return energy, None
-    return energy, 0.5 * p * cv * (op.transpose @ flux)
+    return energy, 0.5 * p * cv * (op.matrix.T @ flux)
 
 
 class _Quotient:
@@ -373,7 +373,6 @@ def minimize_quotient(
     patience: int = 50,
     rel_tol: float = 1e-6,
     seed: int = 0,
-    eps: float | None = None,
 ) -> MinimizeResult:
     """Minimize the quotient E(u) / ||S u||_{p*}^p by L-BFGS on the free nodes.
 
@@ -397,9 +396,8 @@ def minimize_quotient(
     Q = sum(system.weights)
     if not (1 < p < Q):
         raise SobolevError(f"need 1 < p < Q; got p = {p}, Q = {Q}")
-    if eps is None:
-        eps = 1e-8 if p < 1.5 else 0.0
-    quotient = _Quotient(system, domain, p, eps)
+    # |Xu|^p is regularized for p < 1.5, where it is least smooth at Xu = 0
+    quotient = _Quotient(system, domain, p, 1e-8 if p < 1.5 else 0.0)
     rng = np.random.default_rng(seed)
 
     centers = list(init_centers or [])
@@ -651,6 +649,10 @@ def exponent_probe(
     return ExponentProbeReport(float(kappa), ts, ratios, slope, max(ratios) / min(ratios))
 
 
+_DECAY_VALUE_FLOOR = 1e-10   # `decay_profile` fits only nodes with |u| above this
+_DECAY_MAX_RESIDUAL = 0.5    # and rejects a fit whose RMS residual (in log|u|) exceeds this
+
+
 @dataclass
 class DecayFit:
     exponent: float
@@ -664,18 +666,17 @@ def decay_profile(
     dfield,
     r_inner: float,
     r_outer: float,
-    value_floor: float = 1e-10,
-    residual_threshold: float = 0.5,
 ) -> DecayFit:
     """Least-squares fit of log|u| against log d over an annulus.
 
     The annulus should exclude both the concentration core and the
-    Dirichlet boundary layer.  A fit is rejected when the RMS residual
-    exceeds the threshold or the profile shows no decay at all.
+    Dirichlet boundary layer; nodes with |u| <= _DECAY_VALUE_FLOOR are
+    left out.  A fit is rejected when the RMS residual exceeds
+    _DECAY_MAX_RESIDUAL or the profile shows no decay at all.
     """
     _check_aligned(dfield, u.domain)
     d = dfield.values
-    sel = (d >= r_inner) & (d <= r_outer) & (np.abs(u.values) > value_floor)
+    sel = (d >= r_inner) & (d <= r_outer) & (np.abs(u.values) > _DECAY_VALUE_FLOOR)
     sel &= np.isfinite(d) & (d > 0)
     if not sel.any():
         raise SobolevError("empty annulus")
@@ -698,7 +699,7 @@ def decay_profile(
     ys = np.array(ys)
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    rejected = resid > residual_threshold or slope > -0.05
+    rejected = resid > _DECAY_MAX_RESIDUAL or slope > -0.05
     return DecayFit(float(slope), resid, int(sel.sum()), rejected)
 
 

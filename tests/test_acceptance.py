@@ -10,7 +10,6 @@ finishes in seconds; criterion 4's ball-box scan, which searches each
 ball only out to its radius, takes about 0.3 s.
 """
 
-import csv
 import random
 import time
 import types
@@ -37,7 +36,13 @@ from subriemann.metric import (
     growth_exponent_scan,
     lattice_for_ball,
 )
-from subriemann.nsw import build_nsw, eval_lambda, level_set_probe, parse_domain_spec, pointwise_nu
+from subriemann.nsw import (
+    build_nsw,
+    eval_lambda,
+    level_set_probe,
+    parse_plan,
+    pointwise_nu,
+)
 from subriemann.polynomials import Polynomial, parse_polynomial
 from subriemann.sobolev import (
     GridDomain,
@@ -215,13 +220,8 @@ def test_criterion_6_cusp_growth_exponent():
     t0 = time.perf_counter()
     system = fx.chain3()
     nsw = build_nsw(enumerate_commutators(system))
-    domain = parse_domain_spec(fixture_path("ex31.domain").read_text())
-    plan = []
-    for row in csv.reader(fixture_path("ex31.plan").read_text().splitlines()):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        plan.append(([Fraction(v) for v in row[:3]], Fraction(row[3])))
-    rep = growth_exponent_scan(system, nsw, domain, [3.9, 3.95], plan)
+    plan = parse_plan(fixture_path("ex31.plan").read_text(), system.dim)
+    rep = growth_exponent_scan(nsw, [3.9, 3.95], plan)
     sub = [v for k, c, r, v in rep.table if k == 3.9]
     crit = [v for k, c, r, v in rep.table if k == 3.95]
     monotone = all(b < a for a, b in zip(sub, sub[1:]))

@@ -141,6 +141,7 @@ class TestGrowth:
         assert code == 0
         summary = json.loads(out)
         assert set(summary["kappa_infima"]) == {"3.9", "4"}
+        assert summary["nu_tilde"] == 6
         assert out_file.read_text().startswith("kappa,center,r,")
 
 
@@ -249,6 +250,24 @@ class TestUsageAndErrors:
         payload = json.loads(err)
         assert payload["error"] == "usage"
         assert text in payload["message"]
+
+    # a short row, or a value that is not a rational, in each CSV input
+    @pytest.mark.parametrize("option, row, argv", [
+        ("--points", "0,abc", ("nu", vf("grushin-1-1-2.vf"))),
+        ("--eval", "0,0", ("nsw", vf("grushin-1-1-2.vf"))),
+        ("--plan", "1/2,0,0", ("growth", vf("ex31.vf"), "--domain",
+                               str(fixture_path("ex31.domain")), "--kappa", "3.9")),
+        ("--pairs", "0,1/2,0", ("verify-auto", vf("grushin-1-1-2.vf"),
+                                str(fixture_path("grushin-1-1-2.family")))),
+    ], ids=["points", "eval", "plan", "pairs"])
+    def test_malformed_csv_row_is_usage_error(self, capsys, tmp_path, option, row, argv):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(row + "\n")
+        code, _, err = run(capsys, *argv, option, str(rows))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert str(rows) in payload["message"]
 
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")

@@ -22,15 +22,10 @@ from subriemann.metric import (
     ball_volume,
     control_directions,
     distance_field,
-    doubling_check,
     growth_exponent_scan,
-    isometry_checks,
     lattice_for_ball,
-    poincare_check,
 )
-from subriemann.nsw import eval_lambda, parse_domain_spec
-from subriemann.automorph import PolynomialMap
-from subriemann.polynomials import parse_polynomial
+from subriemann.nsw import eval_lambda
 from subriemann.sobolev import GridDomain
 
 
@@ -366,80 +361,21 @@ class TestBallBoxScan:
         assert "center,radius" in report.to_csv()
 
 
-class TestDoubling:
-    def test_euclidean_doubling(self):
-        system = fx.euclidean(2)
-        report = doubling_check(
-            system, [[0.0, 0.0]], [0.4, 0.6],
-            lattice_for=lambda c: LatticeSpec([(-2, 2), (-2, 2)], 0.05,
-                                              n_random_controls=24, tau=0.1),
-            seed=1,
-        )
-        # area ratio should be near 2^2 = 4 and max_constant near 1
-        for *_rest, ratio in report.rows:
-            assert 2.5 < ratio < 6.0
-        assert 0.5 < report.max_constant < 1.6
-
-
 class TestGrowthScan:
-    def test_lambda_mode_exact_values(self, systems, nsw_polys):
-        system = systems["grushin-1-1-2"]
+    def test_lambda_mode_exact_values(self, nsw_polys):
         nsw = nsw_polys["grushin-1-1-2"]
-        domain = parse_domain_spec("dim = 2\nbox = -1,1 ; -1,1\n")
         plan = [([Fraction(0), Fraction(0)], Fraction(1, 2))]
-        report = growth_exponent_scan(system, nsw, domain, [2.0, 4.0], plan)
+        report = growth_exponent_scan(nsw, [2.0, 4.0], plan)
         # Lambda(0, r) = 24 r^4
         assert report.kappa_infima[4.0] == pytest.approx(24.0)
         assert report.kappa_infima[2.0] == pytest.approx(24.0 * 0.25)
 
-    def test_volume_mode_uses_callback(self, systems, nsw_polys):
-        domain = parse_domain_spec("dim = 2\nbox = -1,1 ; -1,1\n")
-        plan = [([0.0, 0.0], 0.5)]
-        report = growth_exponent_scan(
-            systems["grushin-1-1-2"], nsw_polys["grushin-1-1-2"], domain,
-            [3.0], plan, mode="volume", volume_for=lambda x, r: 8.0 * r ** 3,
-        )
-        assert report.kappa_infima[3.0] == pytest.approx(8.0)
-
-    def test_kappa_range_enforced(self, systems, nsw_polys):
-        domain = parse_domain_spec("dim = 2\nbox = -1,1 ; -1,1\n")
+    def test_kappa_range_enforced(self, nsw_polys):
         with pytest.raises(ValueError):
-            growth_exponent_scan(systems["grushin-1-1-2"],
-                                 nsw_polys["grushin-1-1-2"], domain,
-                                 [5.0], [([0, 0], 0.5)])
+            growth_exponent_scan(nsw_polys["grushin-1-1-2"], [5.0], [([0, 0], 0.5)])
 
-    def test_csv_output(self, systems, nsw_polys):
-        domain = parse_domain_spec("dim = 2\nbox = -1,1 ; -1,1\n")
+    def test_csv_output(self, nsw_polys):
         report = growth_exponent_scan(
-            systems["grushin-1-1-2"], nsw_polys["grushin-1-1-2"], domain,
-            [4.0], [([Fraction(0), Fraction(0)], Fraction(1, 2))],
+            nsw_polys["grushin-1-1-2"], [4.0], [([Fraction(0), Fraction(0)], Fraction(1, 2))],
         )
         assert report.to_csv().startswith("kappa,center,r,")
-
-
-class TestIsometry:
-    def test_translation_is_isometry(self):
-        system = fx.euclidean(2)
-        amap = PolynomialMap.translation([Fraction(1, 4), Fraction(-1, 4)])
-        report = isometry_checks(
-            system, [([0.0, 0.0], [0.5, 0.0])], amap, [0.5],
-            lattice_for=lambda c: LatticeSpec(
-                [(c[0] - 1.5, c[0] + 1.5), (c[1] - 1.5, c[1] + 1.5)],
-                0.05, n_random_controls=24, tau=0.1),
-            seed=1,
-        )
-        assert report.max_rel_error < 0.25
-
-
-class TestPoincare:
-    def test_constant_and_linear(self):
-        system = fx.euclidean(2)
-        lat = LatticeSpec([(-1.5, 1.5), (-1.5, 1.5)], 0.05,
-                          n_random_controls=24, tau=0.1)
-        const = parse_polynomial("3", 2)
-        linear = parse_polynomial("x1", 2)
-        report = poincare_check(system, [0, 0], 1.0,
-                                [("const", const), ("linear", linear)], lat, seed=1)
-        by_label = {row[0]: row for row in report.rows}
-        assert by_label["const"][3] == 0.0
-        assert 0.0 < by_label["linear"][3] < 2.0

@@ -22,7 +22,6 @@ from subriemann.nsw import (
     eval_lambda,
     evaluation_table_csv,
     level_set_probe,
-    metivier_report,
     nu_tilde,
     parse_domain_spec,
     pointwise_nu,
@@ -313,12 +312,6 @@ class TestLevelSets:
         )
         assert not rep.ok
         assert rep.counterexamples
-
-    def test_metivier(self, nsw_polys):
-        rng = random.Random(59)
-        h_samples = [random_point(rng, 3) for _ in range(20)]
-        assert metivier_report(nsw_polys["heisenberg1"], h_samples)
-        assert not metivier_report(nsw_polys["grushin-1-1-2"], [[1, 0]])
 
 
 class TestDomainSpec:
