@@ -6,9 +6,12 @@ plus the control-set resolution that distance fields read.  The exact
 polynomial coefficients of a vector field system are evaluated on the
 nodes once per (lattice, system) and cached, and so is the assembled
 sparse horizontal-gradient operator X_h built from them, with its Gram
-matrix X_h^T X_h.  X_h^T itself is not kept: the p != 2 gradient reads
-the transposed view ``matrix.T``.  This is the first module that turns
-exact polynomials into floats.
+matrix A = X_h^T X_h.  X_h^T itself is not kept: a p != 2 solve holds
+its own copy.  The Galerkin multigrid hierarchy of A that preconditions
+the Sobolev solver (`Lattice.multigrid`, one symmetric V-cycle) is built
+on the first solve and cached per system next to the operator, so
+evaluating an energy never pays for it.  This is the first module that
+turns exact polynomials into floats.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ class HorizontalOperator:
     the p = 2 energy is 1/2 x.Ax and its gradient Ax, one product
     instead of X_h and X_h^T.
     ``diag`` is the diagonal of A: the column sums of squares, one per
-    free node, and 1 on a free node with no entries.  The Sobolev
-    solver's L-BFGS takes its inverse as the initial inverse Hessian
-    (Jacobi scaling).  It grows
+    free node, and 1 on a free node with no entries.  It is the
+    diagonal of the finest damped-Jacobi smoother in `Multigrid`, the
+    V-cycle that preconditions the Sobolev solver's L-BFGS.  It grows
     with the squared coefficients and inverse squared spacings, so it
     varies strongly on a Grushin grid and is constant on the free nodes
     of a Euclidean lattice.
@@ -127,6 +130,7 @@ class Lattice:
         self.free = free
         self._field_cache: dict = {}
         self._operator_cache: dict = {}
+        self._multigrid_cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -223,9 +227,104 @@ class Lattice:
         matrix = sparse.csr_array((data, indices, indptr), shape=(n_rows, free_index.size))
         # X_h^T in CSR only while the product is formed
         gram = matrix.T.tocsr() @ matrix
-        diag = gram.diagonal()
-        diag[diag == 0.0] = 1.0
-        return HorizontalOperator(matrix, gram, free_index, len(grids), n_nodes, diag)
+        return HorizontalOperator(matrix, gram, free_index, len(grids), n_nodes,
+                                  _smoother_diagonal(gram))
+
+    def multigrid(self, system: VectorFieldSystem) -> "Multigrid":
+        """The Galerkin multigrid hierarchy of A = X_h^T X_h (cached, built on first use).
+
+        Level k + 1 lives on the even-index nodes of level k's grid.  Its
+        prolongation P is the tensor product (``sparse.kron``) of one
+        linear interpolation per axis, with rows restricted to level k's
+        unknowns and columns to the coarse nodes they touch; its operator
+        is P^T A P.  Coarsening stops at `_COARSEST` unknowns or fewer.
+        """
+        cached = self._multigrid_cache.get(id(system))
+        if cached is None:
+            mg = Multigrid(self.horizontal_operator(system), self.shape)
+            cached = self._multigrid_cache[id(system)] = (system, mg)
+        return cached[1]
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         return np.where(self.free, values, 0.0)
+
+
+def _smoother_diagonal(a) -> np.ndarray:
+    """The diagonal of a, with 1 on an empty row (a node the operator does not see)."""
+    diag = a.diagonal()
+    diag[diag == 0.0] = 1.0
+    return diag
+
+
+def _interpolation(n: int):
+    """Linear interpolation from the even nodes 0, 2, ... of an n-node axis (zero beyond)."""
+    from scipy import sparse
+
+    n_coarse = (n + 1) // 2
+    odd = np.arange(1, n, 2)
+    rows = np.concatenate([2 * np.arange(n_coarse), odd, odd])
+    cols = np.concatenate([np.arange(n_coarse), odd // 2, odd // 2 + 1])
+    vals = np.concatenate([np.ones(n_coarse), np.full(2 * odd.size, 0.5)])
+    keep = cols < n_coarse
+    return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n_coarse))
+
+
+_COARSEST = 500    # unknowns at or below which a level is solved directly
+_DAMPING = 0.6     # Jacobi damping of the smoother
+
+
+class Multigrid:
+    """One symmetric V(1,1) cycle for A = X_h^T X_h: an SPD approximation of A^-1.
+
+    Each level smooths with damped Jacobi, x <- x + w D^-1 (r - A x), once
+    before and once after the coarse correction x <- x + P V(P^T (r - A x)).
+    The coarsest level applies the pseudo-inverse of its operator (a
+    predicate domain can leave coarse columns that touch the same single
+    fine node, so that operator may be singular).  The pre- and
+    post-smoother are the same symmetric map, so the cycle is symmetric;
+    it is positive definite when w lambda_max(D^-1 A) < 2 on every level,
+    which the damping enforces through the Gershgorin bound on
+    lambda_max.  ``diag`` of the finest level is `HorizontalOperator.diag`.
+    """
+
+    def __init__(self, op: HorizontalOperator, shape):
+        from scipy import sparse
+
+        a, diag = op.gram, op.diag
+        unknowns = op.free_index
+        self.levels = []
+        while a.shape[0] > _COARSEST:
+            p = _interpolation(shape[0])
+            for n in shape[1:]:
+                p = sparse.kron(p, _interpolation(n), format="csr")
+            p = p[unknowns]
+            touched = np.flatnonzero(p.count_nonzero(axis=0))
+            p = p[:, touched]
+            # the operator's index type (int32 where it fits) carries over
+            # to the products below, so every level stays at 12 bytes an entry
+            index = op.matrix.indices.dtype
+            p = sparse.csr_array((p.data, p.indices.astype(index), p.indptr.astype(index)),
+                                 shape=p.shape)
+            pt = p.T.tocsr()
+            # Gershgorin: lambda_max(D^-1 A) <= max_i sum_j |a_ij| / d_i
+            bound = float((abs(a).sum(axis=1) / diag).max())
+            damping = min(_DAMPING, 1.9 / bound)
+            self.levels.append((a, damping / diag, p, pt))
+            a = (pt @ (a @ p)).tocsr()
+            diag = _smoother_diagonal(a)
+            shape = tuple((n + 1) // 2 for n in shape)
+            unknowns = touched
+        self.coarse_inverse = np.linalg.pinv(a.toarray(), hermitian=True)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """One V-cycle from x = 0 for A x = r."""
+        return self._cycle(0, r)
+
+    def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarse_inverse @ r
+        a, smooth, p, pt = self.levels[level]
+        x = smooth * r
+        x += p @ self._cycle(level + 1, pt @ (r - a @ x))
+        x += smooth * (r - a @ x)
+        return x

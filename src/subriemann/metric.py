@@ -393,7 +393,13 @@ def ball_box_scan(
 
 
 def _snap_rational(x, max_den: int = 1 << 16) -> Fraction:
-    """Snap a float to a nearby rational with denominator <= 2^16."""
+    """A float snapped to a nearby rational with denominator <= 2^16.
+
+    ``int`` and ``Fraction`` inputs are exact already and pass through
+    unchanged, so exact plan rows are evaluated where they are.
+    """
+    if isinstance(x, (int, Fraction)):
+        return x
     return Fraction(float(x)).limit_denominator(max_den)
 
 

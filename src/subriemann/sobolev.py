@@ -16,12 +16,13 @@ gradient one with X_h^T.  The diagnostics (`horizontal_gradient`,
 `exponent_probe`) use X_h itself.
 The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
 local average, is minimized by limited-memory BFGS on the free nodes,
-Jacobi-scaled: the initial inverse Hessian is D^-1 with D the diagonal
-of X_h^T X_h (`HorizontalOperator.diag`, built with X_h).  Degenerate
-fields make D vary strongly over the lattice (X_2 = 3x^2 d_y of Grushin
-gives a 540-fold range on a 16 x 160 box), and an unscaled start then
-needs thousands of iterations; on a Euclidean lattice D is constant and
-the scaling changes nothing.
+preconditioned by multigrid: the initial inverse Hessian is one
+symmetric V(1,1) cycle of the Galerkin hierarchy of A = X_h^T X_h
+(`Lattice.multigrid`, built on the first solve and cached with the
+operator).  The cycle keeps the iteration count from growing as the
+lattice is refined (R^3: 24 iterations at 33^3, 26 at 65^3), also
+where the degenerate X_2 = 3x^2 d_y of Grushin makes diag(A) vary
+540-fold (73 iterations on the 129 x 161 decay grid).
 Distance fields for the concentration and decay diagnostics must come
 from a lattice with the same box and spacing as the function's; both
 diagnostics check this when the field carries its lattice.  Dirichlet
@@ -155,7 +156,7 @@ def _pstar(Q: int, p: float) -> float:
 
 
 def _energy_and_gradient(op, x: np.ndarray, p: float, cv: float, eps: float = 0.0,
-                         need_gradient: bool = True):
+                         need_gradient: bool = True, matrix_t=None):
     """int |X_h u|^p and its gradient on the free-node values x of u.
 
     The energy averages the forward- and backward-difference
@@ -168,7 +169,8 @@ def _energy_and_gradient(op, x: np.ndarray, p: float, cv: float, eps: float = 0.
     At p = 2 with eps = 0 the energy is (cv/2) x.Ax with A = X_h^T X_h
     (`HorizontalOperator.gram`), so energy and gradient cv Ax take one
     product with A; otherwise the energy is one product with X_h and the
-    gradient one more with X_h^T.
+    gradient one more with X_h^T: ``matrix_t`` in CSR when the caller
+    holds one, else the transposed view ``op.matrix.T``.
     """
     if p == 2.0 and eps == 0.0:
         # the weight |Xu|^{p-2} is identically 1: a quadratic form in A
@@ -183,7 +185,9 @@ def _energy_and_gradient(op, x: np.ndarray, p: float, cv: float, eps: float = 0.
     flux = (y * weight[:, None, :]).ravel()
     if not need_gradient:
         return energy, None
-    return energy, 0.5 * p * cv * (op.matrix.T @ flux)
+    if matrix_t is None:
+        matrix_t = op.matrix.T
+    return energy, 0.5 * p * cv * (matrix_t @ flux)
 
 
 class _Quotient:
@@ -195,8 +199,10 @@ class _Quotient:
         self.p_star = _pstar(sum(system.weights), p)
         self.eps = float(eps)
         self.domain = domain
+        self.system = system
         self.op = domain.horizontal_operator(system)
         self.cv = domain.cell_volume()
+        self.matrix_t = None  # X_h^T in CSR, built by the first p != 2 gradient
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """The full node grid of x (zero off the free nodes)."""
@@ -222,7 +228,12 @@ class _Quotient:
         if nrm == 0.0:
             return math.inf, None, 0.0
         p = self.p
-        energy, denergy = _energy_and_gradient(self.op, x, p, self.cv, self.eps)
+        if self.matrix_t is None and not (p == 2.0 and self.eps == 0.0):
+            # held for the solve: the view op.matrix.T would build a CSC
+            # view and run scipy's scatter kernel on every product
+            self.matrix_t = self.op.matrix.T.tocsr()
+        energy, denergy = _energy_and_gradient(self.op, x, p, self.cv, self.eps,
+                                               matrix_t=self.matrix_t)
         quotient = energy / nrm ** p
         return quotient, (denergy - (p * energy / nrm) * dnorm) / nrm ** p, nrm
 
@@ -256,7 +267,7 @@ class MinimizeResult:
 
     @property
     def converged(self) -> bool:
-        """True only when the patience/rel_tol rule stopped the descent."""
+        """True when the patience/rel_tol rule or the rounding floor stopped the descent."""
         return self.stop_reason == "converged"
 
 
@@ -270,17 +281,26 @@ _MAX_BACKTRACKS = 60     # step halvings before the line search fails
 # 5.3e-15 on R^3 at 33^3 (7.7e-15 where the centred start stalls); smaller
 # drops are no decrease
 _ROUNDOFF = 1e-14
+# a line search that finds no decrease beyond rounding, after at least one
+# accepted step, stops on "converged" when the scale-invariant gradient
+# |g| |x| / f is below this.  Measured with the multigrid preconditioner:
+# such stalls reach 1.8e-7 to 2.8e-6 (the 17 x 17 CLI grid, the
+# criterion-8 grids, R^3 at 33^3 and 65^3), while p = 2 runs on R^3 and
+# on the 33 x 33 Grushin grids that the patience rule stopped (with Jacobi
+# scaling) ended at 4.5e-6 to 2.0e-4; 1e-5 sits above every measured
+# stall and inside the patience rule's range
+_STALL_GRADIENT = 1e-5
 
 
-def _direction(g: np.ndarray, pairs, diag_inv: np.ndarray) -> np.ndarray:
+def _direction(g: np.ndarray, pairs, precondition) -> np.ndarray:
     """-H g by the L-BFGS two-loop recursion over (s, y, 1/s.y) pairs, oldest first.
 
-    The initial inverse Hessian is D^-1 = ``diag_inv`` (Jacobi scaling),
-    scaled by s.y / y.D^-1 y of the newest pair.  With no pairs the step
-    is -D^-1 g scaled so that its largest entry is 1.
+    The initial inverse Hessian is the SPD map ``precondition`` (B),
+    scaled by s.y / y.By of the newest pair.  With no pairs the step is
+    -Bg scaled so that its largest entry is 1.
     """
     if not pairs:
-        d = diag_inv * g
+        d = precondition(g)
         return -d / max(float(np.abs(d).max()), 1e-30)
     q = g.copy()
     alphas = []
@@ -289,7 +309,7 @@ def _direction(g: np.ndarray, pairs, diag_inv: np.ndarray) -> np.ndarray:
         q -= alpha * y
         alphas.append(alpha)
     _, y, rho = pairs[-1]
-    q *= diag_inv / (rho * float(y @ (diag_inv * y)))
+    q = precondition(q) / (rho * float(y @ precondition(y)))
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - rho * float(y @ q)) * s
     return -q
@@ -313,7 +333,7 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
     Returns (normalized x, quotient, trace, iterations, stop reason,
     evaluations, gradient norm at the normalized x).
     """
-    diag_inv = 1.0 / quotient.op.diag
+    precondition = quotient.domain.multigrid(quotient.system)
     f, g, nrm = quotient(x)
     evaluations = 1
     trace = [f]
@@ -322,12 +342,12 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
     stop_reason = "max_iter"
     while it < max_iter:
         it += 1
-        d = _direction(g, pairs, diag_inv)
+        d = _direction(g, pairs, precondition)
         slope = float(g @ d)
         if not slope < 0.0:
             # the curvature pairs give no descent direction: start afresh
             pairs.clear()
-            d = _direction(g, pairs, diag_inv)
+            d = _direction(g, pairs, precondition)
             slope = float(g @ d)
         t = 1.0
         accepted = False
@@ -340,9 +360,14 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
                 accepted = True
                 break
             t *= 0.5
+            if -t * slope < _ROUNDOFF * f:
+                # no shorter step gives a first-order decrease above rounding
+                break
         trace.append(c_f if accepted else f)
         if not accepted:
-            stop_reason = "stalled"
+            at_floor = it > 1 and (float(np.linalg.norm(g)) * float(np.linalg.norm(x))
+                                   < _STALL_GRADIENT * f)
+            stop_reason = "converged" if at_floor else "stalled"
             break
         s, y = cand - x, c_g - g
         sy = float(s @ y)
@@ -378,20 +403,25 @@ def minimize_quotient(
 
     Each start is normalized to ||S u||_{p*} = 1 and descended by
     limited-memory BFGS (two-loop recursion over the last 10 curvature
-    pairs).  The recursion's initial inverse Hessian is D^-1 scaled by
-    s.y / y.D^-1 y of the newest pair, with D = diag(X_h^T X_h) on the
-    free nodes (Jacobi scaling); the first step is -D^-1 g with its
-    largest entry scaled to 1.  The Armijo backtracking line search also
-    requires a strict decrease larger than rounding, so the trace falls
-    monotonically.  The quotient
-    gradient comes from the quotient rule; the iterate is renormalized
-    whenever its norm leaves [1/2, 2].  ``max_iter`` counts L-BFGS
-    iterations (accepted steps) per start.  A start stops when the
-    relative quotient decrease over ``patience`` iterations drops below
-    ``rel_tol`` (stop reason ``"converged"``), when the line search finds
-    no decrease (``"stalled"``) or after ``max_iter`` iterations
-    (``"max_iter"``).  The best start's normalized iterate, stop reason,
-    iteration and evaluation counts and final gradient norm are returned.
+    pairs).  The recursion's initial inverse Hessian is B scaled by
+    s.y / y.By of the newest pair, where B is one symmetric multigrid
+    V-cycle for A = X_h^T X_h on the free nodes (`Lattice.multigrid`);
+    the first step is -Bg with its largest entry scaled to 1.  The
+    Armijo backtracking line search also requires a strict decrease
+    larger than rounding, so the trace falls monotonically; it stops
+    halving once the step's first-order decrease is below rounding.  The
+    quotient gradient comes from the quotient rule; the iterate is
+    renormalized whenever its norm leaves [1/2, 2].  ``max_iter`` counts
+    L-BFGS iterations (accepted steps) per start.  A start stops with
+    ``"converged"`` when the relative quotient decrease over
+    ``patience`` iterations drops below ``rel_tol``, or when, after at
+    least one accepted step, the line search finds no decrease beyond
+    rounding at a scale-invariant gradient |g| |x| / f below
+    `_STALL_GRADIENT` (the rounding floor of the quotient).  It stops
+    with ``"stalled"`` when the line search finds no decrease anywhere
+    else, and with ``"max_iter"`` after ``max_iter`` iterations.  The
+    best start's normalized iterate, stop reason, iteration and
+    evaluation counts and final gradient norm are returned.
     """
     Q = sum(system.weights)
     if not (1 < p < Q):

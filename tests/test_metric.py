@@ -17,6 +17,7 @@ from subriemann.metric import (
     RatioRow,
     _frontier_steps,
     _neighbor_tables,
+    _snap_rational,
     ball_box_scan,
     ball_extent,
     ball_volume,
@@ -25,7 +26,8 @@ from subriemann.metric import (
     growth_exponent_scan,
     lattice_for_ball,
 )
-from subriemann.nsw import eval_lambda
+from subriemann.fixtures import fixture_path
+from subriemann.nsw import eval_lambda, parse_plan
 from subriemann.sobolev import GridDomain
 
 
@@ -369,6 +371,18 @@ class TestGrowthScan:
         # Lambda(0, r) = 24 r^4
         assert report.kappa_infima[4.0] == pytest.approx(24.0)
         assert report.kappa_infima[2.0] == pytest.approx(24.0 * 0.25)
+
+    def test_exact_plan_rows_are_not_moved(self, nsw_polys):
+        # ex31.plan has x2 = 125893/198881, which a denominator <= 2^16
+        # snap would move; Lambda must be evaluated at the row itself
+        nsw = nsw_polys["ex31"]
+        plan = parse_plan(fixture_path("ex31.plan").read_text(), 3)
+        assert any(v.denominator > 1 << 16 for x, _ in plan for v in x)
+        report = growth_exponent_scan(nsw, [1.0], plan)
+        for (x, r), (_, center, radius, value) in zip(plan, report.table):
+            assert center == tuple(x) and radius == float(r)
+            assert value == float(eval_lambda(nsw, x, r)) / float(r)
+        assert _snap_rational(3) == 3 and _snap_rational(Fraction(1, 3)) == Fraction(1, 3)
 
     def test_kappa_range_enforced(self, nsw_polys):
         with pytest.raises(ValueError):

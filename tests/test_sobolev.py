@@ -8,7 +8,7 @@ import pytest
 
 from subriemann import fixtures as fx
 from subriemann.fields import VectorField, VectorFieldSystem
-from subriemann.lattice import LatticeError
+from subriemann.lattice import _COARSEST, LatticeError
 from subriemann.metric import LatticeSpec, distance_field
 from subriemann.sobolev import (
     GridDomain,
@@ -16,6 +16,7 @@ from subriemann.sobolev import (
     SobolevError,
     SupportEscape,
     _ROUNDOFF,
+    _STALL_GRADIENT,
     _Quotient,
     _direction,
     _energy_and_gradient,
@@ -284,6 +285,66 @@ class TestOperatorAssembly:
         np.testing.assert_allclose(op.diag[~empty], normal[~empty], rtol=1e-13)
 
 
+def disc(x):
+    return x[0] ** 2 + x[1] ** 2 < 0.7
+
+
+# lattices with more than _COARSEST unknowns, so the cycle has a coarse level
+MULTIGRID_CASES = {
+    "grushin": (fx.grushin, GridDomain([(-2, 2), (-2, 2)], 0.125)),
+    "grushin-even": (fx.grushin, GridDomain([(-2, 2.125), (-2, 2.125)], 0.125)),
+    "martinet": (fx.martinet, GridDomain([(-1, 1)] * 3, 0.2)),
+    "heisenberg": (fx.heisenberg, GridDomain([(-1, 1)] * 3, 0.2)),
+    "grushin-disc": (fx.grushin, GridDomain([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
+    "x2dy-disc": (x_squared_dy, GridDomain([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
+}
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("case", sorted(MULTIGRID_CASES))
+    def test_v_cycle_is_symmetric_positive_definite(self, case):
+        make_system, dom = MULTIGRID_CASES[case]
+        system = make_system()
+        mg = dom.multigrid(system)
+        n = dom.horizontal_operator(system).free_index.size
+        assert mg.levels and n > _COARSEST >= mg.coarse_inverse.shape[0]
+        if case == "grushin-even":
+            assert all(k % 2 == 0 for k in dom.shape)
+        if case.endswith("disc"):
+            assert (~dom.free & ~dom.boundary).any()
+        # the cycle as a dense matrix, one column per unit vector
+        m = np.column_stack([mg(e) for e in np.eye(n)])
+        scale = np.abs(m).max()
+        np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-12 * scale)
+        assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 1e-9 * scale
+        rng = np.random.default_rng(3)
+        u, v = rng.normal(size=(2, n))
+        assert float(u @ mg(v)) == pytest.approx(float(mg(u) @ v), rel=1e-12)
+        assert float(v @ mg(v)) > 0.0
+
+    def test_coarse_levels_halve_the_grid(self):
+        system = fx.euclidean(3)
+        dom = GridDomain([(-8, 8)] * 3, 0.5)
+        mg = dom.multigrid(system)
+        # 31^3 free nodes; the coarse levels keep the 17^3, 9^3 and 5^3
+        # even-index nodes that touch them, boundary nodes included
+        assert [level[0].shape[0] for level in mg.levels] == [31 ** 3, 17 ** 3, 9 ** 3]
+        assert mg.coarse_inverse.shape == (5 ** 3, 5 ** 3)
+        # Galerkin: each coarse operator is P^T A P of the level above
+        (a, _, p, pt), (a_coarse, *_) = mg.levels[:2]
+        assert abs(pt @ a @ p - a_coarse).max() <= 1e-14 * abs(a_coarse).max()
+        assert a is dom.horizontal_operator(system).gram
+
+    def test_built_on_the_first_solve_and_cached(self):
+        system = fx.grushin()
+        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        energy_report(system, bump(dom, [0, 0], 1.0), 2.0)
+        assert not dom._multigrid_cache
+        minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=3, seed=0)
+        mg = dom.multigrid(system)
+        assert dom.multigrid(system) is mg
+
+
 class TestEnergyAndGradient:
     @pytest.mark.parametrize("p", [1.7, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
@@ -368,6 +429,13 @@ class TestEnergyAndGradient:
             minimize_quotient(euclid2, small_domain, p=1.0)
 
 
+def random_spd_map(rng, n):
+    """v -> Mv for a random symmetric positive definite M with a wide spectrum."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = (q * rng.uniform(0.01, 100.0, size=n)) @ q.T
+    return lambda v: m @ v
+
+
 def scaling_spread(system, res):
     """(max - min) / min of the p = 2 quotient at c u over 50 scalings c in [1/2, 2]."""
     quotient = _Quotient(system, res.minimizer.domain, 2.0)
@@ -412,6 +480,27 @@ class TestMinimize:
         assert res.iterations == 1
         assert res.converged is False
 
+    def test_stall_at_the_rounding_floor_is_converged(self):
+        # the solve reaches the quotient's rounding floor before the
+        # patience window closes; the line search stops halving there
+        system = fx.grushin()
+        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=4000, seed=0)
+        assert res.stop_reason == "converged"
+        assert res.iterations < 50
+        assert res.evaluations < res.iterations + 10
+        x = res.minimizer.values.ravel()
+        assert res.grad_norm * np.linalg.norm(x) / res.constant < _STALL_GRADIENT
+
+    def test_r3_iterations_stay_flat_under_refinement(self):
+        # 24 iterations at 33^3 from an off-node start; criterion 7 runs
+        # the same solve on 65^3 nodes (25 iterations, slow)
+        dom = GridDomain([(-8, 8)] * 3, 0.5)
+        res = minimize_quotient(fx.euclidean(3), dom, 2.0, init_centers=[[0.1, -0.2, 0.3]],
+                                n_starts=1, max_iter=4000)
+        assert res.stop_reason == "converged"
+        assert res.iterations <= 40
+
     def test_stop_reason_converged(self):
         system = fx.grushin()
         dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
@@ -441,23 +530,25 @@ class TestMinimize:
             s, y = rng.normal(size=40), rng.normal(size=40)
             y += 3.0 * s  # keeps s.y > 0
             pairs.append([s, y, 1.0 / float(s @ y)])
-        diag_inv = 1.0 / rng.uniform(0.01, 100.0, size=40)
-        d = _direction(g, pairs, diag_inv)
+        precondition = random_spd_map(rng, 40)
+        d = _direction(g, pairs, precondition)
         c = 0.37
         _rescale_pairs(pairs, c)
-        np.testing.assert_allclose(_direction(g / c, pairs, diag_inv), c * d, rtol=1e-12)
+        np.testing.assert_allclose(_direction(g / c, pairs, precondition), c * d, rtol=1e-12)
 
     def test_first_step_is_scaled_steepest_descent(self):
+        # the first step is the preconditioned descent -Bg, largest entry 1
         rng = np.random.default_rng(4)
         g = rng.normal(size=30)
-        diag_inv = 1.0 / rng.uniform(0.01, 100.0, size=30)
-        d = _direction(g, [], diag_inv)
+        precondition = random_spd_map(rng, 30)
+        d = _direction(g, [], precondition)
+        bg = precondition(g)
         assert np.abs(d).max() == pytest.approx(1.0)
-        np.testing.assert_allclose(d * np.abs(diag_inv * g).max(), -diag_inv * g, rtol=1e-14)
+        np.testing.assert_allclose(d * np.abs(bg).max(), -bg, rtol=1e-14)
 
     def test_jacobi_scaling_converges_on_the_criterion_8_grid(self):
         # the unscaled solver (identity initial inverse Hessian, as before
-        # the Jacobi scaling) converged on this grid after 1181 iterations
+        # any preconditioning) converged on this grid after 1181 iterations
         # to C = 2.8182942726610074 (max_iter=20000, n_starts=1, seed=0)
         unscaled_constant = 2.8182942726610074
         dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
