@@ -4,9 +4,9 @@ The constant C0 = inf int |Xu|^2 / ||u||_{p*}^2 (p* = 2Q/(Q-2), Q = 4)
 is approached on a Dirichlet box by L-BFGS on the free-node values,
 with the energy built from the lattice's sparse horizontal-gradient
 operator X_h.  The script prints the solver record (iterations,
-evaluations, stop reason, final gradient norm), where the minimizer
-concentrates (its Levy profile) and the fitted far-field decay
-exponent, which should sit near (p - Q)/(p - 1) = -2.
+evaluations, stop reason, final gradient norm and decrement), where
+the minimizer concentrates (its Levy profile) and the fitted far-field
+decay exponent, which should sit near (p - Q)/(p - 1) = -2.
 """
 
 import numpy as np
@@ -35,7 +35,8 @@ def main():
                             max_iter=4000, seed=0)
     print(f"quotient: {res.trace[0]:.4f} -> {res.constant:.4f} "
           f"after {res.iterations} iterations, {res.evaluations} evaluations "
-          f"(stop reason: {res.stop_reason}, gradient norm {res.grad_norm:.3g})")
+          f"(stop reason: {res.stop_reason}, gradient norm {res.grad_norm:.3g}, "
+          f"decrement {res.decrement:.3g})")
 
     peak = np.unravel_index(np.abs(res.minimizer.values).argmax(), dom.shape)
     center = dom.node_coords(peak)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -320,6 +321,7 @@ def cmd_sobolev(args) -> int:
         "iterations": res.iterations,
         "evaluations": res.evaluations,
         "grad_norm": f"{res.grad_norm:.12g}",
+        "decrement": f"{res.decrement:.12g}",
         "converged": res.converged,
         "stop_reason": res.stop_reason,
         "start_quotients": [f"{q:.12g}" for q in res.start_quotients],
@@ -434,7 +436,11 @@ def build_parser() -> _Parser:
     p.add_argument("--spacing", required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float,
+                   default=inspect.signature(minimize_quotient).parameters["rel_tol"].default,
+                   help="stop when the decrease that the L-BFGS model predicts (-g.d) "
+                        "falls below TOL times the quotient (default %(default)g; 0 runs "
+                        "to the rounding floor)")
     p.add_argument("--starts", type=int, default=3)
     p.add_argument("--trace", help="write the per-iterate quotient CSV here")
     p.add_argument("--dump-grid", help="write the raw minimizer grid (little-endian f8)")

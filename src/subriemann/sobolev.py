@@ -19,10 +19,13 @@ local average, is minimized by limited-memory BFGS on the free nodes,
 preconditioned by multigrid: the initial inverse Hessian is one
 symmetric V(1,1) cycle of the Galerkin hierarchy of A = X_h^T X_h
 (`Lattice.multigrid`, built on the first solve and cached with the
-operator).  The cycle keeps the iteration count from growing as the
-lattice is refined (R^3: 24 iterations at 33^3, 26 at 65^3), also
+operator), applied once per iteration.  A solve stops when the
+decrement -g.d, the decrease that the quasi-Newton model predicts along
+the L-BFGS direction d, falls below ``rel_tol`` (default 1e-9) times
+the quotient.  The cycle keeps the iteration count from growing as the
+lattice is refined (R^3: 18 iterations at 33^3, 20 at 65^3), also
 where the degenerate X_2 = 3x^2 d_y of Grushin makes diag(A) vary
-540-fold (73 iterations on the 129 x 161 decay grid).
+540-fold (37 iterations on the 129 x 161 decay grid).
 Distance fields for the concentration and decay diagnostics must come
 from a lattice with the same box and spacing as the function's; both
 diagnostics check this when the field carries its lattice.  Dirichlet
@@ -264,10 +267,11 @@ class MinimizeResult:
     report: EnergyReport
     evaluations: int               # quotient+gradient evaluations of the best start
     grad_norm: float               # 2-norm of the quotient gradient on the free nodes, at the minimizer
+    decrement: float               # -g.d / f of the last L-BFGS direction d, at the minimizer
 
     @property
     def converged(self) -> bool:
-        """True when the patience/rel_tol rule or the rounding floor stopped the descent."""
+        """True when the decrement rule (rel_tol) or the rounding floor stopped the descent."""
         return self.stop_reason == "converged"
 
 
@@ -285,32 +289,35 @@ _ROUNDOFF = 1e-14
 # accepted step, stops on "converged" when the scale-invariant gradient
 # |g| |x| / f is below this.  Measured with the multigrid preconditioner:
 # such stalls reach 1.8e-7 to 2.8e-6 (the 17 x 17 CLI grid, the
-# criterion-8 grids, R^3 at 33^3 and 65^3), while p = 2 runs on R^3 and
-# on the 33 x 33 Grushin grids that the patience rule stopped (with Jacobi
-# scaling) ended at 4.5e-6 to 2.0e-4; 1e-5 sits above every measured
-# stall and inside the patience rule's range
+# criterion-8 grids, R^3 at 33^3 and 65^3), while p = 2 runs that a
+# quotient-drop rule (1e-6 over 50 iterations, with Jacobi scaling)
+# stopped on R^3 and on the 33 x 33 Grushin grids ended at 4.5e-6 to
+# 2.0e-4; 1e-5 sits above every measured stall.  With rel_tol = 0 this
+# is the only way to "converged"
 _STALL_GRADIENT = 1e-5
 
 
-def _direction(g: np.ndarray, pairs, precondition) -> np.ndarray:
-    """-H g by the L-BFGS two-loop recursion over (s, y, 1/s.y) pairs, oldest first.
+def _direction(g: np.ndarray, bg: np.ndarray, pairs) -> np.ndarray:
+    """-H g by the L-BFGS two-loop recursion over (s, y, By, 1/s.y) pairs, oldest first.
 
-    The initial inverse Hessian is the SPD map ``precondition`` (B),
-    scaled by s.y / y.By of the newest pair.  With no pairs the step is
-    -Bg scaled so that its largest entry is 1.
+    The initial inverse Hessian is the SPD map B, scaled by s.y / y.By
+    of the newest pair.  B is linear, so it is never applied here: with
+    ``bg`` = Bg and the stored By of every pair, the first loop's
+    q = g - sum alpha_i y_i has Bq = Bg - sum alpha_i By_i.  With no
+    pairs the step is -Bg scaled so that its largest entry is 1.
     """
     if not pairs:
-        d = precondition(g)
-        return -d / max(float(np.abs(d).max()), 1e-30)
-    q = g.copy()
+        return -bg / max(float(np.abs(bg).max()), 1e-30)
+    q, bq = g.copy(), bg.copy()
     alphas = []
-    for s, y, rho in reversed(pairs):
+    for s, y, by, rho in reversed(pairs):
         alpha = rho * float(s @ q)
         q -= alpha * y
+        bq -= alpha * by
         alphas.append(alpha)
-    _, y, rho = pairs[-1]
-    q = precondition(q) / (rho * float(y @ precondition(y)))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+    _, y, by, rho = pairs[-1]
+    q = bq / (rho * float(y @ by))
+    for (s, y, _, rho), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - rho * float(y @ q)) * s
     return -q
 
@@ -318,37 +325,47 @@ def _direction(g: np.ndarray, pairs, precondition) -> np.ndarray:
 def _rescale_pairs(pairs, c: float) -> None:
     """The curvature pairs of the iterate scaled by c: s -> c s, y -> y / c (s.y is kept).
 
-    The quotient is scale-invariant, so its gradient at c x is g / c and
-    the L-BFGS direction from the rescaled pairs is c times the old one.
+    The quotient is scale-invariant, so its gradient at c x is g / c
+    (and B of it Bg / c, as By -> By / c); the L-BFGS direction from the
+    rescaled pairs is c times the old one.
     """
     for pair in pairs:
         pair[0] = pair[0] * c
         pair[1] = pair[1] / c
+        pair[2] = pair[2] / c
 
 
-def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
-           rel_tol: float):
+def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, rel_tol: float):
     """Minimize the quotient from x; the iterate is renormalized when its norm drifts.
 
-    Returns (normalized x, quotient, trace, iterations, stop reason,
-    evaluations, gradient norm at the normalized x).
+    B (one V-cycle) is applied once per accepted step, to the new
+    gradient; each pair stores By = Bg_new - Bg_old.  Returns
+    (normalized x, quotient, trace, iterations, stop reason, evaluations,
+    gradient norm at the normalized x, decrement -g.d / f).
     """
     precondition = quotient.domain.multigrid(quotient.system)
     f, g, nrm = quotient(x)
+    bg = precondition(g)
     evaluations = 1
     trace = [f]
     pairs: deque = deque(maxlen=_MEMORY)
     it = 0
-    stop_reason = "max_iter"
-    while it < max_iter:
-        it += 1
-        d = _direction(g, pairs, precondition)
+    while True:
+        d = _direction(g, bg, pairs)
         slope = float(g @ d)
         if not slope < 0.0:
             # the curvature pairs give no descent direction: start afresh
             pairs.clear()
-            d = _direction(g, pairs, precondition)
+            d = _direction(g, bg, pairs)
             slope = float(g @ d)
+        if pairs and -slope < rel_tol * f:
+            # the decrease the quasi-Newton model predicts is below rel_tol
+            stop_reason = "converged"
+            break
+        if it == max_iter:
+            stop_reason = "max_iter"
+            break
+        it += 1
         t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -369,22 +386,19 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, patience: int,
                                    < _STALL_GRADIENT * f)
             stop_reason = "converged" if at_floor else "stalled"
             break
+        c_bg = precondition(c_g)
         s, y = cand - x, c_g - g
         sy = float(s @ y)
         if sy > 1e-12 * float(y @ y):
-            pairs.append([s, y, 1.0 / sy])
-        x, f, g, nrm = cand, c_f, c_g, c_nrm
+            pairs.append([s, y, c_bg - bg, 1.0 / sy])
+        x, f, g, bg, nrm = cand, c_f, c_g, c_bg, c_nrm
         if not 0.5 <= nrm <= 2.0:
             # u -> u / nrm leaves the quotient alone and scales its gradient by nrm
-            x, g = x / nrm, g * nrm
+            x, g, bg = x / nrm, g * nrm, bg * nrm
             _rescale_pairs(pairs, 1.0 / nrm)
             nrm = 1.0
-        if it >= patience:
-            prev = trace[-1 - patience]
-            if prev - f < rel_tol * prev:
-                stop_reason = "converged"
-                break
-    return x / nrm, f, trace, it, stop_reason, evaluations, float(np.linalg.norm(g)) * nrm
+    return (x / nrm, f, trace, it, stop_reason, evaluations,
+            float(np.linalg.norm(g)) * nrm, -slope / f)
 
 
 def minimize_quotient(
@@ -395,8 +409,7 @@ def minimize_quotient(
     init: GridFunction | None = None,
     n_starts: int = 3,
     max_iter: int = 20000,
-    patience: int = 50,
-    rel_tol: float = 1e-6,
+    rel_tol: float = 1e-9,
     seed: int = 0,
 ) -> MinimizeResult:
     """Minimize the quotient E(u) / ||S u||_{p*}^p by L-BFGS on the free nodes.
@@ -406,22 +419,30 @@ def minimize_quotient(
     pairs).  The recursion's initial inverse Hessian is B scaled by
     s.y / y.By of the newest pair, where B is one symmetric multigrid
     V-cycle for A = X_h^T X_h on the free nodes (`Lattice.multigrid`);
-    the first step is -Bg with its largest entry scaled to 1.  The
+    the first step is -Bg with its largest entry scaled to 1.  B is
+    applied once per accepted step, to the new gradient.  The
     Armijo backtracking line search also requires a strict decrease
     larger than rounding, so the trace falls monotonically; it stops
     halving once the step's first-order decrease is below rounding.  The
     quotient gradient comes from the quotient rule; the iterate is
     renormalized whenever its norm leaves [1/2, 2].  ``max_iter`` counts
     L-BFGS iterations (accepted steps) per start.  A start stops with
-    ``"converged"`` when the relative quotient decrease over
-    ``patience`` iterations drops below ``rel_tol``, or when, after at
-    least one accepted step, the line search finds no decrease beyond
-    rounding at a scale-invariant gradient |g| |x| / f below
-    `_STALL_GRADIENT` (the rounding floor of the quotient).  It stops
-    with ``"stalled"`` when the line search finds no decrease anywhere
-    else, and with ``"max_iter"`` after ``max_iter`` iterations.  The
-    best start's normalized iterate, stop reason, iteration and
-    evaluation counts and final gradient norm are returned.
+    ``"converged"`` before its line search when, with at least one
+    curvature pair, the decrement -g.d (the decrease that the
+    quasi-Newton model predicts along the L-BFGS direction d) is below
+    ``rel_tol`` times the quotient; the ratio is unchanged when the
+    iterate is rescaled.  At p = 2 the default 1e-9 ends within about
+    5e-9 (relative) of the ``rel_tol=0`` constant; at p != 2 the
+    decrement can be smaller than the true gap.  A start also stops
+    with ``"converged"`` when, after at least one accepted step, the
+    line search finds no decrease beyond rounding at a scale-invariant
+    gradient |g| |x| / f below `_STALL_GRADIENT` (the rounding floor of
+    the quotient, the only way to ``"converged"`` at ``rel_tol=0``).
+    It stops with ``"stalled"`` when the line search finds no decrease
+    anywhere else, and with ``"max_iter"`` after ``max_iter``
+    iterations.  The best start's normalized iterate, stop reason,
+    iteration and evaluation counts, final gradient norm and final
+    decrement -g.d / f are returned.
     """
     Q = sum(system.weights)
     if not (1 < p < Q):
@@ -454,16 +475,16 @@ def minimize_quotient(
         if not np.any(x):
             raise SobolevError("initial iterate is fully masked")
         x = x / quotient.norm(x, need_gradient=False)[0]
-        run = _lbfgs(quotient, x, max_iter, patience, rel_tol)
+        run = _lbfgs(quotient, x, max_iter, rel_tol)
         start_quotients.append(run[1])
         if best is None or run[1] < best[1]:
             best = run
 
-    x, constant, trace, it, stop_reason, evaluations, grad_norm = best
+    x, constant, trace, it, stop_reason, evaluations, grad_norm, decrement = best
     u = GridFunction(domain, quotient.values(x))
     rep = energy_report(system, u, p)
     return MinimizeResult(u, constant, trace, it, stop_reason, start_quotients, rep,
-                          evaluations, grad_norm)
+                          evaluations, grad_norm, decrement)
 
 
 def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> GridFunction:

@@ -196,6 +196,8 @@ class TestSobolev:
         # one evaluation at the start, at least one per iteration
         assert summary["evaluations"] >= 6
         assert 0.0 < float(summary["grad_norm"]) < float("inf")
+        # -g.d / f of the last direction: a descent direction at max_iter
+        assert 0.0 < float(summary["decrement"]) < float("inf")
         assert trace.read_text().startswith("iteration,quotient")
         sidecar = json.loads((tmp_path / "u.raw.json").read_text())
         import numpy as np

@@ -436,6 +436,31 @@ def random_spd_map(rng, n):
     return lambda v: m @ v
 
 
+def random_pairs(rng, n, k, precondition):
+    """k curvature pairs [s, y, By, 1/s.y] with s.y > 0, oldest first."""
+    pairs = []
+    for _ in range(k):
+        s, y = rng.normal(size=n), rng.normal(size=n)
+        y += 3.0 * s  # keeps s.y > 0
+        pairs.append([s, y, precondition(y), 1.0 / float(s @ y)])
+    return pairs
+
+
+def two_application_direction(g, pairs, precondition):
+    """-H g by the two-loop recursion that applies B to q and to the newest y."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    q = precondition(q) / (rho * float(y @ precondition(y)))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
+
+
 def scaling_spread(system, res):
     """(max - min) / min of the p = 2 quotient at c u over 50 scalings c in [1/2, 2]."""
     quotient = _Quotient(system, res.minimizer.domain, 2.0)
@@ -481,11 +506,13 @@ class TestMinimize:
         assert res.converged is False
 
     def test_stall_at_the_rounding_floor_is_converged(self):
-        # the solve reaches the quotient's rounding floor before the
-        # patience window closes; the line search stops halving there
+        # with rel_tol = 0 the decrement rule never fires, so the solve
+        # runs to the quotient's rounding floor; the line search stops
+        # halving there
         system = fx.grushin()
         dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
-        res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=4000, seed=0)
+        res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=4000, rel_tol=0.0,
+                                seed=0)
         assert res.stop_reason == "converged"
         assert res.iterations < 50
         assert res.evaluations < res.iterations + 10
@@ -493,8 +520,8 @@ class TestMinimize:
         assert res.grad_norm * np.linalg.norm(x) / res.constant < _STALL_GRADIENT
 
     def test_r3_iterations_stay_flat_under_refinement(self):
-        # 24 iterations at 33^3 from an off-node start; criterion 7 runs
-        # the same solve on 65^3 nodes (25 iterations, slow)
+        # 18 iterations at 33^3 from an off-node start; criterion 7 runs
+        # the same solve on 65^3 nodes (20 iterations, slow)
         dom = GridDomain([(-8, 8)] * 3, 0.5)
         res = minimize_quotient(fx.euclidean(3), dom, 2.0, init_centers=[[0.1, -0.2, 0.3]],
                                 n_starts=1, max_iter=4000)
@@ -502,13 +529,33 @@ class TestMinimize:
         assert res.iterations <= 40
 
     def test_stop_reason_converged(self):
+        # the decrement rule stops at the first iterate whose -g.d / f is
+        # below rel_tol: one iteration less ends on max_iter above it
         system = fx.grushin()
         dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=2000,
-                                patience=5, rel_tol=1e-2, seed=0)
+                                rel_tol=1e-4, seed=0)
         assert res.stop_reason == "converged"
         assert res.converged is True
-        assert res.iterations < 2000
+        assert 1 < res.iterations < 2000
+        assert 0.0 < res.decrement < 1e-4
+        short = minimize_quotient(system, dom, p=2.0, n_starts=1,
+                                  max_iter=res.iterations - 1, rel_tol=1e-4, seed=0)
+        assert short.stop_reason == "max_iter"
+        assert short.decrement >= 1e-4
+        assert short.constant > res.constant
+
+    def test_default_tolerance_gap_on_the_criterion_8_grid(self):
+        # the default rel_tol stops 5.0e-10 (relative) above the rounding
+        # floor that rel_tol = 0 reaches, after 42 iterations against 68;
+        # the bound is 1e-8, the p = 2 accuracy the default promises
+        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800, seed=0)
+        floor = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800,
+                                  rel_tol=0.0, seed=0)
+        assert res.stop_reason == floor.stop_reason == "converged"
+        assert res.iterations < floor.iterations
+        assert 0.0 <= (res.constant - floor.constant) / floor.constant < 1e-8
 
     def test_solver_record(self):
         system = fx.grushin()
@@ -525,26 +572,55 @@ class TestMinimize:
         # at c x the quotient gradient is g / c; rescaled pairs give c d
         rng = np.random.default_rng(2)
         g = rng.normal(size=40)
-        pairs = []
-        for _ in range(4):
-            s, y = rng.normal(size=40), rng.normal(size=40)
-            y += 3.0 * s  # keeps s.y > 0
-            pairs.append([s, y, 1.0 / float(s @ y)])
         precondition = random_spd_map(rng, 40)
-        d = _direction(g, pairs, precondition)
+        pairs = random_pairs(rng, 40, 4, precondition)
+        d = _direction(g, precondition(g), pairs)
         c = 0.37
         _rescale_pairs(pairs, c)
-        np.testing.assert_allclose(_direction(g / c, pairs, precondition), c * d, rtol=1e-12)
+        np.testing.assert_allclose(_direction(g / c, precondition(g / c), pairs), c * d,
+                                   rtol=1e-12)
 
     def test_first_step_is_scaled_steepest_descent(self):
         # the first step is the preconditioned descent -Bg, largest entry 1
         rng = np.random.default_rng(4)
         g = rng.normal(size=30)
         precondition = random_spd_map(rng, 30)
-        d = _direction(g, [], precondition)
         bg = precondition(g)
+        d = _direction(g, bg, [])
         assert np.abs(d).max() == pytest.approx(1.0)
         np.testing.assert_allclose(d * np.abs(bg).max(), -bg, rtol=1e-14)
+
+    def test_stored_preconditioned_vectors_match_two_applications(self):
+        # Bq from Bg and the stored By_i equals the recursion that applies
+        # B to q and to the newest y
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=50)
+        precondition = random_spd_map(rng, 50)
+        pairs = random_pairs(rng, 50, 6, precondition)
+        expected = two_application_direction(g, [(s, y, rho) for s, y, _, rho in pairs],
+                                             precondition)
+        np.testing.assert_allclose(_direction(g, precondition(g), pairs), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [3, 800])
+    def test_one_v_cycle_per_accepted_iteration(self, monkeypatch, max_iter):
+        built = GridDomain.multigrid
+        calls = []
+
+        def counting(self, system):
+            mg = built(self, system)
+
+            def apply(r):
+                calls.append(r.size)
+                return mg(r)
+            return apply
+
+        monkeypatch.setattr(GridDomain, "multigrid", counting)
+        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=max_iter,
+                                seed=0)
+        assert res.stop_reason == ("max_iter" if max_iter == 3 else "converged")
+        # one V-cycle for the start's gradient, one per accepted step
+        assert len(calls) == res.iterations + 1
 
     def test_jacobi_scaling_converges_on_the_criterion_8_grid(self):
         # the unscaled solver (identity initial inverse Hessian, as before
