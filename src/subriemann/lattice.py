@@ -1,22 +1,27 @@
 """The truncated box lattice shared by the metric and Sobolev layers.
 
 One `Lattice` holds an axis-aligned box, the per-axis spacing, the node
-coordinates, the outer boundary shell and the Dirichlet ``free`` mask,
-plus the control-set resolution that distance fields read.  The exact
-polynomial coefficients of a vector field system are evaluated on the
-nodes once per (lattice, system) and cached, and so is the assembled
-sparse horizontal-gradient operator X_h built from them, with its Gram
-matrix A = X_h^T X_h.  X_h^T itself is not kept: a p != 2 solve holds
-its own copy.  The Galerkin multigrid hierarchy of A that preconditions
-the Sobolev solver (`Lattice.multigrid`, one symmetric V-cycle) is built
-on the first solve and cached per system next to the operator, so
-evaluating an energy never pays for it.  This is the first module that
-turns exact polynomials into floats.
+coordinates per axis, the outer boundary shell and the Dirichlet
+``free`` mask, plus the control-set resolution that distance fields
+read.  The full-shape coordinate mesh is built on first use (at
+construction only when a ``predicate`` must be evaluated on it), so the
+metric layer, which reads the axes at the nodes it steps from, never
+pays for it.  For the Sobolev layer, the exact polynomial coefficients
+of a vector field system are evaluated on the mesh once per (lattice,
+system) and cached, and so is the assembled sparse horizontal-gradient
+operator X_h built from them, with its Gram matrix A = X_h^T X_h.
+X_h^T itself is not kept: a p != 2 solve holds its own copy.  The
+Galerkin multigrid hierarchy of A that preconditions the Sobolev solver
+(`Lattice.multigrid`, one symmetric V-cycle) is built on the first solve
+and cached per system next to the operator, so evaluating an energy
+never pays for it.  This is the first module that turns exact
+polynomials into floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -115,7 +120,6 @@ class Lattice:
             lo + h * np.arange(n)
             for (lo, _), h, n in zip(self.box, self.spacing, self.shape)
         ]
-        self.mesh = np.meshgrid(*self.axes, indexing="ij")
         boundary = np.zeros(self.shape, dtype=bool)
         for ax in range(self.dim):
             sl = [slice(None)] * self.dim
@@ -131,6 +135,11 @@ class Lattice:
         self._field_cache: dict = {}
         self._operator_cache: dict = {}
         self._multigrid_cache: dict = {}
+
+    @cached_property
+    def mesh(self) -> tuple[np.ndarray, ...]:
+        """Every node's coordinates, one full-shape array per axis (built on first use)."""
+        return np.meshgrid(*self.axes, indexing="ij")
 
     @property
     def dim(self) -> int:

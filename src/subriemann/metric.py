@@ -10,19 +10,26 @@ resolution: the number of random control directions and the step
 by breadth-first search on a lattice graph: from each node y, one edge
 per sampled control direction a leads to the node nearest to
 y + tau * sum_i a_i X_i(y), at cost tau (|a| = 1 for every sampled
-direction).  The edges are stored as one ``(n_directions, n_nodes)``
-int32 table of target nodes, -1 where a step leaves the box, so a
-lattice may hold at most 2^31 - 1 nodes.  The search is
-level-synchronous in numpy: each level gathers the current frontier's
-targets from the table and labels the unreached ones.  A ball volume
-alone runs the same search bounded by its radius: it stops after the
-last level L with L * tau < r and computes only the frontier's targets,
-with the tables' arithmetic, so it builds no tables and expands only
-the ball's nodes.  Endpoint snapping to the lattice is not corrected;
-it is the dominant error term and shrinks with the spacing.  The estimate converges to the true
-distance as spacing and tau go to zero, but refinement is not
-guaranteed to be monotone.  Ball volumes count the lattice cells inside
-the ball; a ball that reaches the lattice's boundary shell is truncated.
+direction).  The steps are computed one axis at a time for all
+directions at once, with the exact coefficients evaluated only where
+they are needed: on the sub-grid of the axes they depend on, or at
+given nodes; the whole-box mesh and coefficient grids are never built.
+A distance field stores the edges as one node-major
+``(n_nodes, n_directions)`` int32 table of target nodes, -1 where a step
+leaves the box, so a lattice may hold at most 2^31 - 1 nodes, and a
+frontier's targets are one gather of its rows.  The search is
+level-synchronous in numpy: each level is one masked scatter, which
+marks the frontier's targets, keeps the marks on nodes not yet labelled
+and makes those the next frontier.  A ball volume alone runs the same
+search bounded by its radius: it stops after the last level L with
+L * tau < r and computes only the frontier's targets, with the
+coefficients evaluated at the frontier nodes, so it builds no tables
+and touches only the ball's nodes.  Endpoint snapping to the
+lattice is not corrected; it is the dominant error term and shrinks
+with the spacing.  The estimate converges to the true distance as
+spacing and tau go to zero, but refinement is not guaranteed to be
+monotone.  Ball volumes count the lattice cells inside the ball; a ball
+that reaches the lattice's boundary shell is truncated.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import VectorFieldSystem
-from .lattice import Lattice
+from .lattice import Lattice, eval_grid
 from .nsw import BallPolynomial, eval_lambda
 
 LatticeSpec = Lattice  # alias: callers import the lattice under this name too
@@ -98,89 +105,92 @@ def _controls(system: VectorFieldSystem, lattice: Lattice, seed: int):
     return directions, tau
 
 
-def _coefficient_axes(system: VectorFieldSystem):
-    """deps[i][k]: the axes coefficient k of field i depends on, None if it is zero."""
-    return [[None if c.is_zero() else {ax for ax in range(system.dim) if c.degree_in(ax + 1) > 0}
-             for c in f.coeffs] for f in system.fields]
+def _moves(system: VectorFieldSystem, directions: np.ndarray):
+    """Per axis k: the control column a_i and coefficient of each field X_i that moves along k."""
+    return [[(directions[:, i], f.coeffs[k]) for i, f in enumerate(system.fields)
+             if not f.coeffs[k].is_zero()] for k in range(system.dim)]
 
 
 def _strides(shape) -> np.ndarray:
     return np.cumprod((1,) + shape[:0:-1])[::-1]
 
 
-def _snap(lattice: Lattice, k: int, t: np.ndarray):
-    """Node index along axis k nearest to coordinate t, and whether it is in the box."""
+def _axis_step(lattice: Lattice, k: int, coords, moves, tau: float, n_directions: int):
+    """Every direction's step from ``coords``: node index along axis k, and whether it is inside.
+
+    ``coords`` are node coordinates, one array per axis, broadcast
+    together; both results add a last axis over the directions.  The
+    step is float64: x_k + tau * sum_i a_i c_ik(x), each coefficient
+    evaluated at the given nodes with `eval_grid`, the arithmetic that
+    fills the lattice's coefficient grids, then rounded to the nearest
+    node.  A zero control adds an exact zero to the running sum, which
+    leaves it unchanged, so one pass serves every direction.
+    """
+    disp = np.zeros(np.broadcast(*coords).shape + (n_directions,))
+    for a, coeff in moves:
+        disp += a * eval_grid(coeff, coords)[..., None]
+    t = coords[k][..., None] + tau * disp
     j = np.rint((t - lattice.box[k][0]) / lattice.spacing[k]).astype(np.int64)
     return j, (j >= 0) & (j < lattice.shape[k])
 
 
 def _neighbor_tables(system: VectorFieldSystem, lattice: Lattice,
                      directions: np.ndarray, tau: float) -> np.ndarray:
-    """Target node per (direction, flat source node), -1 where the step exits.
+    """Target node per (flat source node, direction), -1 where the step exits.
 
-    Returns one ``(n_directions, n_nodes)`` int32 array.  The step
-    arithmetic is float64: mesh + tau * sum_i a_i X_i, rounded to the
-    nearest node.  Along axis k it runs on the sub-grid of the axes that
-    axis k and its nonzero coefficients depend on, and broadcasts from
-    there; the skipped terms are exact zeros and the coefficients are
-    constant along the dropped axes, so the targets are the same as on
-    the full grid.
+    Returns one node-major ``(n_nodes, n_directions)`` int32 array, so a
+    frontier's targets are one row gather.  The step along axis k runs
+    for all directions at once on the sub-grid of the axes that axis k
+    and its nonzero coefficients depend on, as open-mesh coordinates
+    from the lattice axes; the coefficients are constant along the
+    dropped axes, so the targets are the same as on the full grid.  The
+    per-axis flat offsets are summed smallest sub-grid first, so only the
+    last sum runs over the whole lattice, and each axis's exits are then
+    set to -1 through its own sub-grid mask, broadcast: neither a
+    whole-lattice mask nor the mesh and coefficient grids are built.
     """
     shape = lattice.shape
     size = int(np.prod(shape))
     if size > np.iinfo(np.int32).max:
         raise MetricError(f"{size} lattice nodes do not fit int32 node indices")
-    mesh = lattice.mesh
-    comp = lattice.field_grids(system)
-    dim = system.dim
-    deps = _coefficient_axes(system)
     strides = _strides(shape)
-    tables = np.empty((len(directions), size), dtype=np.int32)
-    for d, a in enumerate(directions):
-        flat = np.zeros(shape, dtype=np.int64)
-        valid = np.ones(shape, dtype=bool)
-        for k in range(dim):
-            terms = [i for i in range(system.m) if a[i] != 0.0 and deps[i][k] is not None]
-            used = {k}.union(*(deps[i][k] for i in terms))
-            sub = tuple(slice(None) if ax in used else slice(0, 1) for ax in range(dim))
-            disp = np.zeros(mesh[k][sub].shape)
-            for i in terms:
-                disp += a[i] * comp[i][k][sub]
-            j, inside = _snap(lattice, k, mesh[k][sub] + tau * disp)
-            valid &= inside
-            flat += j * strides[k]
-        tables[d] = np.where(valid, flat, -1).ravel()
-    return tables
+    parts = []
+    for k, moves in enumerate(_moves(system, directions)):
+        used = {k}.union(*({ax for ax in range(system.dim) if c.degree_in(ax + 1) > 0}
+                           for _, c in moves))
+        coords = np.ix_(*(ax if i in used else ax[:1] for i, ax in enumerate(lattice.axes)))
+        j, inside = _axis_step(lattice, k, coords, moves, tau, len(directions))
+        # in-box offsets sum to a node index below size, so int32 holds every partial sum
+        parts.append((np.where(inside, j * strides[k], 0).astype(np.int32), ~inside))
+    parts.sort(key=lambda part: part[0].size)
+    flat = parts[0][0]
+    for offset, _ in parts[1:]:
+        flat = flat + offset
+    for _, exits in parts:
+        np.copyto(flat, -1, where=exits)
+    return flat.reshape(size, len(directions))
 
 
 def _frontier_steps(system: VectorFieldSystem, lattice: Lattice,
                     directions: np.ndarray, tau: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The columns of `_neighbor_tables` for given nodes, computed on demand.
+    """The rows of `_neighbor_tables` for given nodes, computed on demand.
 
-    ``steps(nodes)`` returns the ``(n_directions, len(nodes))`` targets
-    of the flat ``nodes``, -1 where a step exits.  The mesh and
-    coefficient values are gathered at the nodes and broadcast over all
-    directions, in the same float64 operations and order as the tables:
-    a zero control adds an exact zero to the running sum, which leaves
-    it unchanged, so the targets are the tables' own.
+    ``steps(nodes)`` returns the ``(len(nodes), n_directions)`` targets
+    of the flat ``nodes``, -1 where a step exits, in the orientation of a
+    table row gather.  The node coordinates are read from the lattice
+    axes and each coefficient is evaluated at those nodes only, by the
+    tables' own `_axis_step`, so the targets are the tables' own.
     """
-    mesh = [g.ravel() for g in lattice.mesh]
-    comp = lattice.field_grids(system)
-    deps = _coefficient_axes(system)
-    strides = _strides(lattice.shape)
-    # per axis: the control column and coefficient grid of each field that moves along it
-    axes = [[(directions[:, i, None], comp[i][k].ravel())
-             for i in range(system.m) if deps[i][k] is not None]
-            for k in range(system.dim)]
+    moves = _moves(system, directions)
+    shape = lattice.shape
+    strides = _strides(shape)
 
     def steps(nodes: np.ndarray) -> np.ndarray:
-        flat = np.zeros((len(directions), nodes.size), dtype=np.int64)
+        coords = [ax[j] for ax, j in zip(lattice.axes, np.unravel_index(nodes, shape))]
+        flat = np.zeros((nodes.size, len(directions)), dtype=np.int64)
         valid = np.ones(flat.shape, dtype=bool)
-        for k, terms in enumerate(axes):
-            disp = np.zeros(flat.shape)
-            for a, grid in terms:
-                disp += a * grid[nodes]
-            j, inside = _snap(lattice, k, mesh[k][nodes] + tau * disp)
+        for k, axis_moves in enumerate(moves):
+            j, inside = _axis_step(lattice, k, coords, axis_moves, tau, len(directions))
             valid &= inside
             flat += j * strides[k]
         return np.where(valid, flat, -1)
@@ -193,28 +203,32 @@ def _search(size: int, src: int, steps: Callable[[np.ndarray], np.ndarray],
     """Hop counts of a level-synchronous breadth-first search, -1 where unlabelled.
 
     ``steps(frontier)`` gives every direction's targets of the frontier
-    nodes, -1 where a step exits.  Level k gathers them for the level
-    k-1 frontier, keeps the unlabelled ones, labels them k and makes
-    them, deduplicated and sorted, the next frontier.  The search labels
-    only the levels that ``within`` accepts and stops at the first one
-    it rejects, or when the frontier empties.  Hop counts do not depend
-    on visit order.
+    nodes, -1 where a step exits.  A level is one masked scatter: it
+    marks every target of the level k-1 frontier, keeps the marks on
+    nodes still open, and the marked nodes, sorted, are the next
+    frontier; they are labelled k and closed.  The search labels only
+    the levels that ``within`` accepts and stops at the first one it
+    rejects, or when the frontier empties.  Hop counts do not depend on
+    visit order.
     """
-    # one slot past the last node: a -1 target reads it as labelled
-    hops = np.full(size + 1, -1, dtype=np.int32)
-    hops[size] = 0
-    fresh = np.zeros(size, dtype=bool)
+    hops = np.full(size, -1, dtype=np.int32)
+    # one slot past the last node, never open: a -1 target marks it
+    mark = np.zeros(size + 1, dtype=bool)
+    open_ = np.ones(size + 1, dtype=bool)
+    open_[size] = False
     frontier = np.array([src] if within(0) else [], dtype=np.intp)
+    open_[frontier] = False
     hops[frontier] = 0
     level = 0
     while frontier.size and within(level + 1):
         level += 1
-        targets = steps(frontier).ravel()
-        fresh[targets[hops[targets] < 0]] = True
-        frontier = np.flatnonzero(fresh)
-        fresh[frontier] = False
+        mark[steps(frontier).ravel()] = True
+        mark &= open_
+        frontier = np.flatnonzero(mark)
+        # closing the frontier also clears its marks at the next level's mask
+        open_[frontier] = False
         hops[frontier] = level
-    return hops[:size]
+    return hops
 
 
 def _source_node(lattice: Lattice, source) -> int:
@@ -229,14 +243,14 @@ def distance_field(
 ) -> DistanceField:
     """Single-source subunit distance estimates on the whole lattice.
 
-    A level-synchronous breadth-first search over the stacked int32
-    neighbour tables, run until no node is left to reach.  A node is
+    A level-synchronous breadth-first search over the node-major int32
+    neighbour table, run until no node is left to reach.  A node is
     worth hops * tau, or +inf where no chain of steps reaches it.
     """
     directions, tau = _controls(system, lattice, seed)
     tables = _neighbor_tables(system, lattice, directions, tau)
-    hops = _search(tables.shape[1], _source_node(lattice, source),
-                   lambda frontier: tables[:, frontier])
+    hops = _search(len(tables), _source_node(lattice, source),
+                   lambda frontier: np.take(tables, frontier, axis=0))
     values = np.where(hops >= 0, hops * tau, np.inf).reshape(lattice.shape)
     return DistanceField(tuple(float(v) for v in source), lattice, values, tau, len(directions))
 
@@ -264,9 +278,10 @@ def ball_volume(
     they are read from it.  Otherwise a search on ``lattice`` labels
     only the ball: it expands level L while L * tau < r, the product the
     full field's values are made of, and computes each frontier's
-    neighbour targets on demand instead of building tables for the whole
-    box.  The count is the one a full `distance_field` with the same
-    seed gives.
+    neighbour targets on demand, with the coefficients evaluated at the
+    frontier nodes, instead of building tables, the mesh or coefficient
+    grids for the whole box.  The count is the one a full
+    `distance_field` with the same seed gives.
     """
     if dfield is not None:
         lattice = dfield.lattice

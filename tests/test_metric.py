@@ -64,6 +64,15 @@ class TestLatticeSpec:
         with pytest.raises(LatticeError):  # no node off the boundary shell
             LatticeSpec([(0, 1)], 1.0)
 
+    def test_mesh_built_on_first_use(self):
+        lat = LatticeSpec([(0, 1), (-1, 1)], 0.5)
+        assert "mesh" not in vars(lat)
+        assert np.array_equal(lat.mesh[1][0], lat.axes[1])
+        assert lat.mesh is lat.mesh
+        # a predicate still runs on the mesh at construction, so its errors surface there
+        with pytest.raises(ZeroDivisionError):
+            LatticeSpec([(0, 1), (-1, 1)], 0.5, predicate=lambda x: 1 / 0)
+
     def test_control_directions_are_unit(self):
         dirs = control_directions(3, 10, seed=4)
         assert dirs.shape[0] == 6 + 10
@@ -122,7 +131,7 @@ def reference_hops(system, source, lattice, seed):
     """Hop counts by a plain FIFO breadth-first search, -1 where unreached."""
     directions = control_directions(system.m, lattice.n_random_controls, seed=seed)
     tau = lattice.tau if lattice.tau is not None else 2.0 * max(lattice.spacing)
-    tables = _neighbor_tables(system, lattice, directions, tau).tolist()
+    tables = _neighbor_tables(system, lattice, directions, tau).T.tolist()
     src = int(np.ravel_multi_index(lattice.node_index(source), lattice.shape))
     hops = [-1] * len(tables[0])
     hops[src] = 0
@@ -173,6 +182,15 @@ GRUSHIN_LATTICE = dict(box=[(-1.5, 1.5)] * 2, spacing=0.1, n_random_controls=12,
 MARTINET_LATTICE = dict(box=[(-1, 1)] * 3, spacing=0.125, n_random_controls=6, tau=0.25)
 
 
+FIXTURES = ["euclidean2", "heisenberg1", "grushin-1-1-2", "bony3", "martinet",
+            "r4-fourfields", "example6", "ex31"]
+
+
+def small_lattice(dim):
+    return LatticeSpec([(-1, 1.1)] * dim, 0.15 if dim < 4 else 0.35,
+                       n_random_controls=8, tau=0.3)
+
+
 class TestFrontierBFS:
     """The level-synchronous BFS labels every node as a FIFO BFS does."""
 
@@ -184,9 +202,14 @@ class TestFrontierBFS:
         ("martinet", MARTINET_LATTICE, [0.5, 0.0, 0.25], 2),
         ("martinet", MARTINET_LATTICE, [0.5, 0.0, 0.25], 7),
         ("martinet", MARTINET_LATTICE, [-1.0, 0.5, 1.0], 3),  # on the boundary shell
-    ])
+    ] + [(name, None, None, seed) for name in FIXTURES for seed in (0, 4)])
     def test_matches_reference_bfs(self, systems, name, lattice, source, seed):
-        assert_matches_reference(systems[name], source, LatticeSpec(**lattice), seed)
+        system = systems[name]
+        if lattice is None:  # every fixture on the bounded-ball tests' lattice and centre
+            lattice, source = small_lattice(system.dim), [0.1] * system.dim
+        else:
+            lattice = LatticeSpec(**lattice)
+        assert_matches_reference(system, source, lattice, seed)
 
     @pytest.mark.parametrize("name", ["grushin-1-1-2", "martinet", "heisenberg1",
                                       "r4-fourfields", "ex31"])
@@ -195,7 +218,7 @@ class TestFrontierBFS:
         lat = LatticeSpec([(-1, 1.1)] * system.dim, 0.15 if system.dim < 4 else 0.35)
         directions = control_directions(system.m, 8, seed=1)
         tables = _neighbor_tables(system, lat, directions, 0.3)
-        assert np.array_equal(tables, reference_tables(system, lat, directions, 0.3))
+        assert np.array_equal(tables, reference_tables(system, lat, directions, 0.3).T)
 
     def test_tables_are_stacked_int32(self):
         system = fx.martinet()
@@ -204,7 +227,7 @@ class TestFrontierBFS:
         directions = control_directions(system.m, 6, seed=0)
         tables = _neighbor_tables(system, lat, directions, 0.25)
         assert tables.dtype == np.int32
-        assert tables.shape == (len(directions), 9 ** 3)
+        assert tables.shape == (9 ** 3, len(directions))
         assert tables.min() >= -1 and tables.max() < 9 ** 3
         assert (tables == -1).any()  # steps out of the box exit
 
@@ -214,15 +237,6 @@ class TestFrontierBFS:
                                     tau=0.1, spacing=[0.01] * 3)
         with pytest.raises(MetricError, match="int32"):
             distance_field(fx.martinet(), [0, 0, 0], lat)
-
-
-FIXTURES = ["euclidean2", "heisenberg1", "grushin-1-1-2", "bony3", "martinet",
-            "r4-fourfields", "example6", "ex31"]
-
-
-def small_lattice(dim):
-    return LatticeSpec([(-1, 1.1)] * dim, 0.15 if dim < 4 else 0.35,
-                       n_random_controls=8, tau=0.3)
 
 
 def reference_ball_box_scan(system, nsw, centers, radii, lattice_for, seed=0):
@@ -258,9 +272,9 @@ class TestBoundedBall:
         directions = control_directions(system.m, 8, seed=1)
         tables = _neighbor_tables(system, lat, directions, 0.3)
         steps = _frontier_steps(system, lat, directions, 0.3)
-        assert np.array_equal(steps(np.arange(tables.shape[1])), tables)
-        nodes = np.unique(np.random.default_rng(3).integers(0, tables.shape[1], 40))
-        assert np.array_equal(steps(nodes), tables[:, nodes])
+        assert np.array_equal(steps(np.arange(tables.shape[0])), tables)
+        nodes = np.unique(np.random.default_rng(3).integers(0, tables.shape[0], 40))
+        assert np.array_equal(steps(nodes), tables[nodes])
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("seed", [0, 4])
@@ -271,6 +285,22 @@ class TestBoundedBall:
         # 0.6 is 2 * 0.3 exactly in floats; 3 * 0.3 lands just below 0.9
         for r in (0.0, 0.3, 0.45, 0.6, 0.9, 1.2, math.inf):
             assert_same_volume(system, center, r, lat, seed)
+
+    @pytest.mark.parametrize("name", ["grushin-1-1-2", "martinet", "r4-fourfields"])
+    def test_search_stays_local(self, systems, name):
+        # neither the whole-box mesh nor the coefficient grids are built
+        system = systems[name]
+        lat = small_lattice(system.dim)
+        center = [0.1] * system.dim
+        bounded = ball_volume(system, center, 0.9, lattice=lat, seed=4, check_truncation=False)
+        assert "mesh" not in vars(lat)
+        assert not lat._field_cache
+        full = ball_volume(system, center, 0.9, dfield=distance_field(system, center, lat, seed=4),
+                           check_truncation=False)
+        assert bounded == full
+        # the tables evaluate the coefficients on sub-grids, not on the mesh
+        assert "mesh" not in vars(lat)
+        assert not lat._field_cache
 
     def test_radius_on_a_level(self):
         # tau = 0.125 and r = 4 tau = 0.5: the level-4 shell lies outside the ball
