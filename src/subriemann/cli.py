@@ -439,8 +439,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float,
                    default=inspect.signature(minimize_quotient).parameters["rel_tol"].default,
                    help="stop when the decrease that the L-BFGS model predicts (-g.d) "
-                        "falls below TOL times the quotient (default %(default)g; 0 runs "
-                        "to the rounding floor)")
+                        "falls below TOL times the quotient (default %(default)g); a TOL "
+                        "below 1e-12, 0 included, stops at that rounding floor")
     p.add_argument("--starts", type=int, default=3)
     p.add_argument("--trace", help="write the per-iterate quotient CSV here")
     p.add_argument("--dump-grid", help="write the raw minimizer grid (little-endian f8)")

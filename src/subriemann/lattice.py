@@ -10,11 +10,12 @@ pays for it.  For the Sobolev layer, the exact polynomial coefficients
 of a vector field system are evaluated on the mesh once per (lattice,
 system) and cached, and so is the assembled sparse horizontal-gradient
 operator X_h built from them, with its Gram matrix A = X_h^T X_h.
-X_h^T itself is not kept: a p != 2 solve holds its own copy.  The
-Galerkin multigrid hierarchy of A that preconditions the Sobolev solver
-(`Lattice.multigrid`, one symmetric V-cycle) is built on the first solve
-and cached per system next to the operator, so evaluating an energy
-never pays for it.  This is the first module that turns exact
+X_h^T itself is not kept: the Sobolev quotient builds it in CSR on its
+first p != 2 gradient and holds it for the solve.  The Galerkin
+multigrid hierarchy of A that preconditions the Sobolev solver
+(`Lattice.multigrid`, one symmetric V-cycle) is built on the first
+solve and cached per system next to the operator, so evaluating an
+energy never pays for it.  This is the first module that turns exact
 polynomials into floats.
 """
 
@@ -61,13 +62,6 @@ class HorizontalOperator:
     ``gram`` is the Gram matrix A = X_h^T X_h on the free nodes, in CSR:
     the p = 2 energy is 1/2 x.Ax and its gradient Ax, one product
     instead of X_h and X_h^T.
-    ``diag`` is the diagonal of A: the column sums of squares, one per
-    free node, and 1 on a free node with no entries.  It is the
-    diagonal of the finest damped-Jacobi smoother in `Multigrid`, the
-    V-cycle that preconditions the Sobolev solver's L-BFGS.  It grows
-    with the squared coefficients and inverse squared spacings, so it
-    varies strongly on a Grushin grid and is constant on the free nodes
-    of a Euclidean lattice.
     """
 
     matrix: object
@@ -75,7 +69,6 @@ class HorizontalOperator:
     free_index: np.ndarray
     n_fields: int
     n_nodes: int
-    diag: np.ndarray
 
 
 class Lattice:
@@ -236,8 +229,7 @@ class Lattice:
         matrix = sparse.csr_array((data, indices, indptr), shape=(n_rows, free_index.size))
         # X_h^T in CSR only while the product is formed
         gram = matrix.T.tocsr() @ matrix
-        return HorizontalOperator(matrix, gram, free_index, len(grids), n_nodes,
-                                  _smoother_diagonal(gram))
+        return HorizontalOperator(matrix, gram, free_index, len(grids), n_nodes)
 
     def multigrid(self, system: VectorFieldSystem) -> "Multigrid":
         """The Galerkin multigrid hierarchy of A = X_h^T X_h (cached, built on first use).
@@ -293,13 +285,14 @@ class Multigrid:
     post-smoother are the same symmetric map, so the cycle is symmetric;
     it is positive definite when w lambda_max(D^-1 A) < 2 on every level,
     which the damping enforces through the Gershgorin bound on
-    lambda_max.  ``diag`` of the finest level is `HorizontalOperator.diag`.
+    lambda_max.
     """
 
     def __init__(self, op: HorizontalOperator, shape):
         from scipy import sparse
 
-        a, diag = op.gram, op.diag
+        a = op.gram
+        diag = _smoother_diagonal(a)
         unknowns = op.free_index
         self.levels = []
         while a.shape[0] > _COARSEST:

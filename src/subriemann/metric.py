@@ -275,17 +275,21 @@ def ball_volume(
     """Lebesgue volume of the subunit ball B(center, r): lattice cells inside it.
 
     The cells inside are the nodes with distance < r.  Given ``dfield``,
-    they are read from it.  Otherwise a search on ``lattice`` labels
-    only the ball: it expands level L while L * tau < r, the product the
-    full field's values are made of, and computes each frontier's
-    neighbour targets on demand, with the coefficients evaluated at the
-    frontier nodes, instead of building tables, the mesh or coefficient
-    grids for the whole box.  The count is the one a full
-    `distance_field` with the same seed gives.
+    they are read from it, and ``center`` must snap to its source node.
+    Otherwise a search on ``lattice`` labels only the ball: it expands
+    level L while L * tau < r, the product the full field's values are
+    made of, and computes each frontier's neighbour targets on demand,
+    with the coefficients evaluated at the frontier nodes, instead of
+    building tables, the mesh or coefficient grids for the whole box.
+    The count is the one a full `distance_field` with the same seed
+    gives.
     """
     if dfield is not None:
         lattice = dfield.lattice
         source = dfield.source
+        if lattice.node_index(center) != lattice.node_index(source):
+            raise MetricError(f"center {tuple(map(float, center))} is not the distance "
+                              f"field's source {source}")
         inside = dfield.values < r
     elif lattice is None:
         raise MetricError("either a lattice or a distance field is required")

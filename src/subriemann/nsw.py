@@ -139,9 +139,6 @@ class BallPolynomial:
             return Fraction(0)
         return Fraction(self._slot_sum(k, values), self._scale * d_top)
 
-    def entry_polynomials(self, k: int) -> list[Polynomial]:
-        return [e.poly for e in self.slots.get(k, [])]
-
     def degree_counts(self) -> dict[int, int]:
         """Ordered-tuple counts per degree k."""
         return {k: sum(e.multiplicity for e in v) for k, v in self.slots.items()}

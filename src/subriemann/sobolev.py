@@ -10,10 +10,10 @@ X_j, weighted by the polynomial coefficients evaluated on the nodes.
 The energy averages |Xu|^p over the two realizations.  At p = 2 it is
 the quadratic form (cv/2) x.Ax with the Gram matrix A = X_h^T X_h,
 assembled once with X_h (`HorizontalOperator.gram`), so energy and
-gradient cv Ax are one sparse product with A.  At other p (or with the
-eps regularization) the energy is one product with X_h and its
-gradient one with X_h^T.  The diagnostics (`horizontal_gradient`,
-`exponent_probe`) use X_h itself.
+gradient cv Ax are one sparse product with A.  At other p the energy
+is one product with X_h and its gradient one with X_h^T.  `_Quotient`
+owns this functional and the norm it is divided by.  The diagnostics
+(`horizontal_gradient`, `exponent_probe`) use X_h itself.
 The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
 local average, is minimized by limited-memory BFGS on the free nodes,
 preconditioned by multigrid: the initial inverse Hessian is one
@@ -22,10 +22,11 @@ symmetric V(1,1) cycle of the Galerkin hierarchy of A = X_h^T X_h
 operator), applied once per iteration.  A solve stops when the
 decrement -g.d, the decrease that the quasi-Newton model predicts along
 the L-BFGS direction d, falls below ``rel_tol`` (default 1e-9) times
-the quotient.  The cycle keeps the iteration count from growing as the
-lattice is refined (R^3: 18 iterations at 33^3, 20 at 65^3), also
-where the degenerate X_2 = 3x^2 d_y of Grushin makes diag(A) vary
-540-fold (37 iterations on the 129 x 161 decay grid).
+the quotient, or below the rounding floor 1e-12 times it.  The cycle
+keeps the iteration count from growing as the lattice is refined
+(R^3: 18 iterations at 33^3, 20 at 65^3), also where the degenerate
+X_2 = 3x^2 d_y of Grushin makes diag(A) vary 540-fold (37 iterations
+on the 129 x 161 decay grid).
 Distance fields for the concentration and decay diagnostics must come
 from a lattice with the same box and spacing as the function's; both
 diagnostics check this when the field carries its lattice.  Dirichlet
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -158,60 +160,69 @@ def _pstar(Q: int, p: float) -> float:
     return p * Q / (Q - p)
 
 
-def _energy_and_gradient(op, x: np.ndarray, p: float, cv: float, eps: float = 0.0,
-                         need_gradient: bool = True, matrix_t=None):
-    """int |X_h u|^p and its gradient on the free-node values x of u.
-
-    The energy averages the forward- and backward-difference
-    realizations of Xu.  A purely centered scheme annihilates the
-    checkerboard mode, so its discrete infimum collapses to 0; the
-    one-sided pair has no null modes, is still exact on linear
-    functions, and the average is second-order accurate.  With eps > 0
-    |Xu|^p is regularized to (|Xu|^2 + eps^2)^{p/2}.  The gradient is
-    nodal (cell volume ``cv`` included) and lives on the free nodes.
-    At p = 2 with eps = 0 the energy is (cv/2) x.Ax with A = X_h^T X_h
-    (`HorizontalOperator.gram`), so energy and gradient cv Ax take one
-    product with A; otherwise the energy is one product with X_h and the
-    gradient one more with X_h^T: ``matrix_t`` in CSR when the caller
-    holds one, else the transposed view ``op.matrix.T``.
-    """
-    if p == 2.0 and eps == 0.0:
-        # the weight |Xu|^{p-2} is identically 1: a quadratic form in A
-        ax = op.gram @ x
-        return 0.5 * cv * float(x @ ax), (cv * ax if need_gradient else None)
-    y = (op.matrix @ x).reshape(2, op.n_fields, op.n_nodes)
-    speed2 = (y * y).sum(axis=1) + eps * eps
-    energy = 0.5 * cv * float((speed2 ** (p / 2.0)).sum())
-    # subgradient 0 where |Xu| = 0 (one-sided derivative of t^p)
-    with np.errstate(divide="ignore"):
-        weight = np.where(speed2 > 0.0, speed2 ** (p / 2.0 - 1.0), 0.0)
-    flux = (y * weight[:, None, :]).ravel()
-    if not need_gradient:
-        return energy, None
-    if matrix_t is None:
-        matrix_t = op.matrix.T
-    return energy, 0.5 * p * cv * (matrix_t @ flux)
-
-
 class _Quotient:
-    """E(u) / ||S u||_{p*}^p as a function of the free-node values x of u."""
+    """E(u) / ||S u||_{p*}^p as a function of the free-node values x of u.
 
-    def __init__(self, system: VectorFieldSystem, domain: Lattice, p: float,
-                 eps: float = 0.0):
+    It holds everything the functional reads: X_h, the cell volume, p,
+    the regularization eps (set from p) and, from the first p != 2
+    gradient on, X_h^T in CSR.  p* is computed by the first norm, so the
+    energy alone is defined for every p >= 1.
+    """
+
+    def __init__(self, system: VectorFieldSystem, domain: Lattice, p: float):
         self.p = float(p)
-        self.p_star = _pstar(sum(system.weights), p)
-        self.eps = float(eps)
+        # |Xu|^p is regularized for p < 1.5, where it is least smooth at Xu = 0
+        self.eps = 1e-8 if p < 1.5 else 0.0
         self.domain = domain
         self.system = system
         self.op = domain.horizontal_operator(system)
         self.cv = domain.cell_volume()
-        self.matrix_t = None  # X_h^T in CSR, built by the first p != 2 gradient
+        self._matrix_t = None  # X_h^T in CSR, built by the first p != 2 gradient
+
+    @cached_property
+    def p_star(self) -> float:
+        return _pstar(sum(self.system.weights), self.p)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """The full node grid of x (zero off the free nodes)."""
         u = np.zeros(self.op.n_nodes)
         u[self.op.free_index] = x
         return u.reshape(self.domain.shape)
+
+    def energy(self, x: np.ndarray, need_gradient: bool = True):
+        """int |X_h u|^p and its gradient on the free-node values x of u.
+
+        The energy averages the forward- and backward-difference
+        realizations of Xu.  A purely centered scheme annihilates the
+        checkerboard mode, so its discrete infimum collapses to 0; the
+        one-sided pair has no null modes, is still exact on linear
+        functions, and the average is second-order accurate.  Below
+        p = 1.5 |Xu|^p is regularized to (|Xu|^2 + eps^2)^{p/2}.  The
+        gradient is nodal (cell volume included) and lives on the free
+        nodes.  At p = 2 the energy is (cv/2) x.Ax with
+        A = X_h^T X_h (`HorizontalOperator.gram`), so energy and gradient
+        cv Ax take one product with A; otherwise the energy is one
+        product with X_h and the gradient one more with X_h^T.
+        """
+        op, p, cv = self.op, self.p, self.cv
+        if p == 2.0:
+            # the weight |Xu|^{p-2} is identically 1: a quadratic form in A
+            ax = op.gram @ x
+            return 0.5 * cv * float(x @ ax), (cv * ax if need_gradient else None)
+        y = (op.matrix @ x).reshape(2, op.n_fields, op.n_nodes)
+        speed2 = (y * y).sum(axis=1) + self.eps * self.eps
+        energy = 0.5 * cv * float((speed2 ** (p / 2.0)).sum())
+        if not need_gradient:
+            return energy, None
+        # subgradient 0 where |Xu| = 0 (one-sided derivative of t^p)
+        with np.errstate(divide="ignore"):
+            weight = np.where(speed2 > 0.0, speed2 ** (p / 2.0 - 1.0), 0.0)
+        flux = (y * weight[:, None, :]).ravel()
+        if self._matrix_t is None:
+            # held for the solve: the view op.matrix.T would build a CSC
+            # view and run scipy's scatter kernel on every product
+            self._matrix_t = op.matrix.T.tocsr()
+        return energy, 0.5 * p * cv * (self._matrix_t @ flux)
 
     def norm(self, x: np.ndarray, need_gradient: bool = True):
         """||S u||_{p*} and its gradient."""
@@ -231,12 +242,7 @@ class _Quotient:
         if nrm == 0.0:
             return math.inf, None, 0.0
         p = self.p
-        if self.matrix_t is None and not (p == 2.0 and self.eps == 0.0):
-            # held for the solve: the view op.matrix.T would build a CSC
-            # view and run scipy's scatter kernel on every product
-            self.matrix_t = self.op.matrix.T.tocsr()
-        energy, denergy = _energy_and_gradient(self.op, x, p, self.cv, self.eps,
-                                               matrix_t=self.matrix_t)
+        energy, denergy = self.energy(x)
         quotient = energy / nrm ** p
         return quotient, (denergy - (p * energy / nrm) * dnorm) / nrm ** p, nrm
 
@@ -250,7 +256,7 @@ def energy_report(system: VectorFieldSystem, u: GridFunction, p: float) -> Energ
     """
     quot = _Quotient(system, u.domain, p)
     x = u.values.ravel()[quot.op.free_index]
-    energy, _ = _energy_and_gradient(quot.op, x, p, quot.cv, need_gradient=False)
+    energy, _ = quot.energy(x, need_gradient=False)
     nrm, _ = quot.norm(x, need_gradient=False)
     ratio = energy / nrm ** p if nrm > 0 else None
     return EnergyReport(float(p), quot.p_star, energy, nrm, ratio, u.domain.box, u.domain.spacing)
@@ -271,7 +277,7 @@ class MinimizeResult:
 
     @property
     def converged(self) -> bool:
-        """True when the decrement rule (rel_tol) or the rounding floor stopped the descent."""
+        """True when the decrement -g.d / f fell below max(rel_tol, _DECREMENT_FLOOR)."""
         return self.stop_reason == "converged"
 
 
@@ -285,16 +291,12 @@ _MAX_BACKTRACKS = 60     # step halvings before the line search fails
 # 5.3e-15 on R^3 at 33^3 (7.7e-15 where the centred start stalls); smaller
 # drops are no decrease
 _ROUNDOFF = 1e-14
-# a line search that finds no decrease beyond rounding, after at least one
-# accepted step, stops on "converged" when the scale-invariant gradient
-# |g| |x| / f is below this.  Measured with the multigrid preconditioner:
-# such stalls reach 1.8e-7 to 2.8e-6 (the 17 x 17 CLI grid, the
-# criterion-8 grids, R^3 at 33^3 and 65^3), while p = 2 runs that a
-# quotient-drop rule (1e-6 over 50 iterations, with Jacobi scaling)
-# stopped on R^3 and on the 33 x 33 Grushin grids ended at 4.5e-6 to
-# 2.0e-4; 1e-5 sits above every measured stall.  With rel_tol = 0 this
-# is the only way to "converged"
-_STALL_GRADIENT = 1e-5
+# a solve stops on "converged" once -g.d / f is below this, whatever rel_tol:
+# the model then predicts a decrease of at most 100 rounding units.  Without
+# it, rel_tol = 0 solves (p = 1.5, 2 and 3 on the Grushin and R^3 grids) went
+# on until a line search failed, at decrements of 1.9e-15 to 1.3e-13, and
+# ended at most 2e-10 (relative) lower
+_DECREMENT_FLOOR = 100 * _ROUNDOFF
 
 
 def _direction(g: np.ndarray, bg: np.ndarray, pairs) -> np.ndarray:
@@ -358,8 +360,9 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, rel_tol: float):
             pairs.clear()
             d = _direction(g, bg, pairs)
             slope = float(g @ d)
-        if pairs and -slope < rel_tol * f:
-            # the decrease the quasi-Newton model predicts is below rel_tol
+        if pairs and -slope < max(rel_tol, _DECREMENT_FLOOR) * f:
+            # the decrease the quasi-Newton model predicts is below rel_tol,
+            # or at the rounding floor
             stop_reason = "converged"
             break
         if it == max_iter:
@@ -382,9 +385,7 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, rel_tol: float):
                 break
         trace.append(c_f if accepted else f)
         if not accepted:
-            at_floor = it > 1 and (float(np.linalg.norm(g)) * float(np.linalg.norm(x))
-                                   < _STALL_GRADIENT * f)
-            stop_reason = "converged" if at_floor else "stalled"
+            stop_reason = "stalled"
             break
         c_bg = precondition(c_g)
         s, y = cand - x, c_g - g
@@ -414,32 +415,32 @@ def minimize_quotient(
 ) -> MinimizeResult:
     """Minimize the quotient E(u) / ||S u||_{p*}^p by L-BFGS on the free nodes.
 
-    Each start is normalized to ||S u||_{p*} = 1 and descended by
-    limited-memory BFGS (two-loop recursion over the last 10 curvature
-    pairs).  The recursion's initial inverse Hessian is B scaled by
-    s.y / y.By of the newest pair, where B is one symmetric multigrid
-    V-cycle for A = X_h^T X_h on the free nodes (`Lattice.multigrid`);
-    the first step is -Bg with its largest entry scaled to 1.  B is
-    applied once per accepted step, to the new gradient.  The
-    Armijo backtracking line search also requires a strict decrease
-    larger than rounding, so the trace falls monotonically; it stops
-    halving once the step's first-order decrease is below rounding.  The
-    quotient gradient comes from the quotient rule; the iterate is
-    renormalized whenever its norm leaves [1/2, 2].  ``max_iter`` counts
-    L-BFGS iterations (accepted steps) per start.  A start stops with
-    ``"converged"`` before its line search when, with at least one
-    curvature pair, the decrement -g.d (the decrease that the
-    quasi-Newton model predicts along the L-BFGS direction d) is below
-    ``rel_tol`` times the quotient; the ratio is unchanged when the
-    iterate is rescaled.  At p = 2 the default 1e-9 ends within about
-    5e-9 (relative) of the ``rel_tol=0`` constant; at p != 2 the
-    decrement can be smaller than the true gap.  A start also stops
-    with ``"converged"`` when, after at least one accepted step, the
-    line search finds no decrease beyond rounding at a scale-invariant
-    gradient |g| |x| / f below `_STALL_GRADIENT` (the rounding floor of
-    the quotient, the only way to ``"converged"`` at ``rel_tol=0``).
-    It stops with ``"stalled"`` when the line search finds no decrease
-    anywhere else, and with ``"max_iter"`` after ``max_iter``
+    The starts are ``init`` (when given), then ``init_centers`` (the box
+    centre when there are none), then random centres in the middle half
+    of the box; the first ``n_starts`` of them are run, and every centre
+    starts a Gaussian bump.  Each start is normalized to
+    ||S u||_{p*} = 1 and descended by limited-memory BFGS (two-loop
+    recursion over the last 10 curvature pairs).  The recursion's
+    initial inverse Hessian is B scaled by s.y / y.By of the newest pair,
+    where B is one symmetric multigrid V-cycle for A = X_h^T X_h on the
+    free nodes (`Lattice.multigrid`); the first step is -Bg with its
+    largest entry scaled to 1.  B is applied once per accepted step, to
+    the new gradient.  The Armijo backtracking line search also requires
+    a strict decrease larger than rounding, so the trace falls
+    monotonically; it stops halving once the step's first-order decrease
+    is below rounding.  The quotient gradient comes from the quotient
+    rule; the iterate is renormalized whenever its norm leaves [1/2, 2].
+    ``max_iter`` counts L-BFGS iterations (accepted steps) per start.
+    A start stops with ``"converged"`` before its line search when, with
+    at least one curvature pair, the decrement -g.d (the decrease that
+    the quasi-Newton model predicts along the L-BFGS direction d) is
+    below max(``rel_tol``, `_DECREMENT_FLOOR`) times the quotient; the
+    ratio is unchanged when the iterate is rescaled, and the floor
+    (1e-12) is where ``rel_tol=0`` stops.  At p = 2 the default 1e-9
+    ends within about 5e-9 (relative) of the ``rel_tol=0`` constant; at
+    p != 2 the decrement can be smaller than the true gap.  A start
+    stops with ``"stalled"`` when its line search finds no decrease
+    beyond rounding, and with ``"max_iter"`` after ``max_iter``
     iterations.  The best start's normalized iterate, stop reason,
     iteration and evaluation counts, final gradient norm and final
     decrement -g.d / f are returned.
@@ -447,8 +448,11 @@ def minimize_quotient(
     Q = sum(system.weights)
     if not (1 < p < Q):
         raise SobolevError(f"need 1 < p < Q; got p = {p}, Q = {Q}")
-    # |Xu|^p is regularized for p < 1.5, where it is least smooth at Xu = 0
-    quotient = _Quotient(system, domain, p, 1e-8 if p < 1.5 else 0.0)
+    if n_starts < 1:
+        raise SobolevError(f"need at least one start; got n_starts = {n_starts}")
+    if init is not None and init.domain.shape != domain.shape:
+        raise SobolevError("explicit initial iterate lives on a different lattice")
+    quotient = _Quotient(system, domain, p)
     rng = np.random.default_rng(seed)
 
     centers = list(init_centers or [])
@@ -460,16 +464,11 @@ def minimize_quotient(
             rng.uniform(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))
             for lo, hi in domain.box
         ])
-
-    starts: list = list(centers[:max(n_starts, len(centers))])
-    if init is not None:
-        if init.domain.shape != domain.shape:
-            raise SobolevError("explicit initial iterate lives on a different lattice")
-        starts = [init] + ([] if n_starts == 1 else starts[: n_starts - 1])
+    starts = ([init] if init is not None else []) + centers
 
     best = None
     start_quotients = []
-    for start in starts:
+    for start in starts[:n_starts]:
         u = start if isinstance(start, GridFunction) else bump(domain, start, widths)
         x = u.values.ravel()[quotient.op.free_index]
         if not np.any(x):

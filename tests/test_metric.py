@@ -358,6 +358,15 @@ class TestBallVolume:
         with pytest.raises(BallTruncated):
             ball_volume(system, [0, 0], 5.0, dfield=df)
 
+    def test_center_must_be_the_field_source(self, euclid_field):
+        # the field only knows balls about its source; a centre on the same
+        # node (0.01 is within half a spacing of 0) reads the same ball
+        system, df = euclid_field
+        with pytest.raises(MetricError):
+            ball_volume(system, [1, 1], 0.5, dfield=df)
+        at_source = ball_volume(system, [0, 0], 0.5, dfield=df)
+        assert ball_volume(system, [0.01, -0.01], 0.5, dfield=df) == at_source
+
 
 class TestBallExtent:
     def test_martinet_extent(self, bases):

@@ -8,18 +8,17 @@ import pytest
 
 from subriemann import fixtures as fx
 from subriemann.fields import VectorField, VectorFieldSystem
-from subriemann.lattice import _COARSEST, LatticeError
+from subriemann.lattice import _COARSEST, LatticeError, _smoother_diagonal
 from subriemann.metric import LatticeSpec, distance_field
 from subriemann.sobolev import (
     GridDomain,
     GridFunction,
     SobolevError,
     SupportEscape,
+    _DECREMENT_FLOOR,
     _ROUNDOFF,
-    _STALL_GRADIENT,
     _Quotient,
     _direction,
-    _energy_and_gradient,
     _rescale_pairs,
     bump,
     decay_profile,
@@ -242,7 +241,7 @@ class TestOperatorAssembly:
         op = dom.horizontal_operator(make_system())
         normal = (op.matrix.T @ op.matrix).diagonal()
         assert normal.min() > 0.0
-        np.testing.assert_allclose(op.diag, normal, rtol=1e-13)
+        np.testing.assert_allclose(_smoother_diagonal(op.gram), normal, rtol=1e-13)
 
     @pytest.mark.parametrize("case", sorted(GRAM_CASES))
     def test_gram_is_the_normal_matrix(self, case):
@@ -259,7 +258,8 @@ class TestOperatorAssembly:
             assert (~dom.free & ~dom.boundary).any()
             x_free = dom.mesh[0].ravel()[op.free_index]
             np.testing.assert_array_equal(empty, x_free == 0.0)
-        np.testing.assert_array_equal(op.diag, np.where(empty, 1.0, gram_diag))
+        np.testing.assert_array_equal(_smoother_diagonal(op.gram),
+                                      np.where(empty, 1.0, gram_diag))
 
     def test_diag_is_constant_on_a_euclidean_lattice(self):
         spacing = [0.25, 0.5, 0.2]
@@ -267,8 +267,9 @@ class TestOperatorAssembly:
         op = dom.horizontal_operator(fx.euclidean(3))
         # each axis gives (1/h)^2 from the node's own forward and backward
         # rows and from the two neighbours' rows
-        assert (op.diag == op.diag[0]).all()
-        assert op.diag[0] == pytest.approx(sum(4.0 / h ** 2 for h in spacing), rel=1e-14)
+        diag = _smoother_diagonal(op.gram)
+        assert (diag == diag[0]).all()
+        assert diag[0] == pytest.approx(sum(4.0 / h ** 2 for h in spacing), rel=1e-14)
 
     def test_empty_column_gets_unit_diag(self):
         # X = x^2 d_y vanishes on the free nodes of {x = 0} and their y-neighbours
@@ -281,8 +282,9 @@ class TestOperatorAssembly:
         empty = normal == 0.0
         x_free = dom.mesh[0].ravel()[op.free_index]
         np.testing.assert_array_equal(empty, x_free == 0.0)
-        assert (op.diag[empty] == 1.0).all()
-        np.testing.assert_allclose(op.diag[~empty], normal[~empty], rtol=1e-13)
+        diag = _smoother_diagonal(op.gram)
+        assert (diag[empty] == 1.0).all()
+        np.testing.assert_allclose(diag[~empty], normal[~empty], rtol=1e-13)
 
 
 def disc(x):
@@ -356,9 +358,10 @@ class TestEnergyAndGradient:
             assert (~dom.free & ~dom.boundary).any()
         rng = np.random.default_rng(11)
         values = dom.clamp(rng.normal(size=dom.shape))
-        op = dom.horizontal_operator(system)
+        quotient = _Quotient(system, dom, p)
+        op = quotient.op
         x = values.ravel()[op.free_index]
-        energy, grad = _energy_and_gradient(op, x, p, dom.cell_volume())
+        energy, grad = quotient.energy(x)
         ref_energy, ref_grad = reference_energy_and_gradient(system, dom, values, p)
         assert energy == pytest.approx(ref_energy, rel=1e-12)
         full = np.zeros(dom.shape)
@@ -367,8 +370,9 @@ class TestEnergyAndGradient:
         np.testing.assert_allclose(full, ref_grad, rtol=1e-12, atol=1e-12 * scale)
 
     def test_operator_is_cached_with_its_transpose(self):
-        # X_h^T is not kept: the p != 2 gradient reads the view op.matrix.T,
-        # and test_gram_is_the_normal_matrix checks A = X_h^T X_h
+        # the operator keeps no X_h^T: each _Quotient builds it in CSR on its
+        # first p != 2 gradient and holds it, and test_gram_is_the_normal_matrix
+        # checks A = X_h^T X_h
         system = fx.martinet()
         dom = GridDomain([(-1, 1)] * 3, 0.5)
         op = dom.horizontal_operator(system)
@@ -376,33 +380,40 @@ class TestEnergyAndGradient:
         assert op.matrix.format == op.gram.format == "csr"
         assert op.matrix.shape == (2 * system.m * op.n_nodes, int(dom.free.sum()))
         assert not hasattr(op, "transpose")
+        quotient = _Quotient(system, dom, 2.5)
+        x = np.ones(op.free_index.size)
+        quotient.energy(x, need_gradient=False)
+        assert quotient._matrix_t is None
+        quotient.energy(x)
+        matrix_t = quotient._matrix_t
+        assert matrix_t.format == "csr" and (matrix_t != op.matrix.T).nnz == 0
+        quotient.energy(x)
+        assert quotient._matrix_t is matrix_t
 
-    @pytest.mark.parametrize("p", [1.7, 2.0, 2.5])
+    @pytest.mark.parametrize("p", [1.3, 1.7, 2.0, 2.5])
     def test_gradient_matches_finite_differences(self, p):
+        # eps = 1e-8 regularizes the energy at p = 1.3 only
         system = fx.grushin()
         dom = GridDomain([(-1, 1), (-1, 1)], 0.5)
         rng = np.random.default_rng(5)
-        op = dom.horizontal_operator(system)
-        cv = dom.cell_volume()
-        values = rng.normal(size=op.free_index.size)
-        eps = 1e-8 if p < 2 else 0.0
-        energy, grad = _energy_and_gradient(op, values, p, cv, eps)
+        quotient = _Quotient(system, dom, p)
+        assert quotient.eps == (1e-8 if p < 1.5 else 0.0)
+        values = rng.normal(size=quotient.op.free_index.size)
+        energy, grad = quotient.energy(values)
         direction = rng.normal(size=values.size)
         h = 1e-6
-        ep, _ = _energy_and_gradient(op, values + h * direction, p, cv, eps,
-                                     need_gradient=False)
-        em, _ = _energy_and_gradient(op, values - h * direction, p, cv, eps,
-                                     need_gradient=False)
+        ep, _ = quotient.energy(values + h * direction, need_gradient=False)
+        em, _ = quotient.energy(values - h * direction, need_gradient=False)
         numeric = (ep - em) / (2 * h)
         analytic = float(grad @ direction)
         assert numeric == pytest.approx(analytic, rel=1e-4)
 
-    @pytest.mark.parametrize("p", [1.7, 2.0, 2.5])
+    @pytest.mark.parametrize("p", [1.3, 1.7, 2.0, 2.5])
     def test_quotient_gradient_matches_finite_differences(self, p):
         # E(u) / ||S u||_{p*}^p, smoothing and quotient rule included
         system = fx.grushin()
         dom = GridDomain([(-1, 1), (-1, 1)], 0.25)
-        quotient = _Quotient(system, dom, p, 1e-8 if p < 2 else 0.0)
+        quotient = _Quotient(system, dom, p)
         rng = np.random.default_rng(7)
         x = rng.normal(size=quotient.op.free_index.size)
         f, grad, nrm = quotient(x)
@@ -506,9 +517,9 @@ class TestMinimize:
         assert res.converged is False
 
     def test_stall_at_the_rounding_floor_is_converged(self):
-        # with rel_tol = 0 the decrement rule never fires, so the solve
-        # runs to the quotient's rounding floor; the line search stops
-        # halving there
+        # with rel_tol = 0 the solve runs until the decrement -g.d / f is
+        # below the rounding floor _DECREMENT_FLOOR, and stops there on
+        # "converged" before its line search
         system = fx.grushin()
         dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=4000, rel_tol=0.0,
@@ -516,8 +527,22 @@ class TestMinimize:
         assert res.stop_reason == "converged"
         assert res.iterations < 50
         assert res.evaluations < res.iterations + 10
-        x = res.minimizer.values.ravel()
-        assert res.grad_norm * np.linalg.norm(x) / res.constant < _STALL_GRADIENT
+        assert 0.0 < res.decrement < _DECREMENT_FLOOR
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_rounding_floor_is_converged_at_p_other_than_2(self, p):
+        # the decrement is the stop quantity at every p: with rel_tol = 0
+        # these solves stop on its floor after 1160 (p = 1.5) and 832 (p = 3)
+        # iterations, not on a failed line search
+        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        floor = minimize_quotient(fx.grushin(), dom, p=p, n_starts=1, max_iter=4000,
+                                  rel_tol=0.0, seed=0)
+        assert floor.stop_reason == "converged"
+        assert 0.0 < floor.decrement < _DECREMENT_FLOOR
+        res = minimize_quotient(fx.grushin(), dom, p=p, n_starts=1, max_iter=4000, seed=0)
+        assert res.stop_reason == "converged"
+        assert res.iterations < floor.iterations
+        assert 0.0 <= (res.constant - floor.constant) / floor.constant < 1e-6
 
     def test_r3_iterations_stay_flat_under_refinement(self):
         # 18 iterations at 33^3 from an off-node start; criterion 7 runs
@@ -547,7 +572,7 @@ class TestMinimize:
 
     def test_default_tolerance_gap_on_the_criterion_8_grid(self):
         # the default rel_tol stops 5.0e-10 (relative) above the rounding
-        # floor that rel_tol = 0 reaches, after 42 iterations against 68;
+        # floor that rel_tol = 0 reaches, after 42 iterations against 56;
         # the bound is 1e-8, the p = 2 accuracy the default promises
         dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800, seed=0)
@@ -650,6 +675,27 @@ class TestMinimize:
         res = minimize_quotient(fx.grushin(), dom, 2.0, init=u0, n_starts=1, max_iter=15000)
         assert res.stop_reason == "converged"
         assert scaling_spread(fx.grushin(), res) < _ROUNDOFF
+
+    def test_n_starts_cuts_one_list_of_starts(self):
+        # the starts are init, then init_centers, then random centres, and
+        # n_starts takes the first of them with or without init
+        system = fx.grushin()
+        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        centers = [[0.0, 0.0], [0.75, -0.75]]
+        u0 = bump(dom, [0.75, 0.75], 1.0)
+
+        def start_quotients(**options):
+            return minimize_quotient(system, dom, p=2.0, max_iter=5, seed=0,
+                                     **options).start_quotients
+
+        first = start_quotients(init_centers=centers, n_starts=1)
+        assert first == start_quotients(init_centers=centers[:1], n_starts=1)
+        from_init = start_quotients(init=u0, n_starts=1)
+        assert start_quotients(init=u0, init_centers=centers, n_starts=1) == from_init
+        assert start_quotients(init=u0, init_centers=centers, n_starts=2) == from_init + first
+        assert len(start_quotients(init_centers=centers, n_starts=3)) == 3
+        with pytest.raises(SobolevError):
+            start_quotients(init_centers=centers, n_starts=0)
 
     def test_explicit_init_is_used(self):
         system = fx.grushin()
