@@ -61,7 +61,6 @@ from .sobolev import (
     GridDomain,
     GridFunction,
     decay_profile,
-    domain_independence,
     energy_report,
     exponent_probe,
     horizontal_gradient,

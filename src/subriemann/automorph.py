@@ -49,11 +49,13 @@ class PolynomialMap:
 
     @classmethod
     def identity(cls, n: int) -> "PolynomialMap":
+        """The identity map, the base case of the planned symmetry-flow maps."""
         comps = [Polynomial.variable(n, j) for j in range(1, n + 1)]
         return cls(comps, inverse=comps)
 
     @classmethod
     def translation(cls, offset: Sequence) -> "PolynomialMap":
+        """x -> x + offset with its inverse, the simplest certified move of a box."""
         n = len(offset)
         comps = [Polynomial.variable(n, j) + Fraction(offset[j - 1]) for j in range(1, n + 1)]
         inv = [Polynomial.variable(n, j) - Fraction(offset[j - 1]) for j in range(1, n + 1)]
@@ -76,12 +78,6 @@ class PolynomialMap:
                 c = c.substitute_value(n + k, v)
             bound.append(_drop_trailing_vars(c, n))
         return PolynomialMap(bound)
-
-    def compose(self, other: "PolynomialMap") -> "PolynomialMap":
-        """self after other (parameter-free)."""
-        if self.n_params or other.n_params:
-            raise FieldError("composition of parametric maps is not supported")
-        return PolynomialMap(_compose_maps(self.components, other.components))
 
 
 def _compose_maps(outer, inner):
@@ -151,7 +147,10 @@ def certify(system: VectorFieldSystem, pmap: PolynomialMap) -> AutomorphismCerti
 
 
 def translation_directions(system: VectorFieldSystem) -> set[int]:
-    """Axes j such that every generator coefficient is independent of x_j."""
+    """Axes j such that every generator coefficient is independent of x_j.
+
+    Kept until the symmetry algebra {Z : [Z, X_j] = 0, div Z = 0} replaces it.
+    """
     out = set()
     for j in range(1, system.dim + 1):
         if all(c.degree_in(j) <= 0 for f in system.fields for c in f.coeffs):

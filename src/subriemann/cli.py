@@ -25,7 +25,6 @@ from .fields import (
     check_h1,
     check_h2,
     enumerate_commutators,
-    flag_at,
     homogeneous_dimension,
     parse_system,
 )
@@ -124,6 +123,15 @@ def _write(path_opt, text: str):
         sys.stdout.write(text)
 
 
+def _write_csv(path_opt, header, rows):
+    """One CSV header row, then ``rows``, to ``path_opt`` or stdout."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path_opt, buf.getvalue())
+
+
 # ------------------------------------------------------------------
 # subcommands
 
@@ -178,12 +186,8 @@ def cmd_nu(args) -> int:
     system = _load_system(args.system)
     nsw = build_nsw(enumerate_commutators(system))
     points = _read_csv(args.points, parse_rows, system.dim)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([f"x{i+1}" for i in range(system.dim)] + ["nu"])
-    for pt in points:
-        writer.writerow([str(v) for v in pt] + [pointwise_nu(nsw, pt)])
-    _write(args.out, buf.getvalue())
+    _write_csv(args.out, [f"x{i+1}" for i in range(system.dim)] + ["nu"],
+               ([str(v) for v in pt] + [pointwise_nu(nsw, pt)] for pt in points))
     return EXIT_OK
 
 
@@ -214,18 +218,14 @@ def cmd_dist(args) -> int:
     lattice = _lattice_from_args(args)
     source = _parse_floats(args.source)
     dfield = distance_field(system, source, lattice, seed=args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([f"x{i+1}" for i in range(system.dim)] + ["distance"])
     if args.query:
-        for row in _read_csv(args.query, parse_rows, system.dim):
-            pt = [float(v) for v in row]
-            writer.writerow([_fmt(float(v)) for v in pt] + [_fmt(dfield.query(pt))])
+        points = ([float(v) for v in row]
+                  for row in _read_csv(args.query, parse_rows, system.dim))
+        rows = ([_fmt(v) for v in pt] + [_fmt(dfield.query(pt))] for pt in points)
     else:
-        for idx in np.ndindex(*lattice.shape):
-            writer.writerow([_fmt(c) for c in lattice.node_coords(idx)]
-                            + [_fmt(float(dfield.values[idx]))])
-    _write(args.out, buf.getvalue())
+        rows = ([_fmt(c) for c in lattice.node_coords(idx)]
+                + [_fmt(float(dfield.values[idx]))] for idx in np.ndindex(*lattice.shape))
+    _write_csv(args.out, [f"x{i+1}" for i in range(system.dim)] + ["distance"], rows)
     return EXIT_OK
 
 
@@ -234,13 +234,9 @@ def cmd_ballvol(args) -> int:
     lattice = _lattice_from_args(args)
     center = _parse_floats(args.center)
     dfield = distance_field(system, center, lattice, seed=args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["radius", "volume"])
-    for r in _parse_floats(args.radii):
-        est = ball_volume(system, center, r, dfield=dfield)
-        writer.writerow([_fmt(r), _fmt(est.estimate)])
-    _write(args.out, buf.getvalue())
+    _write_csv(args.out, ["radius", "volume"],
+               ([_fmt(r), _fmt(ball_volume(system, center, r, dfield=dfield).estimate)]
+                for r in _parse_floats(args.radii)))
     return EXIT_OK
 
 
@@ -293,12 +289,8 @@ def cmd_probe_exponent(args) -> int:
     seed_fn = bump(dom, center, widths)
     ts = _parse_floats(args.t)
     report = exponent_probe(system, None, args.kappa, seed_fn, ts)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "R"])
-    for t, r in zip(report.t_values, report.ratios):
-        writer.writerow([_fmt(t), _fmt(r)])
-    _write(args.out, buf.getvalue())
+    _write_csv(args.out, ["t", "R"],
+               ([_fmt(t), _fmt(r)] for t, r in zip(report.t_values, report.ratios)))
     print(json.dumps({
         "schema_version": SCHEMA_VERSION,
         "kappa": f"{report.kappa:.12g}",

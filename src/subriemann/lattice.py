@@ -15,8 +15,8 @@ first p != 2 gradient and holds it for the solve.  The Galerkin
 multigrid hierarchy of A that preconditions the Sobolev solver
 (`Lattice.multigrid`, one symmetric V-cycle) is built on the first
 solve and cached per system next to the operator, so evaluating an
-energy never pays for it.  This is the first module that turns exact
-polynomials into floats.
+energy never pays for it.  Exact polynomials become floats here, in
+`eval_grid`, and nowhere else.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class LatticeError(RuntimeError):
 
 
 def eval_grid(poly: Polynomial, coords) -> np.ndarray:
-    """Evaluate an exact polynomial on numpy coordinate arrays (broadcast together)."""
+    """The one float evaluator of exact polynomials, on numpy coordinates broadcast together."""
     if len(coords) != poly.dim:
         raise LatticeError("coordinate count mismatch")
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords)) if coords else ()
@@ -74,6 +74,8 @@ class HorizontalOperator:
 class Lattice:
     """Axis-aligned box lattice with a Dirichlet mask and a control set.
 
+    The spacing must divide every box side, so each axis ends on the box.
+
     ``boundary`` marks the outermost node shell.  ``free`` marks nodes
     where a function may be nonzero: everything off the shell, further
     restricted by an optional membership ``predicate`` on float
@@ -106,6 +108,10 @@ class Lattice:
         )
         if any(n < 3 for n in self.shape):
             raise LatticeError("box too small for the boundary shell")
+        for (lo, hi), h, n in zip(self.box, self.spacing, self.shape):
+            # rounding may move the last node by 1e-6 of a cell, no more
+            if abs(lo + h * (n - 1) - hi) > 1e-6 * h:
+                raise LatticeError(f"spacing {h} does not divide the box side [{lo}, {hi}]")
         self.n_random_controls = n_random_controls
         self.tau = tau
         self.predicate = predicate

@@ -337,15 +337,6 @@ class BallBoxReport:
     def spread(self) -> float:
         return self.max_ratio / self.min_ratio
 
-    def to_csv(self) -> str:
-        lines = ["center,radius,volume,lambda,ratio"]
-        for row in self.rows:
-            c = ";".join(f"{v:.12g}" for v in row.center)
-            lines.append(
-                f"{c},{row.radius:.12g},{row.volume:.12g},{row.lam:.12g},{row.ratio:.12g}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def ball_extent(basis, point, r: float) -> list[float]:
     """Per-axis reach estimate of B(x, r): sum_J |X_J coeff(x)| r^deg(J).
@@ -354,12 +345,13 @@ def ball_extent(basis, point, r: float) -> list[float]:
     lattices so a ball of radius r is resolved but not lost in the box.
     """
     n = basis.system.dim
+    coords = [float(v) for v in point]
     out = [0.0] * n
     for e in basis.entries:
         rd = float(r) ** e.degree
         for k, c in enumerate(e.vf.coeffs):
             if not c.is_zero():
-                out[k] += abs(c.eval_float([float(v) for v in point])) * rd
+                out[k] += abs(float(eval_grid(c, coords))) * rd
     if any(v == 0.0 for v in out):
         raise MetricError(f"degenerate ball extent at {point}")
     return out
@@ -367,6 +359,7 @@ def ball_extent(basis, point, r: float) -> list[float]:
 
 _BALL_REACH = 2.0  # `lattice_for_ball`'s box holds B(center, _BALL_REACH * r)
 _BALL_SHELLS = 10  # and its tau = r / _BALL_SHELLS: every radius spans as many levels
+_BALL_CONTROLS = 24  # random control directions on top of the +-e_i
 
 
 def lattice_for_ball(
@@ -374,13 +367,12 @@ def lattice_for_ball(
     center,
     r: float,
     nodes_per_axis: int = 48,
-    n_random_controls: int | None = 24,
 ) -> Lattice:
     """Lattice sized to hold B(center, 2r) with ~nodes_per_axis nodes and tau = r/10."""
     ext = ball_extent(basis, center, _BALL_REACH * r)
     box = [(float(c) - e, float(c) + e) for c, e in zip(center, ext)]
     spacing = [2.0 * e / nodes_per_axis for e in ext]
-    return Lattice(box, spacing, n_random_controls=n_random_controls,
+    return Lattice(box, spacing, n_random_controls=_BALL_CONTROLS,
                    tau=float(r) / _BALL_SHELLS)
 
 

@@ -133,7 +133,10 @@ class BallPolynomial:
         )
 
     def f_k(self, k: int, x) -> Fraction:
-        """Exact f_k(x) = sum over tuples of |lambda_I(x)|, from the merged slot."""
+        """Exact f_k(x) = sum over tuples of |lambda_I(x)|, from the merged slot.
+
+        The per-degree reference that the merged slots are tested against.
+        """
         values, d_top = self._point_values(x)
         if k not in self._slot_terms:
             return Fraction(0)
@@ -357,7 +360,7 @@ def level_set_probe(
     candidate: Callable[[Sequence[Fraction]], bool],
     samples: Sequence[Sequence[Fraction]],
 ) -> LevelSetReport:
-    """Check nu(x) = Q <=> candidate(x) on every sample point."""
+    """Check nu(x) = Q <=> candidate(x) on every sample point (criterion 3)."""
     bad = []
     for pt in samples:
         pt = tuple(Fraction(v) for v in pt)

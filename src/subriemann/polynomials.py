@@ -1,7 +1,9 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; floating point never
-enters this layer, so sign and vanishing decisions are exact.  Monomials
+Coefficients are `fractions.Fraction` throughout, and `eval` converts a
+float coordinate to its exact `Fraction`; floating point never enters
+this layer (`lattice.eval_grid` evaluates on floats), so sign and
+vanishing decisions are exact.  Monomials
 are stored sparsely as a map from exponent tuples to nonzero coefficients,
 which makes structural equality a canonical-form comparison.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class PolynomialError(ValueError):
@@ -82,12 +84,6 @@ class Polynomial:
         if not self.is_constant():
             raise PolynomialError("polynomial is not constant")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is reported as -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, j: int) -> int:
         if not 1 <= j <= self.dim:
@@ -217,18 +213,6 @@ class Polynomial:
             total += v
         return total
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.dim:
-            raise PolynomialError(f"point length {len(point)} != dimension {self.dim}")
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for x, k in zip(point, e):
-                if k:
-                    v *= float(x) ** k
-            total += v
-        return total
-
     # -- dilation and homogeneity ------------------------------------
 
     def dilate(self, weights: Sequence[int]) -> "Polynomial":
@@ -248,7 +232,8 @@ class Polynomial:
         """Common weighted degree of all monomials, or None if mixed.
 
         The zero polynomial returns None (it is vacuously homogeneous of
-        every degree; callers flag that case separately).
+        every degree; callers flag that case separately).  Criterion 2
+        checks the Lambda slot entries with it.
         """
         if len(weights) != self.dim:
             raise PolynomialError("weight count mismatch")
@@ -256,11 +241,6 @@ class Polynomial:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def is_dt_homogeneous(self, weights: Sequence[int], sigma: int) -> bool:
-        if self.is_zero():
-            return True
-        return self.homogeneity_degree(weights) == sigma
 
     def inhomogeneous_monomials(self, weights: Sequence[int], sigma: int) -> list[tuple[int, ...]]:
         """Exponent tuples whose weighted degree differs from sigma."""

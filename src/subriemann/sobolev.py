@@ -105,15 +105,6 @@ class GridFunction:
         cv = self.domain.cell_volume()
         return float((np.abs(self.values) ** q).sum() * cv) ** (1.0 / q)
 
-    def normalized(self, q: float) -> "GridFunction":
-        nrm = self.norm(q)
-        if nrm == 0.0:
-            raise SobolevError("cannot normalize the zero function")
-        return GridFunction(self.domain, self.values / nrm)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.domain, self.values.copy())
-
 
 def bump(domain: Lattice, center, width) -> GridFunction:
     """Smooth Gaussian bump, the standard initial iterate."""
@@ -138,6 +129,7 @@ def horizontal_gradient(system: VectorFieldSystem, u: GridFunction) -> np.ndarra
     The mean of the forward and the backward realizations of X_h u,
     which is X_j u = sum_k a_jk * (centered difference along axis k),
     with the polynomial coefficients a_jk evaluated exactly at the nodes.
+    The operator's exactness tests read X_h through it.
     """
     y = _realizations(system, u)
     return 0.5 * (y[0] + y[1]).reshape(system.m, *u.domain.shape)
@@ -518,7 +510,7 @@ def rescale(
     multilinear interpolation.  The map is unimodular and the dilation
     scales volume by rho^Q, so the L^{p*} norm is preserved in the
     continuum; a deviation beyond 5% means the support escaped the box
-    and raises SupportEscape.
+    and raises SupportEscape.  Kept for moving minimizers by certified maps.
     """
     # imported on first use: it adds about 27 MB and 0.35 s to a bare
     # import, and nothing else needs it
@@ -555,7 +547,7 @@ class ConcentrationDiagnostics:
     rho_grid: list[float]
     levy_values: list[float]       # Q(rho), max over sampled centers
     best_center: tuple[float, ...] | None
-    rho_half: float | None         # bisected rho with Q(rho) = 1/2
+    rho_half: float | None         # smallest node distance holding half the mass
     mass_at_infinity: float
 
     def __post_init__(self):
@@ -578,6 +570,15 @@ def _check_aligned(dfield, domain: Lattice) -> None:
         raise SobolevError("distance field lattice does not match the function")
 
 
+def _half_mass_radius(dens: np.ndarray, dist: np.ndarray, total: float) -> float:
+    """Smallest value d of ``dist`` with mass{dist <= d} >= total / 2, +inf if none."""
+    order = np.argsort(dist, axis=None, kind="stable")
+    mass = np.cumsum(dens.ravel()[order]) / total
+    # the cumulative mass is non-decreasing: the first index that reaches 1/2
+    i = int(np.searchsorted(mass, 0.5))
+    return float(dist.ravel()[order[i]]) if i < mass.size else math.inf
+
+
 def levy_concentration(
     u: GridFunction,
     rho_grid: Sequence[float],
@@ -590,7 +591,10 @@ def levy_concentration(
     Q(rho) = max over sampled w of the ball mass of |u|^{p*} inside
     B(w, rho), normalized by the total mass.  ``distance_fields`` must
     be lattice-aligned with u's domain, one per sample center.  rho_half
-    is located by bisection between the bracketing grid values.
+    is exact: the smallest node distance rho at which some field's closed
+    ball {d <= rho} holds half the mass, so Q(rho) < 1/2 for rho <=
+    rho_half and Q(rho) >= 1/2 above it.  It is None when Q < 1/2 at the
+    largest grid radius.
     """
     if len(h_samples) != len(distance_fields):
         raise SobolevError("one distance field per sampled center is required")
@@ -621,21 +625,7 @@ def levy_concentration(
             best_i = i
     rho_half = None
     if values and values[-1] >= 0.5:
-        lo = 0.0
-        hi = rho_grid[-1]
-        for rho, v in zip(rho_grid, values):
-            if v < 0.5:
-                lo = rho
-            else:
-                hi = rho
-                break
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if q_of(mid)[0] >= 0.5:
-                hi = mid
-            else:
-                lo = mid
-        rho_half = 0.5 * (lo + hi)
+        rho_half = min(_half_mass_radius(dens, dm, total) for dm in dmats)
     center = tuple(map(float, h_samples[best_i])) if best_i >= 0 else None
     return ConcentrationDiagnostics(
         rho_grid, values, center, rho_half, 1.0 - (values[-1] if values else 0.0)
@@ -752,26 +742,3 @@ def decay_profile(
     rejected = resid > _DECAY_MAX_RESIDUAL or slope > -0.05
     return DecayFit(float(slope), resid, int(sel.sum()), rejected)
 
-
-@dataclass
-class DomainComparison:
-    constant_a: float
-    constant_b: float
-
-    @property
-    def rel_difference(self) -> float:
-        ref = min(self.constant_a, self.constant_b)
-        return abs(self.constant_a - self.constant_b) / ref
-
-
-def domain_independence(
-    system: VectorFieldSystem,
-    domain_a: Lattice,
-    domain_b: Lattice,
-    p: float = 2.0,
-    **options,
-) -> DomainComparison:
-    """Minimize the quotient on two domains and compare the constants."""
-    ra = minimize_quotient(system, domain_a, p, **options)
-    rb = minimize_quotient(system, domain_b, p, **options)
-    return DomainComparison(ra.constant, rb.constant)

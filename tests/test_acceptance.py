@@ -50,7 +50,6 @@ from subriemann.sobolev import (
     GridFunction,
     bump,
     decay_profile,
-    domain_independence,
     energy_report,
     exponent_probe,
     minimize_quotient,
@@ -204,7 +203,7 @@ def test_criterion_5_dilation_scaling(systems, nsw_polys, bases, grushin):
     for t in (0.5, 2.0):
         lat = lattice_for_ball(basis, [0.0, 0.0], t)
         dt = distance_field(grushin, [0.0, 0.0], lat, seed=3).query(
-            grushin.dilation_float(y, t))
+            [float(v) for v in grushin.dilation(y, t)])
         dist_err = max(dist_err, abs(dt - t * d1) / (t * d1))
     ok = ok and dist_err <= 0.10
     elapsed = time.perf_counter() - t0
@@ -302,12 +301,13 @@ def test_criterion_8_domain_independence(grushin):
     t0 = time.perf_counter()
     a = GridDomain([(-4, 4), (-4, 4)], 0.25)
     b = GridDomain([(-4, 4), (1, 9)], 0.25)
-    cmp = domain_independence(grushin, a, b, p=2.0, n_starts=1, max_iter=800, seed=0)
+    ca, cb = (minimize_quotient(grushin, dom, 2.0, n_starts=1, max_iter=800, seed=0).constant
+              for dom in (a, b))
+    rel = abs(ca - cb) / min(ca, cb)
     elapsed = time.perf_counter() - t0
-    ok = cmp.rel_difference <= 0.10 and elapsed < 1800.0
+    ok = rel <= 0.10 and elapsed < 1800.0
     check(8, "Grushin constant independent of the center in H", ok,
-          f"{cmp.constant_a:.4f} vs {cmp.constant_b:.4f}, "
-          f"rel {cmp.rel_difference:.2%}, {elapsed:.0f} s")
+          f"{ca:.4f} vs {cb:.4f}, rel {rel:.2%}, {elapsed:.0f} s")
 
 
 # ---------------------------------------------------------------------

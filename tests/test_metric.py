@@ -399,7 +399,6 @@ class TestBallBoxScan:
         assert len(report.rows) == 4
         assert report.min_ratio > 0
         assert report.spread < 50
-        assert "center,radius" in report.to_csv()
 
 
 class TestGrowthScan:

@@ -23,7 +23,6 @@ from subriemann.sobolev import (
     bump,
     decay_profile,
     dilate_function,
-    domain_independence,
     energy_report,
     exponent_probe,
     horizontal_gradient,
@@ -68,6 +67,17 @@ class TestGridDomain:
         with pytest.raises(LatticeError):
             GridDomain([(-1, 1)], [0.5, 0.5])
 
+    def test_spacing_must_divide_the_box(self):
+        # the last node would sit at 0.8, and at 2.125 outside the box
+        for box, spacing in (([(0, 1)] * 2, 0.4), ([(-2, 2)] * 2, 0.375)):
+            with pytest.raises(LatticeError, match="does not divide"):
+                GridDomain(box, spacing)
+        # a rounding miss is accepted: the last node of (0, 0.3) at 0.1 is 0.30000000000000004
+        dom = GridDomain([(0, 0.3), (-1.5, 1.5)], [0.1, 0.375])
+        assert dom.shape == (4, 9)
+        assert dom.axes[0][-1] != 0.3
+        assert [ax[-1] for ax in dom.axes] == pytest.approx([0.3, 1.5], abs=1e-12)
+
 
 class TestGridFunction:
     def test_norm_matches_manual(self, euclid2, small_domain):
@@ -75,13 +85,6 @@ class TestGridFunction:
         cv = small_domain.cell_volume()
         manual = (float(small_domain.free.sum()) * cv) ** 0.5
         assert u.norm(2.0) == pytest.approx(manual)
-
-    def test_normalized(self, small_domain):
-        u = bump(small_domain, [0, 0], 0.5)
-        assert u.normalized(4.0).norm(4.0) == pytest.approx(1.0)
-        zero = GridFunction(small_domain, np.zeros(small_domain.shape))
-        with pytest.raises(SobolevError):
-            zero.normalized(2.0)
 
     def test_bump_peaks_at_center(self, small_domain):
         u = bump(small_domain, [0.5, -0.5], 0.5)
@@ -704,7 +707,7 @@ class TestMinimize:
         res = minimize_quotient(system, dom, p=2.0, init=u0, n_starts=1,
                                 max_iter=5, seed=0)
         assert res.iterations <= 5
-        other = GridDomain([(-2, 2), (-2, 2)], 0.375)
+        other = GridDomain([(-1.5, 1.5)] * 2, 0.375)
         with pytest.raises(SobolevError):
             minimize_quotient(system, dom, init=bump(other, [0, 0], 1.0),
                               n_starts=1, max_iter=5)
@@ -830,9 +833,28 @@ class TestLevyConcentration:
         assert diag.rho_half is not None
         # |u|^4 has mass fraction 1 - exp(-25 rho^2) inside radius rho, so
         # the half level sits near sqrt(ln 2)/5 = 0.167; BFS distances are
-        # quantized in tau = 0.2, which pushes the bisected value upward
+        # quantized in tau = 0.2, which pushes the value upward
         assert 0.1 < diag.rho_half <= 0.45
         assert diag.best_center == (0.0, 0.0)
+        # exactly the smallest node distance whose closed ball holds half of |u|^4
+        rho = diag.rho_half
+        assert rho in set(df.values.ravel().tolist())
+        dens = np.abs(u.values) ** 4.0
+        assert dens[df.values <= rho].sum() >= 0.5 * dens.sum()
+        assert dens[df.values < rho].sum() < 0.5 * dens.sum()
+
+    def test_spike_has_rho_half_zero(self):
+        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        vals = np.zeros(dom.shape)
+        vals[dom.node_index([0.5, -0.25])] = 1.0
+        u = GridFunction(dom, vals)
+        lat = LatticeSpec(dom.box, dom.spacing, n_random_controls=4, tau=0.5)
+        fields = [distance_field(fx.euclidean(2), c, lat, seed=1)
+                  for c in ([0.0, 0.0], [0.5, -0.25])]
+        diag = levy_concentration(u, [0.25, 1.0], [[0.0, 0.0], [0.5, -0.25]],
+                                  fields, p_star=4.0)
+        assert diag.rho_half == 0.0
+        assert diag.best_center == (0.5, -0.25)
 
     def test_field_count_checked(self):
         dom = GridDomain([(-2, 2), (-2, 2)], 0.5)
@@ -893,14 +915,3 @@ class TestDecayProfile:
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SobolevError):
             decay_profile(u, df, 50.0, 60.0)
-
-
-class TestDomainIndependence:
-    def test_comparison_runs(self):
-        system = fx.grushin()
-        a = GridDomain([(-3, 3), (-3, 3)], 0.375)
-        b = GridDomain([(-3, 3), (2, 8)], 0.375)
-        cmp = domain_independence(system, a, b, p=2.0, n_starts=1,
-                                  max_iter=40, seed=0)
-        assert cmp.rel_difference >= 0.0
-        assert cmp.constant_a > 0 and cmp.constant_b > 0
