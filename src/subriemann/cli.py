@@ -37,7 +37,7 @@ from .metric import (
 )
 from .nsw import (
     build_nsw,
-    evaluation_table_csv,
+    eval_lambda,
     nu_tilde,
     parse_domain_spec,
     parse_plan,
@@ -124,9 +124,9 @@ def _write(path_opt, text: str):
 
 
 def _write_csv(path_opt, header, rows):
-    """One CSV header row, then ``rows``, to ``path_opt`` or stdout."""
+    """One CSV header row, then ``rows``, to ``path_opt`` or stdout; rows end in \\n."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     _write(path_opt, buf.getvalue())
@@ -200,7 +200,10 @@ def cmd_nsw(args) -> int:
         print(nsw.to_json())
     if args.eval:
         rows = _read_csv(args.eval, parse_plan, system.dim)
-        _write(args.out, evaluation_table_csv(nsw, rows))
+        # floats, not p/q: exact Lambda at a plan row can run to a long fraction
+        _write_csv(args.out, [f"x{i+1}" for i in range(system.dim)] + ["r", "lambda"],
+                   ([_fmt(float(v)) for v in (*x, r, eval_lambda(nsw, x, r))]
+                    for x, r in rows))
     return EXIT_OK
 
 
@@ -254,7 +257,9 @@ def cmd_growth(args) -> int:
         radii = [Fraction(1, 2 ** k) for k in range(1, 9)]
         plan = [(list(pt), r) for pt in domain.sample_points() for r in radii]
     report = growth_exponent_scan(nsw, kappas, plan)
-    _write(args.out, report.to_csv())
+    _write_csv(args.out, ["kappa", "center", "r", "volume_over_r_kappa"],
+               ([_fmt(kappa), ";".join(_fmt(float(v)) for v in center), _fmt(r), _fmt(value)]
+                for kappa, center, r, value in report.table))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kappa_infima": {f"{k:.12g}": f"{v:.12g}" for k, v in report.kappa_infima.items()},
@@ -324,10 +329,8 @@ def cmd_sobolev(args) -> int:
     }
     print(json.dumps(summary, indent=2))
     if args.trace:
-        Path(args.trace).write_text(
-            "iteration,quotient\n"
-            + "".join(f"{i},{q:.12g}\n" for i, q in enumerate(res.trace))
-        )
+        _write_csv(args.trace, ["iteration", "quotient"],
+                   ([i, _fmt(q)] for i, q in enumerate(res.trace)))
     if args.dump_grid:
         raw = Path(args.dump_grid)
         res.minimizer.values.astype("<f8").tofile(raw)

@@ -6,21 +6,25 @@ coordinates per axis, the outer boundary shell and the Dirichlet
 read.  The full-shape coordinate mesh is built on first use (at
 construction only when a ``predicate`` must be evaluated on it), so the
 metric layer, which reads the axes at the nodes it steps from, never
-pays for it.  For the Sobolev layer, the exact polynomial coefficients
-of a vector field system are evaluated on the mesh once per (lattice,
-system) and cached, and so is the assembled sparse horizontal-gradient
-operator X_h built from them, with its Gram matrix A = X_h^T X_h.
-X_h^T itself is not kept: the Sobolev quotient builds it in CSR on its
-first p != 2 gradient and holds it for the solve.  The Galerkin
-multigrid hierarchy of A that preconditions the Sobolev solver
-(`Lattice.multigrid`, one symmetric V-cycle) is built on the first
-solve and cached per system next to the operator, so evaluating an
-energy never pays for it.  Exact polynomials become floats here, in
-`eval_grid`, and nowhere else.
+pays for it.  For the Sobolev layer, a lattice holds one cache, keyed
+by system: the assembled sparse horizontal-gradient operator X_h
+(`Lattice.horizontal_operator`).  The polynomial coefficients it is
+built from are evaluated on the mesh for the assembly and then
+dropped.  What is derived from X_h belongs to the operator and is
+built on first use: its Gram matrix A = X_h^T X_h
+(`HorizontalOperator.gram`, on the first p = 2 energy) and the
+Galerkin multigrid hierarchy of A that preconditions the Sobolev solver
+(`HorizontalOperator.multigrid`, on the first solve).  So evaluating an
+energy never builds the hierarchy, and the diagnostics that read X_h
+alone never form A.  X_h^T itself is not kept: the Sobolev quotient
+builds it in CSR on its first p != 2 gradient and holds it for the
+solve.  Exact polynomials become floats here, in `eval_grid`, and
+nowhere else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -57,18 +61,42 @@ class HorizontalOperator:
     ``matrix`` has one row per (realization, field, node), ordered
     forward before backward, then by field, then by flat node index, so
     ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
-    X_j^- u on every node.  Its columns are the free nodes only, in the
-    order of ``free_index`` (flat node indices): x = u.ravel()[free_index].
-    ``gram`` is the Gram matrix A = X_h^T X_h on the free nodes, in CSR:
-    the p = 2 energy is 1/2 x.Ax and its gradient Ax, one product
-    instead of X_h and X_h^T.
+    X_j^- u on every node of the lattice ``shape``.  Its columns are the
+    free nodes only, in the order of ``free_index`` (flat node indices):
+    x = u.ravel()[free_index].  ``gram`` and ``multigrid`` are derived
+    from ``matrix`` on first use and then kept with it.
     """
 
     matrix: object
-    gram: object
     free_index: np.ndarray
     n_fields: int
-    n_nodes: int
+    shape: tuple[int, ...]
+
+    @property
+    def n_nodes(self) -> int:
+        return math.prod(self.shape)
+
+    @cached_property
+    def gram(self):
+        """The Gram matrix A = X_h^T X_h on the free nodes, in CSR (formed on first use).
+
+        The p = 2 energy is 1/2 x.Ax and its gradient Ax, one product
+        instead of X_h and X_h^T.
+        """
+        # X_h^T in CSR only while the product is formed
+        return self.matrix.T.tocsr() @ self.matrix
+
+    @cached_property
+    def multigrid(self) -> "Multigrid":
+        """The Galerkin multigrid hierarchy of A = X_h^T X_h (built on first use).
+
+        Level k + 1 lives on the even-index nodes of level k's grid.  Its
+        prolongation P is the tensor product (``sparse.kron``) of one
+        linear interpolation per axis, with rows restricted to level k's
+        unknowns and columns to the coarse nodes they touch; its operator
+        is P^T A P.  Coarsening stops at `_COARSEST` unknowns or fewer.
+        """
+        return Multigrid(self)
 
 
 class Lattice:
@@ -131,9 +159,7 @@ class Lattice:
         if predicate is not None:
             free &= np.vectorize(lambda *xs: bool(predicate(xs)))(*self.mesh)
         self.free = free
-        self._field_cache: dict = {}
         self._operator_cache: dict = {}
-        self._multigrid_cache: dict = {}
 
     @cached_property
     def mesh(self) -> tuple[np.ndarray, ...]:
@@ -161,16 +187,15 @@ class Lattice:
         return tuple(float(ax[i]) for ax, i in zip(self.axes, index))
 
     def field_grids(self, system: VectorFieldSystem):
-        """Polynomial coefficients a_jk evaluated on the nodes, indexed [field][axis] (cached)."""
-        # the cache keeps the system alive so its id cannot be reused
-        cached = self._field_cache.get(id(system))
-        if cached is None:
-            grids = [
-                [eval_grid(f.coeffs[k], self.mesh) for k in range(system.dim)]
-                for f in system.fields
-            ]
-            cached = self._field_cache[id(system)] = (system, grids)
-        return cached[1]
+        """Polynomial coefficients a_jk evaluated on the nodes, indexed [field][axis].
+
+        Evaluated on every call: the lattice keeps the operator built
+        from them, not the grids.
+        """
+        return [
+            [eval_grid(f.coeffs[k], self.mesh) for k in range(system.dim)]
+            for f in system.fields
+        ]
 
     def horizontal_operator(self, system: VectorFieldSystem) -> HorizontalOperator:
         """The sparse operator X_h of ``system`` on this lattice (cached).
@@ -233,24 +258,7 @@ class Lattice:
         indices = np.concatenate(indices)
         data = np.concatenate(data)
         matrix = sparse.csr_array((data, indices, indptr), shape=(n_rows, free_index.size))
-        # X_h^T in CSR only while the product is formed
-        gram = matrix.T.tocsr() @ matrix
-        return HorizontalOperator(matrix, gram, free_index, len(grids), n_nodes)
-
-    def multigrid(self, system: VectorFieldSystem) -> "Multigrid":
-        """The Galerkin multigrid hierarchy of A = X_h^T X_h (cached, built on first use).
-
-        Level k + 1 lives on the even-index nodes of level k's grid.  Its
-        prolongation P is the tensor product (``sparse.kron``) of one
-        linear interpolation per axis, with rows restricted to level k's
-        unknowns and columns to the coarse nodes they touch; its operator
-        is P^T A P.  Coarsening stops at `_COARSEST` unknowns or fewer.
-        """
-        cached = self._multigrid_cache.get(id(system))
-        if cached is None:
-            mg = Multigrid(self.horizontal_operator(system), self.shape)
-            cached = self._multigrid_cache[id(system)] = (system, mg)
-        return cached[1]
+        return HorizontalOperator(matrix, free_index, len(grids), self.shape)
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         return np.where(self.free, values, 0.0)
@@ -294,10 +302,11 @@ class Multigrid:
     lambda_max.
     """
 
-    def __init__(self, op: HorizontalOperator, shape):
+    def __init__(self, op: HorizontalOperator):
         from scipy import sparse
 
         a = op.gram
+        shape = op.shape
         diag = _smoother_diagonal(a)
         unknowns = op.free_index
         self.levels = []

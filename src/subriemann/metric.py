@@ -419,13 +419,6 @@ class GrowthScanReport:
     kappa_infima: dict[float, float]
     table: list  # (kappa, center, r, value)
 
-    def to_csv(self) -> str:
-        lines = ["kappa,center,r,volume_over_r_kappa"]
-        for kappa, center, r, value in self.table:
-            c = ";".join(f"{float(v):.12g}" for v in center)
-            lines.append(f"{kappa:.12g},{c},{float(r):.12g},{value:.12g}")
-        return "\n".join(lines) + "\n"
-
 
 def growth_exponent_scan(
     nsw: BallPolynomial,

@@ -394,16 +394,3 @@ def parse_rows(text: str, width: int) -> list[tuple[Fraction, ...]]:
 def parse_plan(text: str, dim: int) -> list[tuple[list[Fraction], Fraction]]:
     """(x, r) pairs from CSV rows x1, ..., x_dim, r (the ``.plan`` fixture format)."""
     return [(list(row[:dim]), row[dim]) for row in parse_rows(text, dim + 1)]
-
-
-def evaluation_table_csv(nsw: BallPolynomial, rows) -> str:
-    """CSV of (x..., r, Lambda) evaluations; floats to 12 significant digits."""
-    out = []
-    header = [f"x{i + 1}" for i in range(nsw.n)] + ["r", "lambda"]
-    out.append(",".join(header))
-    for x, r in rows:
-        lam = eval_lambda(nsw, x, r)
-        out.append(
-            ",".join([f"{float(v):.12g}" for v in x] + [f"{float(r):.12g}", f"{float(lam):.12g}"])
-        )
-    return "\n".join(out) + "\n"

@@ -8,25 +8,26 @@ lattice's assembled sparse operator X_h (`Lattice.horizontal_operator`):
 the forward and the backward one-sided difference realizations of every
 X_j, weighted by the polynomial coefficients evaluated on the nodes.
 The energy averages |Xu|^p over the two realizations.  At p = 2 it is
-the quadratic form (cv/2) x.Ax with the Gram matrix A = X_h^T X_h,
-assembled once with X_h (`HorizontalOperator.gram`), so energy and
-gradient cv Ax are one sparse product with A.  At other p the energy
-is one product with X_h and its gradient one with X_h^T.  `_Quotient`
-owns this functional and the norm it is divided by.  The diagnostics
-(`horizontal_gradient`, `exponent_probe`) use X_h itself.
+the quadratic form (cv/2) x.Ax with the Gram matrix A = X_h^T X_h
+(`HorizontalOperator.gram`, formed by the operator on the first p = 2
+energy and kept with it), so energy and gradient cv Ax are one sparse
+product with A.  At other p the energy is one product with X_h and its
+gradient one with X_h^T.  `_Quotient` owns this functional and the
+norm it is divided by.  The diagnostics (`horizontal_gradient`,
+`exponent_probe`) use X_h itself and never form A.
 The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
 local average, is minimized by limited-memory BFGS on the free nodes,
 preconditioned by multigrid: the initial inverse Hessian is one
 symmetric V(1,1) cycle of the Galerkin hierarchy of A = X_h^T X_h
-(`Lattice.multigrid`, built on the first solve and cached with the
-operator), applied once per iteration.  A solve stops when the
-decrement -g.d, the decrease that the quasi-Newton model predicts along
-the L-BFGS direction d, falls below ``rel_tol`` (default 1e-9) times
-the quotient, or below the rounding floor 1e-12 times it.  The cycle
-keeps the iteration count from growing as the lattice is refined
-(R^3: 18 iterations at 33^3, 20 at 65^3), also where the degenerate
-X_2 = 3x^2 d_y of Grushin makes diag(A) vary 540-fold (37 iterations
-on the 129 x 161 decay grid).
+(`HorizontalOperator.multigrid`, built by the operator on the first
+solve and kept with it), applied once per iteration.  A solve stops
+when the decrement -g.d, the decrease that the quasi-Newton model
+predicts along the L-BFGS direction d, falls below ``rel_tol`` (default
+1e-9) times the quotient, or below the rounding floor 1e-12 times it.
+The cycle keeps the iteration count from growing as the lattice is
+refined (R^3: 18 iterations at 33^3, 20 at 65^3), also where the
+degenerate X_2 = 3x^2 d_y of Grushin makes diag(A) vary 540-fold (37
+iterations on the 129 x 161 decay grid).
 Distance fields for the concentration and decay diagnostics must come
 from a lattice with the same box and spacing as the function's; both
 diagnostics check this when the field carries its lattice.  Dirichlet
@@ -165,7 +166,6 @@ class _Quotient:
         self.p = float(p)
         # |Xu|^p is regularized for p < 1.5, where it is least smooth at Xu = 0
         self.eps = 1e-8 if p < 1.5 else 0.0
-        self.domain = domain
         self.system = system
         self.op = domain.horizontal_operator(system)
         self.cv = domain.cell_volume()
@@ -179,7 +179,7 @@ class _Quotient:
         """The full node grid of x (zero off the free nodes)."""
         u = np.zeros(self.op.n_nodes)
         u[self.op.free_index] = x
-        return u.reshape(self.domain.shape)
+        return u.reshape(self.op.shape)
 
     def energy(self, x: np.ndarray, need_gradient: bool = True):
         """int |X_h u|^p and its gradient on the free-node values x of u.
@@ -337,7 +337,7 @@ def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, rel_tol: float):
     (normalized x, quotient, trace, iterations, stop reason, evaluations,
     gradient norm at the normalized x, decrement -g.d / f).
     """
-    precondition = quotient.domain.multigrid(quotient.system)
+    precondition = quotient.op.multigrid
     f, g, nrm = quotient(x)
     bg = precondition(g)
     evaluations = 1
@@ -415,7 +415,8 @@ def minimize_quotient(
     recursion over the last 10 curvature pairs).  The recursion's
     initial inverse Hessian is B scaled by s.y / y.By of the newest pair,
     where B is one symmetric multigrid V-cycle for A = X_h^T X_h on the
-    free nodes (`Lattice.multigrid`); the first step is -Bg with its
+    free nodes (`HorizontalOperator.multigrid`, built on the operator's
+    first solve and kept with it); the first step is -Bg with its
     largest entry scaled to 1.  B is applied once per accepted step, to
     the new gradient.  The Armijo backtracking line search also requires
     a strict decrease larger than rounding, so the trace falls
@@ -570,15 +571,6 @@ def _check_aligned(dfield, domain: Lattice) -> None:
         raise SobolevError("distance field lattice does not match the function")
 
 
-def _half_mass_radius(dens: np.ndarray, dist: np.ndarray, total: float) -> float:
-    """Smallest value d of ``dist`` with mass{dist <= d} >= total / 2, +inf if none."""
-    order = np.argsort(dist, axis=None, kind="stable")
-    mass = np.cumsum(dens.ravel()[order]) / total
-    # the cumulative mass is non-decreasing: the first index that reaches 1/2
-    i = int(np.searchsorted(mass, 0.5))
-    return float(dist.ravel()[order[i]]) if i < mass.size else math.inf
-
-
 def levy_concentration(
     u: GridFunction,
     rho_grid: Sequence[float],
@@ -590,43 +582,43 @@ def levy_concentration(
 
     Q(rho) = max over sampled w of the ball mass of |u|^{p*} inside
     B(w, rho), normalized by the total mass.  ``distance_fields`` must
-    be lattice-aligned with u's domain, one per sample center.  rho_half
-    is exact: the smallest node distance rho at which some field's closed
-    ball {d <= rho} holds half the mass, so Q(rho) < 1/2 for rho <=
-    rho_half and Q(rho) >= 1/2 above it.  It is None when Q < 1/2 at the
-    largest grid radius.
+    be lattice-aligned with u's domain, one per sample center.  Each
+    field's nodes are sorted by distance once, and its cumulative mass
+    in that order is its profile: the mass at d < rho is the prefix
+    before the first node at d >= rho, so Q is non-decreasing in rho.
+    rho_half is exact: the smallest node distance rho at which some
+    field's closed ball {d <= rho} holds half the mass, so Q(rho) < 1/2
+    for rho <= rho_half and Q(rho) >= 1/2 above it.  It is None when
+    Q < 1/2 at the largest grid radius.
     """
     if len(h_samples) != len(distance_fields):
         raise SobolevError("one distance field per sampled center is required")
     dens = np.abs(u.values) ** p_star
-    total = float(dens.sum())
-    if total == 0.0:
+    if not dens.any():
         raise SobolevError("zero function has no concentration profile")
-    dmats = []
-    for df in distance_fields:
-        _check_aligned(df, u.domain)
-        dmats.append(df.values)
-
-    def q_of(rho: float) -> tuple[float, int]:
-        best_val, best_i = 0.0, -1
-        for i, dm in enumerate(dmats):
-            mass = float(dens[dm < rho].sum()) / total
-            if mass > best_val:
-                best_val, best_i = mass, i
-        return best_val, best_i
-
     rho_grid = sorted(float(r) for r in rho_grid)
-    values = []
-    best_i = -1
-    for rho in rho_grid:
-        v, i = q_of(rho)
-        values.append(v)
-        if i >= 0:
-            best_i = i
-    rho_half = None
-    if values and values[-1] >= 0.5:
-        rho_half = min(_half_mass_radius(dens, dm, total) for dm in dmats)
-    center = tuple(map(float, h_samples[best_i])) if best_i >= 0 else None
+    values = np.zeros(len(rho_grid))
+    best = np.full(len(rho_grid), -1)
+    half = math.inf
+    for i, df in enumerate(distance_fields):
+        _check_aligned(df, u.domain)
+        order = np.argsort(df.values, axis=None, kind="stable")
+        dist = df.values.ravel()[order]
+        mass = np.cumsum(dens.ravel()[order])
+        # over its own last prefix, so that the whole lattice holds exactly 1
+        mass /= mass[-1]
+        inside = np.searchsorted(dist, rho_grid)
+        q = np.where(inside > 0, mass[inside - 1], 0.0)
+        # the first field to reach a value keeps it
+        better = q > values
+        values[better] = q[better]
+        best[better] = i
+        # mass is non-decreasing and ends at 1: the first node that reaches 1/2
+        half = min(half, float(dist[np.searchsorted(mass, 0.5)]))
+    values = values.tolist()
+    reached = best[best >= 0]
+    center = tuple(map(float, h_samples[reached[-1]])) if reached.size else None
+    rho_half = half if values and values[-1] >= 0.5 else None
     return ConcentrationDiagnostics(
         rho_grid, values, center, rho_half, 1.0 - (values[-1] if values else 0.0)
     )

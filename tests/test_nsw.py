@@ -20,7 +20,6 @@ from subriemann.nsw import (
     _has_perfect_matching,
     build_nsw,
     eval_lambda,
-    evaluation_table_csv,
     level_set_probe,
     nu_tilde,
     parse_domain_spec,
@@ -265,14 +264,6 @@ class TestEvaluation:
     def test_radius_must_be_positive(self, nsw_polys):
         with pytest.raises(ValueError):
             eval_lambda(nsw_polys["martinet"], [0, 0, 0], 0)
-
-    def test_csv_table(self, nsw_polys):
-        text = evaluation_table_csv(
-            nsw_polys["grushin-1-1-2"], [([Fraction(0), Fraction(0)], Fraction(1))]
-        )
-        lines = text.strip().splitlines()
-        assert lines[0] == "x1,x2,r,lambda"
-        assert lines[1].endswith(",24")
 
 
 class TestPointwiseNu:

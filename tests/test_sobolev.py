@@ -8,7 +8,7 @@ import pytest
 
 from subriemann import fixtures as fx
 from subriemann.fields import VectorField, VectorFieldSystem
-from subriemann.lattice import _COARSEST, LatticeError, _smoother_diagonal
+from subriemann.lattice import _COARSEST, HorizontalOperator, LatticeError, _smoother_diagonal
 from subriemann.metric import LatticeSpec, distance_field
 from subriemann.sobolev import (
     GridDomain,
@@ -309,9 +309,9 @@ class TestMultigrid:
     @pytest.mark.parametrize("case", sorted(MULTIGRID_CASES))
     def test_v_cycle_is_symmetric_positive_definite(self, case):
         make_system, dom = MULTIGRID_CASES[case]
-        system = make_system()
-        mg = dom.multigrid(system)
-        n = dom.horizontal_operator(system).free_index.size
+        op = dom.horizontal_operator(make_system())
+        mg = op.multigrid
+        n = op.free_index.size
         assert mg.levels and n > _COARSEST >= mg.coarse_inverse.shape[0]
         if case == "grushin-even":
             assert all(k % 2 == 0 for k in dom.shape)
@@ -330,7 +330,7 @@ class TestMultigrid:
     def test_coarse_levels_halve_the_grid(self):
         system = fx.euclidean(3)
         dom = GridDomain([(-8, 8)] * 3, 0.5)
-        mg = dom.multigrid(system)
+        mg = dom.horizontal_operator(system).multigrid
         # 31^3 free nodes; the coarse levels keep the 17^3, 9^3 and 5^3
         # even-index nodes that touch them, boundary nodes included
         assert [level[0].shape[0] for level in mg.levels] == [31 ** 3, 17 ** 3, 9 ** 3]
@@ -344,10 +344,11 @@ class TestMultigrid:
         system = fx.grushin()
         dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
         energy_report(system, bump(dom, [0, 0], 1.0), 2.0)
-        assert not dom._multigrid_cache
+        op = dom.horizontal_operator(system)
+        assert "multigrid" not in vars(op)
         minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=3, seed=0)
-        mg = dom.multigrid(system)
-        assert dom.multigrid(system) is mg
+        mg = vars(op)["multigrid"]
+        assert op.multigrid is mg
 
 
 class TestEnergyAndGradient:
@@ -392,6 +393,25 @@ class TestEnergyAndGradient:
         assert matrix_t.format == "csr" and (matrix_t != op.matrix.T).nnz == 0
         quotient.energy(x)
         assert quotient._matrix_t is matrix_t
+
+    def test_diagnostics_never_form_the_gram_matrix(self, monkeypatch):
+        system = fx.grushin()
+        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        u = bump(dom, [0, 0], 0.5)
+        horizontal_gradient(system, u)
+        ops = [dom.horizontal_operator(system)]
+        assemble = GridDomain.horizontal_operator
+
+        def recording(lattice, system):
+            op = assemble(lattice, system)
+            ops.append(op)
+            return op
+
+        # exponent_probe reads X_h on one dilated lattice per t
+        monkeypatch.setattr(GridDomain, "horizontal_operator", recording)
+        exponent_probe(system, None, 4.0, u, [1.0, 0.5, 0.1])
+        assert len(ops) == 4
+        assert not any("gram" in vars(op) for op in ops)
 
     @pytest.mark.parametrize("p", [1.3, 1.7, 2.0, 2.5])
     def test_gradient_matches_finite_differences(self, p):
@@ -631,18 +651,18 @@ class TestMinimize:
 
     @pytest.mark.parametrize("max_iter", [3, 800])
     def test_one_v_cycle_per_accepted_iteration(self, monkeypatch, max_iter):
-        built = GridDomain.multigrid
+        built = HorizontalOperator.multigrid.func
         calls = []
 
-        def counting(self, system):
-            mg = built(self, system)
+        def counting(self):
+            mg = built(self)
 
             def apply(r):
                 calls.append(r.size)
                 return mg(r)
             return apply
 
-        monkeypatch.setattr(GridDomain, "multigrid", counting)
+        monkeypatch.setattr(HorizontalOperator, "multigrid", property(counting))
         dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=max_iter,
                                 seed=0)
@@ -836,10 +856,13 @@ class TestLevyConcentration:
         # quantized in tau = 0.2, which pushes the value upward
         assert 0.1 < diag.rho_half <= 0.45
         assert diag.best_center == (0.0, 0.0)
+        dens = np.abs(u.values) ** 4.0
+        # Q(rho) is the mass at d < rho, summed here in another order
+        for rho, val in zip(diag.rho_grid, vals):
+            assert val == pytest.approx(dens[df.values < rho].sum() / dens.sum(), rel=1e-12)
         # exactly the smallest node distance whose closed ball holds half of |u|^4
         rho = diag.rho_half
         assert rho in set(df.values.ravel().tolist())
-        dens = np.abs(u.values) ** 4.0
         assert dens[df.values <= rho].sum() >= 0.5 * dens.sum()
         assert dens[df.values < rho].sum() < 0.5 * dens.sum()
 
