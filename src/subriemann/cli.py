@@ -353,27 +353,26 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+    def csv_out(p):
+        p.add_argument("--out", default=None, help="CSV output file (default: stdout)")
 
     p = sub.add_parser("analyze", help="hypothesis checks, Q, bracket basis, nu table")
     p.add_argument("system")
     p.add_argument("--points", help="CSV of rational sample points for the nu table")
     p.add_argument("--json", help="write the JSON report here")
-    common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("nu", help="pointwise homogeneous dimension at sample points")
     p.add_argument("system")
     p.add_argument("--points", required=True)
-    common(p)
+    csv_out(p)
     p.set_defaults(func=cmd_nu)
 
     p = sub.add_parser("nsw", help="ball-volume polynomial dump and evaluation")
     p.add_argument("system")
     p.add_argument("--json", help="write the polynomial JSON here")
     p.add_argument("--eval", help="CSV of x...,r rows to evaluate")
-    common(p)
+    csv_out(p)
     p.set_defaults(func=cmd_nsw)
 
     def lattice_opts(p):
@@ -390,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument("--source", required=True)
     lattice_opts(p)
     p.add_argument("--query", help="CSV of target points (default: dump all nodes)")
-    common(p)
+    csv_out(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("ballvol", help="subunit ball volume estimates")
@@ -398,7 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument("--center", required=True)
     p.add_argument("--radii", required=True)
     lattice_opts(p)
-    common(p)
+    csv_out(p)
     p.set_defaults(func=cmd_ballvol)
 
     p = sub.add_parser("growth", help="volume-growth exponent scan (Lambda proxy)")
@@ -406,14 +405,13 @@ def build_parser() -> _Parser:
     p.add_argument("--domain", required=True)
     p.add_argument("--kappa", required=True)
     p.add_argument("--plan", help="CSV of x...,r evaluation rows")
-    common(p)
+    csv_out(p)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify-auto", help="certify a transitive automorphism family")
     p.add_argument("system")
     p.add_argument("family")
     p.add_argument("--pairs", help="CSV rows p...,q... of level-set sample pairs")
-    common(p)
     p.set_defaults(func=cmd_verify_auto)
 
     p = sub.add_parser("probe-exponent", help="R(t) scaling probe for one kappa")
@@ -422,7 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t", required=True, help="comma-separated t values")
     p.add_argument("--box", required=True)
     p.add_argument("--spacing", required=True)
-    common(p)
+    csv_out(p)
     p.set_defaults(func=cmd_probe_exponent)
 
     p = sub.add_parser("sobolev", help="minimize the discrete Sobolev quotient")
@@ -440,7 +438,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", help="write the per-iterate quotient CSV here")
     p.add_argument("--dump-grid", help="write the raw minimizer grid (little-endian f8)")
     p.add_argument("--seed", type=int, default=0, help="seed of the random starts")
-    common(p)
     p.set_defaults(func=cmd_sobolev)
 
     return parser

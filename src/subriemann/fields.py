@@ -95,20 +95,26 @@ class VectorField:
 
 
 def lie_bracket(Y: VectorField, Z: VectorField) -> VectorField:
-    """[Y, Z], computed exactly."""
+    """[Y, Z], computed exactly.
+
+    Component k is sum_i Y_i * d_i Z_k - Z_i * d_i Y_k.  A product is
+    skipped when its field coefficient is zero or its differentiated
+    coefficient does not depend on x_i, since it would add nothing.
+    """
     if Y.dim != Z.dim:
         raise FieldError(f"dimension mismatch: {Y.dim} vs {Z.dim}")
     n = Y.dim
     comps = []
     for k in range(n):
         acc = Polynomial.zero(n)
+        Yk, Zk = Y.coeffs[k], Z.coeffs[k]
         for i in range(1, n + 1):
             b = Y.coeffs[i - 1]
             c = Z.coeffs[i - 1]
-            if not b.is_zero():
-                acc = acc + b * Z.coeffs[k].partial(i)
-            if not c.is_zero():
-                acc = acc - c * Y.coeffs[k].partial(i)
+            if not b.is_zero() and Zk.degree_in(i) > 0:
+                acc = acc + b * Zk.partial(i)
+            if not c.is_zero() and Yk.degree_in(i) > 0:
+                acc = acc - c * Yk.partial(i)
         comps.append(acc)
     return VectorField(comps)
 

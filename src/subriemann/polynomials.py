@@ -10,6 +10,7 @@ which makes structural equality a canonical-form comparison.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -21,6 +22,21 @@ class PolynomialError(ValueError):
 
 def _grlex_key(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), exponents)
+
+
+def _clean(dim: int, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+    """Wrap terms that already meet the invariants, skipping ``__init__``.
+
+    The caller guarantees ``dim``-length exponent tuples of non-negative
+    ints, each mapped to a nonzero ``Fraction``.
+    """
+    res = Polynomial.__new__(Polynomial)
+    res.dim = dim
+    res.terms = terms
+    return res
+
+
+_ZERO = Fraction(0)
 
 
 class Polynomial:
@@ -46,7 +62,7 @@ class Polynomial:
                     raise PolynomialError(f"negative exponent in {exps}")
                 c = Fraction(coeff)
                 if c != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
+                    clean[exps] = clean.get(exps, _ZERO) + c
                     if clean[exps] == 0:
                         del clean[exps]
         self.terms = clean
@@ -98,34 +114,30 @@ class Polynomial:
         if self.dim != other.dim:
             raise PolynomialError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other) -> "Polynomial":
+    def _combine(self, other, op) -> "Polynomial":
+        """``op(self, other)`` for ``op`` = ``operator.add`` or ``operator.sub``, in one pass."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.dim, other)
         self._check_dim(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = op(out.get(e, _ZERO), c)
             if s == 0:
                 out.pop(e, None)
             else:
                 out[e] = s
-        res = Polynomial.__new__(Polynomial)
-        res.dim = self.dim
-        res.terms = out
-        return res
+        return _clean(self.dim, out)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res.dim = self.dim
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _clean(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.dim, other)
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -135,24 +147,18 @@ class Polynomial:
             c = Fraction(other)
             if c == 0:
                 return Polynomial.zero(self.dim)
-            res = Polynomial.__new__(Polynomial)
-            res.dim = self.dim
-            res.terms = {e: k * c for e, k in self.terms.items()}
-            return res
+            return _clean(self.dim, {e: k * c for e, k in self.terms.items()})
         self._check_dim(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, _ZERO) + c1 * c2
                 if s == 0:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        res = Polynomial.__new__(Polynomial)
-        res.dim = self.dim
-        res.terms = out
-        return res
+        return _clean(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -192,7 +198,7 @@ class Polynomial:
             ne = list(e)
             ne[j - 1] = k - 1
             out[tuple(ne)] = c * k
-        return Polynomial(self.dim, out)
+        return _clean(self.dim, out)
 
     def eval(self, point: Sequence) -> Fraction:
         """Exact evaluation at a rational point.
@@ -304,7 +310,7 @@ class Polynomial:
             ne[j - 1] = 0
             ne = tuple(ne)
             add = c * v ** k if k else c
-            s = out.get(ne, Fraction(0)) + add
+            s = out.get(ne, _ZERO) + add
             if s == 0:
                 out.pop(ne, None)
             else:
@@ -388,7 +394,7 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
                 except ValueError as exc:
                     raise PolynomialError(f"bad factor {factor!r} in {text!r}") from exc
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, _ZERO) + coeff
     return Polynomial(dim, terms)
 
 

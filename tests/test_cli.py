@@ -267,6 +267,22 @@ class TestUsageAndErrors:
     def test_seed_kept_where_read(self, argv):
         assert build_parser().parse_args([*argv, "--seed", "7"]).seed == 7
 
+    # these three write no CSV (sobolev's CSV is --trace), so --out would
+    # be accepted and ignored; the parser rejects it instead
+    @pytest.mark.parametrize("argv", [
+        ("analyze", vf("heisenberg1.vf")),
+        ("verify-auto", vf("grushin-1-1-2.vf"), str(fixture_path("grushin-1-1-2.family"))),
+        ("sobolev", vf("grushin-1-1-2.vf"), "--box=-3,3;-3,3", "--spacing", "0.375",
+         "--max-iter", "2", "--starts", "1"),
+    ], ids=["analyze", "verify-auto", "sobolev"])
+    def test_out_only_where_a_csv_is_written(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --out" in json.loads(err)["message"]
+        assert not out_file.exists()
+
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

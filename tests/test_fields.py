@@ -26,7 +26,7 @@ from subriemann.fields import (
 )
 from subriemann.polynomials import Polynomial, parse_polynomial
 
-from test_polynomials import random_poly, random_point
+from test_polynomials import assert_invariants, partial_var_poly, random_poly, random_point
 
 
 def reference_rank(vectors):
@@ -134,6 +134,39 @@ class TestLieBracket:
             lhs = lie_bracket(y, z).apply(f)
             rhs = y.apply(z.apply(f)) - z.apply(y.apply(f))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_result_meets_the_polynomial_invariants(self, dim):
+        # coefficients that omit variables exercise the skipped products;
+        # the reference is the textbook sum, built only through the
+        # validating constructor
+        def reference(y, z):
+            comps = []
+            for k in range(dim):
+                acc = {}
+                for i in range(dim):
+                    for sign, a, b in ((1, y, z), (-1, z, y)):
+                        for ea, ca in a.coeffs[i].terms.items():
+                            for eb, cb in b.coeffs[k].terms.items():
+                                if eb[i]:
+                                    e = tuple(s + t - (j == i) for j, (s, t)
+                                              in enumerate(zip(ea, eb)))
+                                    acc[e] = acc.get(e, Fraction(0)) + sign * ca * cb * eb[i]
+                comps.append(Polynomial(dim, acc))
+            return comps
+
+        rng = random.Random(200 + dim)
+        for _ in range(15):
+            y = VectorField([partial_var_poly(rng, dim, max_terms=3, max_deg=2)
+                             for _ in range(dim)])
+            z = VectorField([partial_var_poly(rng, dim, max_terms=3, max_deg=2)
+                             for _ in range(dim)])
+            for a, b in ((y, z), (z, y), (y, y)):
+                bracket = lie_bracket(a, b)
+                for comp, ref in zip(bracket.coeffs, reference(a, b)):
+                    assert_invariants(comp, dim)
+                    assert comp == ref
+            assert lie_bracket(y, y).is_zero()
 
     def test_coordinate_fields_commute(self):
         a = VectorField.coordinate(3, 1)

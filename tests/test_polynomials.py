@@ -29,6 +29,25 @@ def random_point(rng, dim, max_num=6):
     return [Fraction(rng.randint(-max_num, max_num), rng.randint(1, 5)) for _ in range(dim)]
 
 
+def partial_var_poly(rng, dim, max_terms=4, max_deg=3):
+    """A random polynomial in a random proper subset of the variables."""
+    live = set(rng.sample(range(dim), rng.randint(0, dim - 1)))
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) if j in live else 0 for j in range(dim))
+        terms[e] = terms.get(e, Fraction(0)) + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Polynomial(dim, terms)
+
+
+def assert_invariants(p, dim):
+    """What ``Polynomial.__init__`` guarantees, checked on any result."""
+    assert p.dim == dim
+    for e, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == dim
+        assert all(type(k) is int and k >= 0 for k in e)
+
+
 def leibniz_det(mat):
     """Reference determinant: the signed sum over all permutations."""
     n = len(mat)
@@ -121,6 +140,35 @@ class TestArithmetic:
             b = random_poly(rng, dim)
             j = rng.randint(1, dim)
             assert (a * b).partial(j) == a.partial(j) * b + a * b.partial(j)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_partial_and_difference_meet_the_invariants(self, dim):
+        # both skip the validating constructor; the references use only it
+        rng = random.Random(100 + dim)
+        for _ in range(30):
+            a = partial_var_poly(rng, dim)
+            b = partial_var_poly(rng, dim)
+            for j in range(1, dim + 1):
+                d = a.partial(j)
+                assert_invariants(d, dim)
+                ref = {e[:j - 1] + (e[j - 1] - 1,) + e[j:]: c * e[j - 1]
+                       for e, c in a.terms.items() if e[j - 1]}
+                assert d == Polynomial(dim, ref)
+            const = a.terms.get((0,) * dim, Fraction(0))
+            for other in (b, a, 3, Fraction(1, 2), const):
+                diff = a - other
+                assert_invariants(diff, dim)
+                if not isinstance(other, Polynomial):
+                    other = Polynomial(dim, {(0,) * dim: other})
+                ref = dict(a.terms)
+                for e, c in other.terms.items():
+                    ref[e] = ref.get(e, Fraction(0)) - c
+                assert diff == Polynomial(dim, ref)
+            assert (a - a).is_zero()
+            assert (a - const).terms.get((0,) * dim) is None
+        three = Polynomial.constant(dim, 3) + Polynomial.variable(dim, 1)
+        assert three - 3 == Polynomial.variable(dim, 1)
+        assert_invariants(three - 3, dim)
 
     def test_constant_and_zero_predicates(self):
         z = Polynomial.zero(2)
