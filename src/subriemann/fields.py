@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import Polynomial, format_polynomial, parse_polynomial
+from .polynomials import Polynomial, _add_products, _clean, format_polynomial, parse_polynomial
 
 
 class FieldError(ValueError):
@@ -77,6 +77,8 @@ class VectorField:
         return VectorField([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, scalar) -> "VectorField":
+        if not isinstance(scalar, (Polynomial, int, Fraction)):
+            return NotImplemented
         return VectorField([c * scalar for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -97,25 +99,27 @@ class VectorField:
 def lie_bracket(Y: VectorField, Z: VectorField) -> VectorField:
     """[Y, Z], computed exactly.
 
-    Component k is sum_i Y_i * d_i Z_k - Z_i * d_i Y_k.  A product is
-    skipped when its field coefficient is zero or its differentiated
-    coefficient does not depend on x_i, since it would add nothing.
+    Component k is sum_i Y_i * d_i Z_k + Z_i * (-d_i Y_k), added into one
+    term dict by ``Polynomial.__mul__``'s kernel; zero sums are dropped
+    once at the end.  A product is skipped when its field coefficient is
+    zero or its differentiated coefficient does not depend on x_i, since
+    it would add nothing.
     """
     if Y.dim != Z.dim:
         raise FieldError(f"dimension mismatch: {Y.dim} vs {Z.dim}")
     n = Y.dim
     comps = []
     for k in range(n):
-        acc = Polynomial.zero(n)
+        out: dict[tuple[int, ...], Fraction] = {}
         Yk, Zk = Y.coeffs[k], Z.coeffs[k]
         for i in range(1, n + 1):
-            b = Y.coeffs[i - 1]
-            c = Z.coeffs[i - 1]
-            if not b.is_zero() and Zk.degree_in(i) > 0:
-                acc = acc + b * Zk.partial(i)
-            if not c.is_zero() and Yk.degree_in(i) > 0:
-                acc = acc - c * Yk.partial(i)
-        comps.append(acc)
+            b = Y.coeffs[i - 1].terms
+            c = Z.coeffs[i - 1].terms
+            if b and Zk.degree_in(i) > 0:
+                _add_products(out, b, Zk.partial(i).terms)
+            if c and Yk.degree_in(i) > 0:
+                _add_products(out, c, (-Yk.partial(i)).terms)
+        comps.append(_clean(n, {e: v for e, v in out.items() if v}))
     return VectorField(comps)
 
 

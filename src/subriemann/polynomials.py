@@ -2,10 +2,12 @@
 
 Coefficients are `fractions.Fraction` throughout, and `eval` converts a
 float coordinate to its exact `Fraction`; floating point never enters
-this layer (`lattice.eval_grid` evaluates on floats), so sign and
-vanishing decisions are exact.  Monomials
-are stored sparsely as a map from exponent tuples to nonzero coefficients,
-which makes structural equality a canonical-form comparison.
+this layer (`lattice.eval_grid` evaluates on floats, and a float operand
+of `+`, `-` or `*` is a `TypeError`), so sign and vanishing decisions are
+exact.  Monomials are stored sparsely as a map from exponent tuples to
+nonzero coefficients, which makes structural equality a canonical-form
+comparison.  Products and `fields.lie_bracket` share one kernel,
+`_add_products`; its callers drop the sums that cancelled to zero.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ def _clean(dim: int, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
 
 
 _ZERO = Fraction(0)
+
+
+def _add_products(out: dict, f_terms: Mapping, g_terms: Mapping) -> None:
+    """Add c1*c2 at e1 + e2 into ``out``; zero sums stay for the caller to drop."""
+    for e1, c1 in f_terms.items():
+        for e2, c2 in g_terms.items():
+            e = tuple(map(operator.add, e1, e2))
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
 
 
 class Polynomial:
@@ -118,6 +129,8 @@ class Polynomial:
         """``op(self, other)`` for ``op`` = ``operator.add`` or ``operator.sub``, in one pass."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.dim, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_dim(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -140,29 +153,31 @@ class Polynomial:
         return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        return (-self) + other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __mul__(self, other) -> "Polynomial":
+        """Exact product with an ``int``, a ``Fraction`` or a polynomial.
+
+        A polynomial goes through ``_add_products``, and the sums that
+        cancelled are dropped once; any other operand is a ``TypeError``.
+        """
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
                 return Polynomial.zero(self.dim)
             return _clean(self.dim, {e: k * c for e, k in self.terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_dim(other)
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return _clean(self.dim, out)
+        _add_products(out, self.terms, other.terms)
+        return _clean(self.dim, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        if not isinstance(k, int):
+            raise PolynomialError(f"exponent must be an int, not {type(k).__name__}")
         if k < 0:
             raise PolynomialError("negative power")
         out = Polynomial.constant(self.dim, 1)

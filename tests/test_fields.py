@@ -135,6 +135,21 @@ class TestLieBracket:
             rhs = y.apply(z.apply(f)) - z.apply(y.apply(f))
             assert lhs == rhs
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_bracket_with_a_multiple_is_a_multiple(self, dim):
+        # [Y, fY] = (Yf) Y: the f Y_i d_i Y_k products cancel inside the
+        # fused bracket; Yf comes from the independent VectorField.apply
+        rng = random.Random(400 + dim)
+        for _ in range(15):
+            y = VectorField([partial_var_poly(rng, dim, max_terms=3, max_deg=2)
+                             for _ in range(dim)])
+            f = partial_var_poly(rng, dim)
+            bracket = lie_bracket(y, y * f)
+            for comp in bracket.coeffs:
+                assert_invariants(comp, dim)
+            assert bracket == y * y.apply(f)
+            assert lie_bracket(y * f, y) == -bracket
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_result_meets_the_polynomial_invariants(self, dim):
         # coefficients that omit variables exercise the skipped products;

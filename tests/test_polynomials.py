@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from subriemann.fields import VectorField
 from subriemann.polynomials import (
     Polynomial,
     PolynomialError,
@@ -169,6 +170,59 @@ class TestArithmetic:
         three = Polynomial.constant(dim, 3) + Polynomial.variable(dim, 1)
         assert three - 3 == Polynomial.variable(dim, 1)
         assert_invariants(three - 3, dim)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_products_meet_the_invariants(self, dim):
+        # the product kernel stores first products directly and leaves
+        # cancelled sums for __mul__ to drop; the reference uses only the
+        # validating constructor
+        def reference(a, b):
+            ref = {}
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    e = tuple(s + t for s, t in zip(e1, e2))
+                    ref[e] = ref.get(e, Fraction(0)) + c1 * c2
+            return Polynomial(dim, ref)
+
+        x1 = Polynomial.variable(dim, 1)
+        x2 = Polynomial.variable(dim, 2)
+        cube_sum = Polynomial(dim, {(3,) + (0,) * (dim - 1): 1,
+                                    (0, 3) + (0,) * (dim - 2): 1})
+        squares = Polynomial(dim, {(2,) + (0,) * (dim - 1): 1,
+                                   (0, 2) + (0,) * (dim - 2): -1})
+        pairs = [(x1 + x2, x1 - x2), (x1 + x2, x1 * x1 - x1 * x2 + x2 * x2)]
+        assert pairs[0][0] * pairs[0][1] == squares
+        assert pairs[1][0] * pairs[1][1] == cube_sum
+        rng = random.Random(300 + dim)
+        pairs += [(partial_var_poly(rng, dim), partial_var_poly(rng, dim))
+                  for _ in range(30)]
+        for a, b in pairs:
+            for left, right in ((a, b), (b, a), (a, a), (a, -a)):
+                prod = left * right
+                assert_invariants(prod, dim)
+                assert prod == reference(left, right)
+            for c in (0, 3, Fraction(1, 2)):
+                ref = Polynomial(dim, {e: v * c for e, v in a.terms.items()})
+                for prod in (a * c, c * a):
+                    assert_invariants(prod, dim)
+                    assert prod == ref
+            assert (a * Polynomial.zero(dim)).is_zero()
+
+    def test_non_exact_operands_are_type_errors(self):
+        # floats (and other non-rationals) never enter the exact layer
+        p = Polynomial.variable(2, 1) + 1
+        for bad in (lambda: p * 0.5, lambda: 0.5 * p, lambda: p + 0.5,
+                    lambda: 0.5 + p, lambda: p - 0.5, lambda: 0.5 - p,
+                    lambda: p * "a", lambda: VectorField([p, p]) * 0.5):
+            with pytest.raises(TypeError, match="Polynomial|VectorField"):
+                bad()
+        with pytest.raises(PolynomialError, match="int"):
+            p ** 1.5
+        assert (p == 0.5) is False
+        assert p != 0.5
+        half = Fraction(1, 2)
+        assert p * half == half * p == Polynomial(2, {(1, 0): half, (0, 0): half})
+        assert 2 - p == Polynomial(2, {(1, 0): -1, (0, 0): 1})
 
     def test_constant_and_zero_predicates(self):
         z = Polynomial.zero(2)
