@@ -4,17 +4,34 @@ Provides Lie brackets, dilation-homogeneity verification of a system
 (per-field coefficient criterion), exact Hormander rank checks at the
 origin, enumeration of right-nested commutators, and per-point flag data
 (step dimensions, weights, pointwise homogeneous dimension).
+
+Every rank decision (``flag_at``, ``check_h2``, ``rational_rank``) is
+made over the integers, by one fraction-free echelon, ``_echelon_add``.
+``flag_at`` evaluates each basis entry as an integer row through the
+integer point evaluator of ``polynomials`` (``_point_powers``), the one
+that Lambda and nu use in ``nsw``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .polynomials import Polynomial, _add_products, _clean, format_polynomial, parse_polynomial
+from .polynomials import (
+    Polynomial,
+    _add_products,
+    _clean,
+    _integer_point,
+    _monomial_values,
+    _point_powers,
+    format_polynomial,
+    parse_polynomial,
+)
 
 
 class FieldError(ValueError):
@@ -236,6 +253,45 @@ class CommutatorBasis:
             out[e.degree] = out.get(e.degree, 0) + 1
         return out
 
+    @cached_property
+    def _integer_rows(self):
+        """(degrees, top, rows): each entry of degree 1..alpha_n as an integer row form.
+
+        Rows are (degree, monomials, comps), stably sorted by degree.  With
+        L the lcm of an entry's coefficient denominators and T its top
+        total degree, ``monomials`` lists its distinct monomials as
+        (T - |e|, nonzero exponents) and ``comps`` pairs each nonzero
+        component k with its terms (L * c, monomial index).  At x = a / D,
+        component k is then the integer sum L * c * a^e * D^(T - |e|) =
+        L * D^T * b_k(x): every component of a row shares the positive
+        factor L * D^T, so ranks are those of the values.  (Scaling each
+        component by its own D power would change them.)  ``degrees`` holds
+        the highest power of each coordinate and ``top`` the largest T:
+        the powers of a_j and D that ``flag_at`` prepares once per point.
+        """
+        rows = []
+        top = 0
+        degrees = [0] * self.system.dim
+        for entry in sorted(self.entries, key=lambda e: e.degree):
+            if not 1 <= entry.degree <= self.system.weights[-1]:
+                continue
+            coeffs = [c.terms for c in entry.vf.coeffs]
+            scale = math.lcm(*(c.denominator for terms in coeffs for c in terms.values()))
+            t = max(sum(e) for terms in coeffs for e in terms)
+            top = max(top, t)
+            index: dict[tuple[int, ...], int] = {}
+            comps = tuple(
+                (k, tuple((int(c * scale), index.setdefault(e, len(index)))
+                          for e, c in terms.items()))
+                for k, terms in enumerate(coeffs) if terms
+            )
+            monomials = tuple(
+                (t - sum(e), tuple((j, p) for j, p in enumerate(e) if p)) for e in index
+            )
+            degrees = [max(column) for column in zip(degrees, *index)]
+            rows.append((entry.degree, monomials, comps))
+        return degrees, top, tuple(rows)
+
     def canonical_degrees(self) -> dict[int, int]:
         """Entry counts per degree after identifying Y with -Y."""
         seen: set = set()
@@ -286,32 +342,54 @@ def enumerate_commutators(system: VectorFieldSystem, max_length: int | None = No
     return CommutatorBasis(system, entries)
 
 
-def _echelon_add(rows: list[tuple[int, list[Fraction]]], vector) -> bool:
-    """Grow an echelon basis over Q by one vector; True if it was new.
+def _echelon_add(rows: list[tuple[int, list[int]]], vector: list[int]) -> bool:
+    """Grow a fraction-free echelon basis by one integer vector; True if it was new.
 
-    ``rows`` holds (pivot column, row) pairs with a 1 at the pivot and 0
-    at the pivot columns of earlier rows.  The vector, a list of
-    Fractions, is reduced against them in order; if anything is left it
-    is scaled to a 1 at its first nonzero entry and appended.
+    ``rows`` holds (pivot column, row) pairs of primitive integer rows,
+    each zero at the pivot columns of the rows before it.  The vector is
+    reduced against them in order: by a row whose pivot entry is p,
+    v <- p*v - v[col]*row (both factors first divided by their gcd),
+    which zeroes v[col] without leaving the integers, and v is then
+    divided by the gcd of its entries (Bareiss, Math. Comp. 22, 1968,
+    keeps the entries small the same way).  If anything is left, it is
+    appended, pivoted at its first nonzero entry; the caller passes a
+    fresh list, which may become that row.  Every rank decision in the
+    exact layer is made here, over the integers: ``flag_at``'s rows come
+    from the point evaluator that Lambda and nu share, and the other
+    callers clear denominators with its ``_integer_point``.
     """
-    v = list(vector)
+    v = vector
     for col, row in rows:
         c = v[col]
         if c:
-            v = [a - c * b if b else a for a, b in zip(v, row)]
+            p = row[col]
+            g = math.gcd(p, c)
+            if g > 1:
+                p //= g
+                c //= g
+            v = [p * a - c * b if b else p * a for a, b in zip(v, row)]
+            g = math.gcd(*v)
+            if g > 1:
+                v = [a // g for a in v]
     pivot = next((j for j, a in enumerate(v) if a), None)
     if pivot is None:
         return False
-    inv = v[pivot]
-    rows.append((pivot, [a / inv if a else a for a in v]))
+    g = math.gcd(*v)
+    rows.append((pivot, [a // g for a in v] if g > 1 else v))
     return True
 
 
 def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a list of rational vectors, by exact elimination."""
+    """Rank over Q of a list of rational vectors, decided over the integers.
+
+    Each vector is multiplied by the lcm of its denominators (floats are
+    taken at their exact value) by ``polynomials._integer_point``, the
+    helper that also writes query points over one denominator for
+    flags, Lambda and nu, and grows one fraction-free echelon.
+    """
     rows: list = []
     for v in vectors:
-        _echelon_add(rows, [Fraction(x) for x in v])
+        _echelon_add(rows, _integer_point(v)[0])
     return len(rows)
 
 
@@ -332,9 +410,13 @@ class H2Report:
 def check_h2(system: VectorFieldSystem, basis: CommutatorBasis | None = None) -> H2Report:
     """Hormander condition at the origin plus generator independence.
 
-    One elimination runs over the basis values at the origin, in basis
-    order: its rank is the rank at 0, and each entry that adds a new
-    direction is counted under its degree in ``spanning_degrees``.
+    One fraction-free elimination (``_echelon_add``) runs over the basis
+    values at the origin, in basis order, with each value's denominators
+    cleared by ``_integer_point`` (the helper of the point evaluator
+    that flags, Lambda and nu share): its rank is the rank at 0, and each
+    entry that adds a new direction is counted under its degree in
+    ``spanning_degrees``.  The generators' coefficient rows are ranked
+    the same way, over the integers.
     """
     if basis is None:
         basis = enumerate_commutators(system)
@@ -342,7 +424,7 @@ def check_h2(system: VectorFieldSystem, basis: CommutatorBasis | None = None) ->
     rows: list = []
     degrees: dict[int, int] = {}
     for e in basis:
-        if _echelon_add(rows, e.vf.at(origin)):
+        if _echelon_add(rows, _integer_point(e.vf.at(origin))[0]):
             degrees[e.degree] = degrees.get(e.degree, 0) + 1
     rank = len(rows)
     # symbolic linear independence of X_1..X_m: rank of the coefficient matrix
@@ -375,26 +457,33 @@ def flag_at(basis: CommutatorBasis, point) -> FlagData:
     """Exact flag dimensions, weights, and nu(x) at a rational point.
 
     nu_j(x) is the rank of the basis values of degree <= j at x.  One
-    elimination runs over the degree blocks in order, and entries are
-    no longer evaluated once the rank reaches n.
+    fraction-free elimination runs over the degree blocks in order, and
+    entries are no longer evaluated once the rank reaches n.  Each entry
+    is evaluated as its integer row (``CommutatorBasis._integer_rows``), a
+    positive multiple of its value, by the same integer point evaluator
+    that Lambda and nu use in ``nsw``, so the flag is decided over the
+    integers.
     """
     system = basis.system
     n = system.dim
     pt = tuple(Fraction(v) for v in point)
     if len(pt) != n:
         raise FieldError("point dimension mismatch")
-    max_deg = system.weights[-1]
-    by_degree: dict[int, list[BasisEntry]] = {}
-    for e in basis:
-        by_degree.setdefault(e.degree, []).append(e)
-    nu_j = []
+    degrees, top, flag_rows = basis._integer_rows
+    powers = _point_powers(pt, degrees, top)
+    nu_j = [0] * system.weights[-1]
     rows: list = []
-    for j in range(1, max_deg + 1):
-        for e in by_degree.get(j, []):
-            if len(rows) == n:
-                break
-            _echelon_add(rows, e.vf.at(pt))
-        nu_j.append(len(rows))
+    for degree, monomials, comps in flag_rows:
+        if len(rows) == n:
+            break
+        values = _monomial_values(monomials, powers)
+        row = [0] * n
+        for k, terms in comps:
+            row[k] = sum(c * values[i] for c, i in terms)
+        if _echelon_add(rows, row):
+            nu_j[degree - 1] += 1
+    for j in range(1, len(nu_j)):
+        nu_j[j] += nu_j[j - 1]
     if nu_j[-1] != n:
         raise FieldError(f"flag does not reach full rank at {pt}; Hormander fails there")
     step = next(j for j, r in enumerate(nu_j, start=1) if r == n)

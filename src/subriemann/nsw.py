@@ -11,7 +11,10 @@ form of each degree slot, built once with the polynomial: most lambda_I
 are rational multiples of one another, and |c p(x)| = |c| |p(x)|, so a
 slot is a short sum of weights times |primitive integer polynomial|.  A
 query clears the point's common denominator, evaluates each distinct
-monomial once in integers and builds one Fraction at the end.
+monomial once in integers and builds one Fraction at the end.  The
+integer point evaluator is the one in ``polynomials`` that
+``fields.flag_at`` uses for its rows too, so Lambda, nu and the flag are
+all decided over the integers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .fields import CommutatorBasis, FieldError, spec_lines
-from .polynomials import Polynomial, PolynomialError, format_polynomial, poly_det
+from .polynomials import (
+    Polynomial,
+    PolynomialError,
+    _monomial_values,
+    _point_powers,
+    format_polynomial,
+    poly_det,
+)
 
 DEFAULT_TUPLE_CAP = 2_000_000
 
@@ -102,6 +112,7 @@ class BallPolynomial:
             ]
         # x^e * D^(top - |e|) is an integer for x = a / D and every monomial
         self._top = max(sum(e) for e in index)
+        self._degrees = [max(e[j] for e in index) for j in range(self.n)]
         self._monomials = [
             (self._top - sum(e), tuple((j, k) for j, k in enumerate(e) if k))
             for e in index
@@ -110,20 +121,14 @@ class BallPolynomial:
     def _point_values(self, x) -> tuple[list[int], int]:
         """x^e * D^(top - |e|) for each monomial, in integers, and D^top.
 
-        D is the common denominator of the point's coordinates.
+        D is the common denominator of the point's coordinates; the
+        values come from the integer point evaluator that ``flag_at``
+        uses too.
         """
-        pt = [Fraction(v) for v in x]
-        if len(pt) != self.n:
-            raise PolynomialError(f"point length {len(pt)} != dimension {self.n}")
-        d = math.lcm(*(v.denominator for v in pt))
-        a = [v.numerator * (d // v.denominator) for v in pt]
-        values = []
-        for deficit, factors in self._monomials:
-            v = d ** deficit
-            for j, k in factors:
-                v *= a[j] ** k
-            values.append(v)
-        return values, d ** self._top
+        if len(x) != self.n:
+            raise PolynomialError(f"point length {len(x)} != dimension {self.n}")
+        powers = _point_powers(x, self._degrees, self._top)
+        return _monomial_values(self._monomials, powers), powers[1][self._top]
 
     def _slot_sum(self, k: int, values: list[int]) -> int:
         """scale * D^top * f_k(x), an integer."""
@@ -205,8 +210,9 @@ def build_nsw(
     skipped without computing one (most combinations of the larger
     systems are of this kind).  ``poly_det`` drops zero minors too, but
     only after building them: on the 13 systems of the ``exact``
-    benchmark the build takes about 0.2 s with this filter and about
-    0.55 s without it.
+    benchmark the build takes 0.12-0.24 s with this filter and
+    0.34-0.62 s without it (medians of 7, in fast and slow phases of a
+    shared 2-vCPU host).
     """
     system = basis.system
     n = system.dim

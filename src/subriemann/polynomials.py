@@ -8,10 +8,17 @@ exact.  Monomials are stored sparsely as a map from exponent tuples to
 nonzero coefficients, which makes structural equality a canonical-form
 comparison.  Products and `fields.lie_bracket` share one kernel,
 `_add_products`; its callers drop the sums that cancelled to zero.
+
+Point queries that decide a rank or a sign (`fields.flag_at`, and
+Lambda and nu in `nsw`) do not evaluate in Fractions: they write the
+point as x = a / D over one common denominator (`_integer_point`) and
+evaluate monomials as integers x^e D^(T - |e|) from powers computed once
+per point (`_point_powers`, `_monomial_values`).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -48,6 +55,55 @@ def _add_products(out: dict, f_terms: Mapping, g_terms: Mapping) -> None:
             e = tuple(map(operator.add, e1, e2))
             s = out.get(e)
             out[e] = c1 * c2 if s is None else s + c1 * c2
+
+
+def _integer_point(point) -> tuple[list[int], int]:
+    """Numerators a and common denominator D > 0 with x = a / D.
+
+    D is the lcm of the coordinates' denominators.  ``int`` and
+    ``Fraction`` coordinates are used as they are; any other (a float, a
+    decimal string) goes through ``Fraction`` first.  The caller checks
+    the point's length and raises its own error.
+    """
+    pt = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in point]
+    d = math.lcm(*(v.denominator for v in pt))
+    return [v.numerator * (d // v.denominator) for v in pt], d
+
+
+def _point_powers(point, degrees: Sequence[int], top: int) -> tuple[list[list[int]], list[int]]:
+    """a_j^k for k <= degrees[j] and D^k for k <= top, with x = a / D.
+
+    The point is split as in ``_integer_point``; ``degrees`` holds the
+    highest power of each coordinate that the caller's monomials use.
+    """
+    a, d = _integer_point(point)
+    pa = []
+    for v, deg in zip(a, degrees):
+        p = [1]
+        for _ in range(deg):
+            p.append(p[-1] * v)
+        pa.append(p)
+    pd = [1]
+    for _ in range(top):
+        pd.append(pd[-1] * d)
+    return pa, pd
+
+
+def _monomial_values(monomials, powers) -> list[int]:
+    """x^e * D^deficit in integers for each monomial (deficit, ((j, e_j), ...)).
+
+    ``powers`` is ``_point_powers`` of the point; the factors list the
+    nonzero exponents only, with 0-based j.  For a form of top total
+    degree T, deficit = T - |e| gives every monomial the same factor D^T.
+    """
+    pa, pd = powers
+    out = []
+    for deficit, factors in monomials:
+        v = pd[deficit]
+        for j, k in factors:
+            v *= pa[j][k]
+        out.append(v)
+    return out
 
 
 class Polynomial:

@@ -24,7 +24,8 @@ from subriemann.fields import (
     parse_system,
     rational_rank,
 )
-from subriemann.polynomials import Polynomial, parse_polynomial
+from subriemann.nsw import build_nsw, pointwise_nu
+from subriemann.polynomials import Polynomial, _monomial_values, _point_powers, parse_polynomial
 
 from test_polynomials import assert_invariants, partial_var_poly, random_poly, random_point
 
@@ -293,10 +294,15 @@ class TestFlags:
 class TestIncrementalElimination:
     def test_rank_matches_full_elimination(self):
         rng = random.Random(71)
-        for _ in range(300):
+        entries = [
+            lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            lambda: Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12)),
+            lambda: rng.choice([0.0, 0.1, -2.5, 1e-3, 0.75, -1 / 3]),
+        ]
+        for trial in range(600):
             ncols = rng.randint(1, 5)
-            base = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
-                    for _ in range(rng.randint(1, 3))]
+            entry = entries[trial % 3]
+            base = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
             rows = []
             for _ in range(rng.randint(0, 7)):
                 kind = rng.random()
@@ -305,10 +311,57 @@ class TestIncrementalElimination:
                 elif kind < 0.6:
                     # a combination of the base rows: rank stays low
                     coef = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in base]
-                    rows.append([sum(c * b[i] for c, b in zip(coef, base)) for i in range(ncols)])
+                    rows.append([sum(c * Fraction(b[i]) for c, b in zip(coef, base))
+                                 for i in range(ncols)])
+                elif kind < 0.8:
+                    rows.append([entry() for _ in range(ncols)])
                 else:
                     rows.append([rng.randint(-2, 2) for _ in range(ncols)])
             assert rational_rank(rows) == reference_rank(rows), rows
+
+    def test_float_entries_are_exact(self):
+        # 0.1 is not 1/10, so (0.1, 1) and (1/10, 1) are independent
+        assert rational_rank([[0.1, 1], [Fraction(1, 10), 1]]) == 2
+        assert rational_rank([[0.1, 1], [Fraction(0.1), 1]]) == 1
+
+    def test_integer_rows_are_positive_multiples_of_values(self, wide_bases, query_points):
+        """Each row is L * D^T times the entry's value, one factor for all components."""
+        for name, basis in wide_bases.items():
+            degrees, top, forms = basis._integer_rows
+            entries = [e for e in sorted(basis, key=lambda e: e.degree)
+                       if e.degree <= basis.system.weights[-1]]
+            assert [e.degree for e in entries] == [f[0] for f in forms]
+            for x in query_points[name]:
+                powers = _point_powers(x, degrees, top)
+                for e, (_, monomials, comps) in zip(entries, forms):
+                    values = _monomial_values(monomials, powers)
+                    row = [0] * basis.system.dim
+                    for k, terms in comps:
+                        row[k] = sum(c * values[i] for c, i in terms)
+                    exact = e.vf.at(x)
+                    assert all(r == 0 for r, v in zip(row, exact) if not v)
+                    factors = {Fraction(r) / v for r, v in zip(row, exact) if v}
+                    assert len(factors) <= 1 and all(f > 0 for f in factors), (name, e.word, x)
+
+    def test_rows_share_one_power_of_d(self):
+        """Two fields whose components differ in top degree meet at (1/2, 1/4, 0).
+
+        X2 = x1 d2 + x1^2 d3 and X3 = x1 d2 + x2 d3 both take the value
+        (0, 1/2, 1/4) there, so nu_1 = 2.  With D = 4, scaling each
+        component by its own power of D would give the rows (0, 2, 4) and
+        (0, 2, 1), which are independent, and a flag with nu_1 = 3.
+        """
+        system = parse_system(
+            "dim = 3\nweights = 1,2,3\n"
+            "X1 = 1*d1\nX2 = x1*d2 + x1^2*d3\nX3 = x1*d2 + x2*d3\n"
+        )
+        assert check_h1(system).ok and check_h2(system).ok
+        basis = enumerate_commutators(system)
+        x = [Fraction(1, 2), Fraction(1, 4), 0]
+        fd = flag_at(basis, x)
+        assert fd.nu_j == [2, 3, 3] and fd.nu == 4
+        assert fd == reference_flag_at(basis, x)
+        assert pointwise_nu(build_nsw(basis), x) == 4
 
     def test_flag_matches_prefix_ranks(self, wide_bases, query_points):
         for name, basis in wide_bases.items():
