@@ -50,7 +50,6 @@ from .lattice import Lattice, LatticeError
 from .metric import (
     BallVolumeEstimate,
     DistanceField,
-    LatticeSpec,
     ball_box_scan,
     ball_volume,
     distance_field,
@@ -58,7 +57,6 @@ from .metric import (
 )
 from .sobolev import (
     EnergyReport,
-    GridDomain,
     GridFunction,
     decay_profile,
     energy_report,

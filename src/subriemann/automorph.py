@@ -24,11 +24,11 @@ class PolynomialMap:
     """A : R^n -> R^n with polynomial components, optionally parametric.
 
     Components are polynomials in n + n_params variables: the ambient
-    point first, formal parameters after.
+    point first, formal parameters after.  No inverse is kept: a
+    certificate needs only the map and its Jacobian.
     """
 
-    def __init__(self, components: Sequence[Polynomial], n_params: int = 0,
-                 inverse: Sequence[Polynomial] | None = None):
+    def __init__(self, components: Sequence[Polynomial], n_params: int = 0):
         if not components:
             raise FieldError("a map needs components")
         n = len(components)
@@ -38,28 +38,17 @@ class PolynomialMap:
         self.dim = n
         self.n_params = n_params
         self.components = tuple(components)
-        self.inverse = tuple(inverse) if inverse is not None else None
-        if self.inverse is not None:
-            if n_params:
-                raise FieldError("declared inverses are only supported for parameter-free maps")
-            for comp, var in zip(_compose_maps(self.components, self.inverse),
-                                 range(1, n + 1)):
-                if comp != Polynomial.variable(n, var):
-                    raise FieldError("declared inverse does not compose to the identity")
 
     @classmethod
     def identity(cls, n: int) -> "PolynomialMap":
         """The identity map, the base case of the planned symmetry-flow maps."""
-        comps = [Polynomial.variable(n, j) for j in range(1, n + 1)]
-        return cls(comps, inverse=comps)
+        return cls([Polynomial.variable(n, j) for j in range(1, n + 1)])
 
     @classmethod
-    def translation(cls, offset: Sequence) -> "PolynomialMap":
-        """x -> x + offset with its inverse, the simplest certified move of a box."""
-        n = len(offset)
-        comps = [Polynomial.variable(n, j) + Fraction(offset[j - 1]) for j in range(1, n + 1)]
-        inv = [Polynomial.variable(n, j) - Fraction(offset[j - 1]) for j in range(1, n + 1)]
-        return cls(comps, inverse=inv)
+    def translation(cls, shift: Sequence) -> "PolynomialMap":
+        """x -> x + shift, the simplest certified move of a box."""
+        n = len(shift)
+        return cls([Polynomial.variable(n, j) + Fraction(shift[j - 1]) for j in range(1, n + 1)])
 
     def __call__(self, point):
         """Exact image of a rational point (parameter-free maps only)."""
@@ -78,10 +67,6 @@ class PolynomialMap:
                 c = c.substitute_value(n + k, v)
             bound.append(_drop_trailing_vars(c, n))
         return PolynomialMap(bound)
-
-
-def _compose_maps(outer, inner):
-    return [c.compose(list(inner)) for c in outer]
 
 
 def _drop_trailing_vars(p: Polynomial, n: int) -> Polynomial:

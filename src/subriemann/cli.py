@@ -137,16 +137,26 @@ def _write_csv(path_opt, header, rows):
 
 
 def cmd_analyze(args) -> int:
+    """Print the hypotheses, Q, the bracket basis, Lambda's slots and the nu table.
+
+    A failed H.1 stops before the basis (`CommutatorBasis` refuses an
+    inhomogeneous bracket), and a rank below n at the origin stops before
+    Lambda (its degree-Q slot would be empty); what was not computed is
+    null in the JSON report.
+    """
     system = _load_system(args.system)
     h1 = check_h1(system)
-    basis = enumerate_commutators(system)
-    h2 = check_h2(system, basis)
     Q = homogeneous_dimension(system)
-    nsw = build_nsw(basis)
+    basis = h2 = nsw = None
+    if h1.ok:
+        basis = enumerate_commutators(system)
+        h2 = check_h2(system, basis)
+        if h2.rank_at_origin == system.dim:
+            nsw = build_nsw(basis)
     points = [tuple(Fraction(0) for _ in range(system.dim))]
     if args.points:
         points = _read_csv(args.points, parse_rows, system.dim)
-    nu_rows = [(pt, pointwise_nu(nsw, pt)) for pt in points]
+    nu_rows = [(pt, pointwise_nu(nsw, pt)) for pt in points] if nsw is not None else []
     report = {
         "schema_version": SCHEMA_VERSION,
         "name": system.name,
@@ -155,24 +165,26 @@ def cmd_analyze(args) -> int:
         "weights": list(system.weights),
         "Q": Q,
         "h1": h1.ok,
-        "h2": h2.ok,
-        "basis_degrees": basis.degrees(),
-        "basis_degrees_canonical": basis.canonical_degrees(),
-        "nsw_tuple_counts": nsw.degree_counts(),
+        "h2": h2.ok if h2 is not None else None,
+        "basis_degrees": basis.degrees() if basis is not None else None,
+        "basis_degrees_canonical": basis.canonical_degrees() if basis is not None else None,
+        "nsw_tuple_counts": nsw.degree_counts() if nsw is not None else None,
         "nu_table": [
             {"point": [str(v) for v in pt], "nu": nu} for pt, nu in nu_rows
-        ],
+        ] if nsw is not None else None,
     }
     print(f"system: {system.name or args.system}")
     print(f"dim = {system.dim}, fields = {system.m}, weights = "
           + ",".join(map(str, system.weights)))
     print(f"Q = {Q}")
     print(str(h1))
-    print(str(h2))
-    print("bracket basis entries per degree (canonical): "
-          + ", ".join(f"{k}:{v}" for k, v in sorted(basis.canonical_degrees().items())))
-    print("ball-volume polynomial ordered-tuple counts per degree: "
-          + ", ".join(f"{k}:{v}" for k, v in sorted(nsw.degree_counts().items())))
+    if h2 is not None:
+        print(str(h2))
+        print("bracket basis entries per degree (canonical): "
+              + ", ".join(f"{k}:{v}" for k, v in sorted(basis.canonical_degrees().items())))
+    if nsw is not None:
+        print("ball-volume polynomial ordered-tuple counts per degree: "
+              + ", ".join(f"{k}:{v}" for k, v in sorted(nsw.degree_counts().items())))
     for pt, nu in nu_rows:
         print("nu(" + ",".join(str(v) for v in pt) + f") = {nu}")
     if args.json:
@@ -323,7 +335,7 @@ def cmd_sobolev(args) -> int:
         "stop_reason": res.stop_reason,
         "start_quotients": [f"{q:.12g}" for q in res.start_quotients],
         "p": f"{args.p:.12g}",
-        "p_star": f"{res.report.p_star:.12g}",
+        "p_star": f"{res.p_star:.12g}",
         "box": dom.box,
         "spacing": dom.spacing,
     }

@@ -7,9 +7,10 @@ origin, enumeration of right-nested commutators, and per-point flag data
 
 Every rank decision (``flag_at``, ``check_h2``, ``rational_rank``) is
 made over the integers, by one fraction-free echelon, ``_echelon_add``.
-``flag_at`` evaluates each basis entry as an integer row through the
-integer point evaluator of ``polynomials`` (``_point_powers``), the one
-that Lambda and nu use in ``nsw``.
+``flag_at`` and ``check_h2`` share one flag kernel, ``_flag_counts``, which
+evaluates each basis entry as an integer row through the integer point
+evaluator of ``polynomials`` (``_point_powers``), the one that Lambda
+and nu use in ``nsw``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,11 @@ class VectorField:
         return out
 
     def at(self, point) -> list[Fraction]:
-        """Exact value YI(x) as a rational vector."""
+        """Exact value YI(x) as a rational vector.
+
+        The library decides flags and H.2 on integer rows instead; this is
+        the reference that those rows and ``check_h2`` are tested against.
+        """
         return [c.eval(point) if c.terms else _ZERO for c in self.coeffs]
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -222,9 +227,10 @@ class BasisEntry:
 
 
 class CommutatorBasis:
-    """Nonzero right-nested brackets X_J, |J| <= max length, with degrees.
+    """Nonzero right-nested brackets X_J, |J| <= alpha_n, with degrees.
 
-    Words are enumerated in lexicographic order per length; +/- duplicate
+    ``enumerate_commutators`` lists the words in degree (length) order,
+    lexicographically within a length; +/- duplicate
     fields are retained deliberately, matching the ordered-tuple
     convention of the ball-volume polynomial.
     """
@@ -267,7 +273,7 @@ class CommutatorBasis:
         factor L * D^T, so ranks are those of the values.  (Scaling each
         component by its own D power would change them.)  ``degrees`` holds
         the highest power of each coordinate and ``top`` the largest T:
-        the powers of a_j and D that ``flag_at`` prepares once per point.
+        the powers of a_j and D that ``_flag_counts`` prepares once per point.
         """
         rows = []
         top = 0
@@ -315,13 +321,14 @@ def _sign_canonical(vf: VectorField):
     return vf.coeffs
 
 
-def enumerate_commutators(system: VectorFieldSystem, max_length: int | None = None) -> CommutatorBasis:
-    """All nonzero right-nested brackets with word length <= max_length.
+def enumerate_commutators(system: VectorFieldSystem) -> CommutatorBasis:
+    """All nonzero right-nested brackets with word length <= alpha_n, in degree order.
 
-    max_length defaults to alpha_n, the Hormander index of the system.
+    A longer word has weighted degree above alpha_n, so every component
+    of a homogeneous bracket of it vanishes (and `CommutatorBasis`
+    refuses one that is not homogeneous); a shorter bound would cut the
+    basis that flags, H.2 and Lambda read.
     """
-    if max_length is None:
-        max_length = system.weights[-1]
     entries: list[BasisEntry] = []
     # by_word holds possibly-zero fields so longer words can nest into them
     by_word: dict[tuple[int, ...], VectorField] = {}
@@ -329,7 +336,7 @@ def enumerate_commutators(system: VectorFieldSystem, max_length: int | None = No
         by_word[(j,)] = f
         if not f.is_zero():
             entries.append(BasisEntry((j,), f, 1))
-    for length in range(2, max_length + 1):
+    for length in range(2, system.weights[-1] + 1):
         for word in itertools.product(range(1, system.m + 1), repeat=length):
             inner = by_word[word[1:]]
             if inner.is_zero():
@@ -354,9 +361,10 @@ def _echelon_add(rows: list[tuple[int, list[int]]], vector: list[int]) -> bool:
     keeps the entries small the same way).  If anything is left, it is
     appended, pivoted at its first nonzero entry; the caller passes a
     fresh list, which may become that row.  Every rank decision in the
-    exact layer is made here, over the integers: ``flag_at``'s rows come
-    from the point evaluator that Lambda and nu share, and the other
-    callers clear denominators with its ``_integer_point``.
+    exact layer is made here, over the integers: the flag rows of
+    ``flag_at`` and ``check_h2`` come from the point evaluator that Lambda
+    and nu share, and ``rational_rank`` clears denominators with its
+    ``_integer_point``.
     """
     v = vector
     for col, row in rows:
@@ -410,23 +418,18 @@ class H2Report:
 def check_h2(system: VectorFieldSystem, basis: CommutatorBasis | None = None) -> H2Report:
     """Hormander condition at the origin plus generator independence.
 
-    One fraction-free elimination (``_echelon_add``) runs over the basis
-    values at the origin, in basis order, with each value's denominators
-    cleared by ``_integer_point`` (the helper of the point evaluator
-    that flags, Lambda and nu share): its rank is the rank at 0, and each
-    entry that adds a new direction is counted under its degree in
-    ``spanning_degrees``.  The generators' coefficient rows are ranked
-    the same way, over the integers.
+    Needs H.1: the basis of a system with an inhomogeneous generator is
+    refused by `CommutatorBasis`.  The rank at 0 and ``spanning_degrees``
+    are the flag at the origin (`_flag_counts`): the new directions per
+    degree, counted in degree order, as ``flag_at`` counts them, also on
+    a hand-built basis whose entries are not in that order.  The
+    generators' coefficient rows are ranked over the integers.
     """
     if basis is None:
         basis = enumerate_commutators(system)
-    origin = [0] * system.dim
-    rows: list = []
-    degrees: dict[int, int] = {}
-    for e in basis:
-        if _echelon_add(rows, _integer_point(e.vf.at(origin))[0]):
-            degrees[e.degree] = degrees.get(e.degree, 0) + 1
-    rank = len(rows)
+    counts = _flag_counts(basis, [0] * system.dim)
+    rank = sum(counts)
+    degrees = {j: c for j, c in enumerate(counts, start=1) if c}
     # symbolic linear independence of X_1..X_m: rank of the coefficient matrix
     monomials = sorted(
         {(k, e) for f in system.fields for k, c in enumerate(f.coeffs) for e in c.terms}
@@ -453,25 +456,21 @@ class FlagData:
     step: int                # degree of nonholonomy r(x)
 
 
-def flag_at(basis: CommutatorBasis, point) -> FlagData:
-    """Exact flag dimensions, weights, and nu(x) at a rational point.
+def _flag_counts(basis: CommutatorBasis, point) -> list[int]:
+    """New directions per degree 1..alpha_n that the basis values add at a point.
 
-    nu_j(x) is the rank of the basis values of degree <= j at x.  One
-    fraction-free elimination runs over the degree blocks in order, and
-    entries are no longer evaluated once the rank reaches n.  Each entry
-    is evaluated as its integer row (``CommutatorBasis._integer_rows``), a
-    positive multiple of its value, by the same integer point evaluator
-    that Lambda and nu use in ``nsw``, so the flag is decided over the
-    integers.
+    One fraction-free elimination runs over the degree blocks in order,
+    and entries are no longer evaluated once the rank reaches n.  Each
+    entry is evaluated as its integer row (``CommutatorBasis._integer_rows``),
+    a positive multiple of its value, by the same integer point evaluator
+    that Lambda and nu use in ``nsw``, so the counts are decided over the
+    integers.  Their sum is the rank at the point; nothing is raised when
+    it is below n.
     """
-    system = basis.system
-    n = system.dim
-    pt = tuple(Fraction(v) for v in point)
-    if len(pt) != n:
-        raise FieldError("point dimension mismatch")
+    n = basis.system.dim
     degrees, top, flag_rows = basis._integer_rows
-    powers = _point_powers(pt, degrees, top)
-    nu_j = [0] * system.weights[-1]
+    powers = _point_powers(point, degrees, top)
+    counts = [0] * basis.system.weights[-1]
     rows: list = []
     for degree, monomials, comps in flag_rows:
         if len(rows) == n:
@@ -481,9 +480,21 @@ def flag_at(basis: CommutatorBasis, point) -> FlagData:
         for k, terms in comps:
             row[k] = sum(c * values[i] for c, i in terms)
         if _echelon_add(rows, row):
-            nu_j[degree - 1] += 1
-    for j in range(1, len(nu_j)):
-        nu_j[j] += nu_j[j - 1]
+            counts[degree - 1] += 1
+    return counts
+
+
+def flag_at(basis: CommutatorBasis, point) -> FlagData:
+    """Exact flag dimensions, weights, and nu(x) at a rational point.
+
+    nu_j(x) is the rank of the basis values of degree <= j at x, summed
+    from `_flag_counts`.  A point where the rank stays below n raises.
+    """
+    n = basis.system.dim
+    pt = tuple(Fraction(v) for v in point)
+    if len(pt) != n:
+        raise FieldError("point dimension mismatch")
+    nu_j = list(itertools.accumulate(_flag_counts(basis, pt)))
     if nu_j[-1] != n:
         raise FieldError(f"flag does not reach full rank at {pt}; Hormander fails there")
     step = next(j for j, r in enumerate(nu_j, start=1) if r == n)

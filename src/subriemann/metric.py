@@ -45,7 +45,8 @@ from .fields import VectorFieldSystem
 from .lattice import Lattice, eval_grid
 from .nsw import BallPolynomial, eval_lambda
 
-LatticeSpec = Lattice  # alias: callers import the lattice under this name too
+# the old name of Lattice; perfbench/workloads.py is its one importer
+LatticeSpec = Lattice
 
 
 class MetricError(RuntimeError):

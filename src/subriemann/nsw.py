@@ -192,19 +192,16 @@ def _has_perfect_matching(rows: Sequence[int], n: int) -> bool:
     return all(augment(r, [False] * n) for r in range(len(rows)))
 
 
-def build_nsw(
-    basis: CommutatorBasis,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-    allow_over_cap: bool = False,
-) -> BallPolynomial:
+def build_nsw(basis: CommutatorBasis, allow_over_cap: bool = False) -> BallPolynomial:
     """Assemble the ball-volume polynomial from a commutator basis.
 
     Covers all ordered n-tuples of basis indices.  Repeated-index
     tuples determine singular matrices and are skipped; the remaining
     ordered tuples are grouped by sorted combination (the determinant is
     sign-invariant under column permutation and only |lambda_I| enters),
-    each carrying multiplicity n!.  ``tuple_cap`` bounds the number of
-    determinants, C(q, n) for q basis entries.  A combination whose
+    each carrying multiplicity n!.  ``DEFAULT_TUPLE_CAP``, read at call
+    time, bounds the number of determinants, C(q, n) for q basis entries,
+    unless ``allow_over_cap`` is set.  A combination whose
     pattern of nonzero coefficients admits no perfect matching between
     entries and coordinates has an identically zero determinant; it is
     skipped without computing one (most combinations of the larger
@@ -218,9 +215,9 @@ def build_nsw(
     n = system.dim
     q = len(basis.entries)
     n_dets = math.comb(q, n)
-    if n_dets > tuple_cap and not allow_over_cap:
+    if n_dets > DEFAULT_TUPLE_CAP and not allow_over_cap:
         raise BudgetExceeded(
-            f"C({q}, {n}) = {n_dets} determinants exceed the cap of {tuple_cap}; "
+            f"C({q}, {n}) = {n_dets} determinants exceed the cap of {DEFAULT_TUPLE_CAP}; "
             "pass allow_over_cap=True to proceed"
         )
     supports = [

@@ -359,15 +359,12 @@ class Polynomial:
             result = result + term
         return result
 
-    def lift(self, new_dim: int, offset: int = 0) -> "Polynomial":
-        """Embed into ``new_dim`` variables, shifting x_j to x_{j+offset}."""
-        if offset + self.dim > new_dim:
+    def lift(self, new_dim: int) -> "Polynomial":
+        """Embed into ``new_dim`` variables; the added ones come last, unused."""
+        if self.dim > new_dim:
             raise PolynomialError("lift target too small")
-        out = {}
-        for e, c in self.terms.items():
-            ne = (0,) * offset + e + (0,) * (new_dim - offset - self.dim)
-            out[ne] = c
-        return Polynomial(new_dim, out)
+        pad = (0,) * (new_dim - self.dim)
+        return Polynomial(new_dim, {e + pad: c for e, c in self.terms.items()})
 
     def substitute_value(self, j: int, value) -> "Polynomial":
         """Set x_j = value (a rational constant), keeping the dimension."""

@@ -51,7 +51,8 @@ from .fields import VectorFieldSystem
 from .lattice import Lattice, eval_grid
 from .nsw import DomainSpec
 
-GridDomain = Lattice  # alias: callers import the lattice under this name too
+# the old name of Lattice; perfbench/workloads.py is its one importer
+GridDomain = Lattice
 
 
 class SobolevError(RuntimeError):
@@ -256,13 +257,20 @@ def energy_report(system: VectorFieldSystem, u: GridFunction, p: float) -> Energ
 
 @dataclass
 class MinimizeResult:
+    """The best start of `minimize_quotient`.
+
+    ``constant`` is the quotient of the solve's last iterate, so nothing
+    is evaluated again after it; `energy_report` of ``minimizer`` gives
+    its energy and norm when a caller needs them.
+    """
+
     minimizer: GridFunction
     constant: float                # p-energy at the normalized minimizer
     trace: list[float]             # quotient per iteration (best start)
     iterations: int                # L-BFGS iterations of the best start
     stop_reason: str               # "converged", "stalled" or "max_iter"
     start_quotients: list[float]
-    report: EnergyReport
+    p_star: float                  # the critical exponent pQ/(Q - p) of the norm
     evaluations: int               # quotient+gradient evaluations of the best start
     grad_norm: float               # 2-norm of the quotient gradient on the free nodes, at the minimizer
     decrement: float               # -g.d / f of the last L-BFGS direction d, at the minimizer
@@ -473,10 +481,9 @@ def minimize_quotient(
             best = run
 
     x, constant, trace, it, stop_reason, evaluations, grad_norm, decrement = best
-    u = GridFunction(domain, quotient.values(x))
-    rep = energy_report(system, u, p)
-    return MinimizeResult(u, constant, trace, it, stop_reason, start_quotients, rep,
-                          evaluations, grad_norm, decrement)
+    return MinimizeResult(GridFunction(domain, quotient.values(x)), constant, trace, it,
+                          stop_reason, start_quotients, quotient.p_star, evaluations,
+                          grad_norm, decrement)
 
 
 def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> GridFunction:

@@ -29,8 +29,8 @@ from subriemann.fields import (
     lie_bracket,
 )
 from subriemann.fixtures import fixture_path
+from subriemann.lattice import Lattice
 from subriemann.metric import (
-    LatticeSpec,
     ball_box_scan,
     ball_volume,
     distance_field,
@@ -46,7 +46,6 @@ from subriemann.nsw import (
 )
 from subriemann.polynomials import Polynomial, parse_polynomial
 from subriemann.sobolev import (
-    GridDomain,
     GridFunction,
     bump,
     decay_profile,
@@ -243,7 +242,7 @@ def euclidean_bubble_run():
     """Oracle sweep + full minimization on the R^3 desk grid (slow)."""
     t0 = time.perf_counter()
     system = fx.euclidean(3)
-    dom = GridDomain([(-8, 8)] * 3, 0.25)
+    dom = Lattice([(-8, 8)] * 3, 0.25)
     x, y, z = dom.mesh
     r = np.sqrt(x ** 2 + y ** 2 + z ** 2)
 
@@ -299,8 +298,8 @@ def test_criterion_7_iterations_are_grid_independent(euclidean_bubble_run):
 
 def test_criterion_8_domain_independence(grushin):
     t0 = time.perf_counter()
-    a = GridDomain([(-4, 4), (-4, 4)], 0.25)
-    b = GridDomain([(-4, 4), (1, 9)], 0.25)
+    a = Lattice([(-4, 4), (-4, 4)], 0.25)
+    b = Lattice([(-4, 4), (1, 9)], 0.25)
     ca, cb = (minimize_quotient(grushin, dom, 2.0, n_starts=1, max_iter=800, seed=0).constant
               for dom in (a, b))
     rel = abs(ca - cb) / min(ca, cb)
@@ -316,7 +315,7 @@ def test_criterion_8_domain_independence(grushin):
 
 def test_criterion_9_exponent_probe(grushin):
     t0 = time.perf_counter()
-    dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+    dom = Lattice([(-2, 2), (-2, 2)], 0.25)
     u = bump(dom, [0, 0], 0.5)
     ts = [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5]
     sub = exponent_probe(grushin, None, 3.5, u, ts)
@@ -429,7 +428,7 @@ def test_decay_exponent_euclidean(euclidean_bubble_run):
 def test_decay_exponent_grushin(grushin):
     """The Grushin minimizer decays like d^-2 in the control distance."""
     t0 = time.perf_counter()
-    dom = GridDomain([(-8, 8), (-80, 80)], [0.125, 1.0])
+    dom = Lattice([(-8, 8), (-80, 80)], [0.125, 1.0])
     x, y = dom.mesh
     gauge2 = x ** 2 + (np.abs(y) / 3.0) ** (2.0 / 3.0)
     u0 = GridFunction(dom, (0.0625 + gauge2) ** -1.0)
@@ -443,7 +442,7 @@ def test_decay_exponent_grushin(grushin):
     assert res.iterations <= 110
     peak = np.unravel_index(np.abs(res.minimizer.values).argmax(), dom.shape)
     center = dom.node_coords(peak)
-    lat = LatticeSpec(dom.box, dom.spacing, n_random_controls=24, tau=0.1)
+    lat = Lattice(dom.box, dom.spacing, n_random_controls=24, tau=0.1)
     df = distance_field(grushin, center, lat, seed=3)
     fit = decay_profile(res.minimizer, df, 1.0, 0.65 * df.max_reliable_radius())
     elapsed = time.perf_counter() - t0
@@ -456,7 +455,7 @@ def test_decay_exponent_grushin(grushin):
 
 def test_decay_fit_rejects_constant_field():
     """A flat function must not produce a spurious decay exponent."""
-    dom = GridDomain([(-4, 4)] * 2, 0.25)
+    dom = Lattice([(-4, 4)] * 2, 0.25)
     u = GridFunction(dom, np.full(dom.shape, 0.7))
     x, y = dom.mesh
     dfield = types.SimpleNamespace(values=np.sqrt(x ** 2 + y ** 2))

@@ -7,6 +7,8 @@ import pytest
 from subriemann.cli import build_parser, main
 from subriemann.fixtures import fixture_path
 
+from test_fields import DEPENDENT_GENERATORS, INHOMOGENEOUS, RANK_TWO
+
 
 def vf(name):
     return str(fixture_path(name))
@@ -43,14 +45,23 @@ class TestAnalyze:
         assert "nu(0,0,0) = 5" in out
         assert "nu(1/2,0,0) = 4" in out
 
-    def test_hypothesis_failure_exits_2(self, capsys, tmp_path):
-        # dependent generators: rank fine, independence violated
+    @pytest.mark.parametrize("text, verdict, not_computed", [
+        # rank fine, independence violated
+        (DEPENDENT_GENERATORS, "H.2 FAIL", []),
+        (INHOMOGENEOUS, "H.1 FAIL",
+         ["h2", "basis_degrees", "basis_degrees_canonical", "nsw_tuple_counts", "nu_table"]),
+        (RANK_TWO, "H.2 FAIL", ["nsw_tuple_counts", "nu_table"]),
+    ], ids=["dependent-generators", "inhomogeneous", "rank-two"])
+    def test_hypothesis_failure_exits_2(self, capsys, tmp_path, text, verdict, not_computed):
         bad = tmp_path / "bad.vf"
-        bad.write_text("dim = 2\nweights = 1,1\n"
-                       "X1 = 1*d1\nX2 = 1*d2\nX3 = 1*d1 + 1*d2\n")
-        code, out, _ = run(capsys, "analyze", str(bad))
+        bad.write_text(text)
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "analyze", str(bad), "--json", str(report))
         assert code == 2
-        assert "H.2 FAIL" in out
+        assert verdict in out
+        assert err == ""
+        payload = json.loads(report.read_text())
+        assert [k for k, v in payload.items() if v is None] == not_computed
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.vf")

@@ -78,7 +78,11 @@ def reference_flag_at(basis, point):
 
 
 def reference_check_h2(system, basis):
-    """check_h2 with a rank test over the whole prefix for every entry."""
+    """check_h2 by a Fraction elimination of the values ``VectorField.at`` gives.
+
+    The entries are taken in basis order, with a rank test over the whole
+    prefix for each; ``check_h2`` reads the flag kernel's integer rows.
+    """
     origin = [0] * system.dim
     vectors = [e.vf.at(origin) for e in basis]
     rank = reference_rank(vectors)
@@ -96,6 +100,12 @@ def reference_check_h2(system, basis):
             seen.append(v)
             degrees[e.degree] = degrees.get(e.degree, 0) + 1
     return H2Report(rank == system.dim and independent, rank, independent, degrees)
+
+
+# the three hypothesis failures that ``subriemann analyze`` exits 2 on
+INHOMOGENEOUS = "dim = 2\nweights = 1,1\nX1 = 1*d1\nX2 = x1*d2\n"
+RANK_TWO = "dim = 3\nweights = 1,2,3\nX1 = 1*d1\nX2 = x1*d2\n"
+DEPENDENT_GENERATORS = "dim = 2\nweights = 1,1\nX1 = 1*d1\nX2 = 1*d2\nX3 = 1*d1 + 1*d2\n"
 
 
 def random_field(rng, dim):
@@ -253,7 +263,7 @@ class TestEnumeration:
                 vf = lie_bracket(system.fields[j - 1], vf)
             assert vf == e.vf
 
-    def test_max_length_defaults_to_top_weight(self, systems):
+    def test_degrees_stop_at_top_weight(self, systems):
         for name, system in systems.items():
             basis = enumerate_commutators(system)
             assert max(e.degree for e in basis) <= system.weights[-1]
@@ -280,15 +290,10 @@ class TestFlags:
                 assert system.dim <= fd.nu <= q
 
     def test_flag_rejects_degenerate_point(self):
-        # d1, x1 d2 alone: rank 1 on the line x1 = 0 at bracket depth 1
-        system = VectorFieldSystem(
-            [VectorField.coordinate(2, 1),
-             VectorField([Polynomial.zero(2), parse_polynomial("x1", 2)])],
-            [1, 2],
-        )
-        basis = enumerate_commutators(system, max_length=1)
+        # d1, x1 d2 with weights 1, 2, 3: no bracket reaches d3, so rank 2
+        basis = enumerate_commutators(parse_system(RANK_TWO))
         with pytest.raises(FieldError):
-            flag_at(basis, [0, 0])
+            flag_at(basis, [0, 0, 0])
 
 
 class TestIncrementalElimination:
@@ -381,6 +386,21 @@ class TestIncrementalElimination:
         rep = check_h2(system, basis)
         assert rep == reference_check_h2(system, basis)
         assert not rep.fields_independent
+        # rank short of n at the origin, and dependent generators
+        for text, rank, degrees in [(RANK_TWO, 2, {1: 1, 2: 1}),
+                                    (DEPENDENT_GENERATORS, 2, {1: 2})]:
+            system = parse_system(text)
+            basis = enumerate_commutators(system)
+            rep = check_h2(system, basis)
+            assert rep == reference_check_h2(system, basis)
+            assert not rep.ok
+            assert (rep.rank_at_origin, rep.spanning_degrees) == (rank, degrees)
+
+    def test_h2_needs_h1(self):
+        system = parse_system(INHOMOGENEOUS)
+        assert not check_h1(system).ok
+        with pytest.raises(FieldError):
+            check_h2(system)
 
     def test_flag_wrong_point_length_raises(self, bases):
         for x in ([0, 0], [0, 0, 0, 0]):

@@ -12,7 +12,6 @@ from subriemann import fixtures as fx
 from subriemann.lattice import Lattice, LatticeError
 from subriemann.metric import (
     BallTruncated,
-    LatticeSpec,
     MetricError,
     RatioRow,
     _frontier_steps,
@@ -28,50 +27,53 @@ from subriemann.metric import (
 )
 from subriemann.fixtures import fixture_path
 from subriemann.nsw import eval_lambda, parse_plan
-from subriemann.sobolev import GridDomain
 
 
 @pytest.fixture(scope="module")
 def euclid_field():
     system = fx.euclidean(2)
-    lattice = LatticeSpec([(-2, 2), (-2, 2)], 0.05, n_random_controls=24, tau=0.1)
+    lattice = Lattice([(-2, 2), (-2, 2)], 0.05, n_random_controls=24, tau=0.1)
     return system, distance_field(system, [0, 0], lattice, seed=1)
 
 
 class TestLatticeSpec:
     def test_one_lattice_type(self):
+        """The old names that the benchmark workloads still import."""
+        from subriemann.metric import LatticeSpec
+        from subriemann.sobolev import GridDomain
+
         assert LatticeSpec is GridDomain is Lattice
 
     def test_shape_and_axes(self):
-        lat = LatticeSpec([(0, 1), (-1, 1)], [0.5, 1.0])
+        lat = Lattice([(0, 1), (-1, 1)], [0.5, 1.0])
         assert lat.shape == (3, 3)
         assert np.allclose(lat.axes[0], [0, 0.5, 1.0])
         assert lat.cell_volume() == 0.5
 
     def test_node_index_and_bounds(self):
-        lat = LatticeSpec([(0, 1)], 0.25)
+        lat = Lattice([(0, 1)], 0.25)
         assert lat.node_index([0.5]) == (2,)
         with pytest.raises(LatticeError):
             lat.node_index([2.0])
 
     def test_validation(self):
         with pytest.raises(LatticeError):
-            LatticeSpec([], 0.1)
+            Lattice([], 0.1)
         with pytest.raises(LatticeError):
-            LatticeSpec([(0, 1)], -0.1)
+            Lattice([(0, 1)], -0.1)
         with pytest.raises(LatticeError):
-            LatticeSpec([(1, 0)], 0.1)
+            Lattice([(1, 0)], 0.1)
         with pytest.raises(LatticeError):  # no node off the boundary shell
-            LatticeSpec([(0, 1)], 1.0)
+            Lattice([(0, 1)], 1.0)
 
     def test_mesh_built_on_first_use(self):
-        lat = LatticeSpec([(0, 1), (-1, 1)], 0.5)
+        lat = Lattice([(0, 1), (-1, 1)], 0.5)
         assert "mesh" not in vars(lat)
         assert np.array_equal(lat.mesh[1][0], lat.axes[1])
         assert lat.mesh is lat.mesh
         # a predicate still runs on the mesh at construction, so its errors surface there
         with pytest.raises(ZeroDivisionError):
-            LatticeSpec([(0, 1), (-1, 1)], 0.5, predicate=lambda x: 1 / 0)
+            Lattice([(0, 1), (-1, 1)], 0.5, predicate=lambda x: 1 / 0)
 
     def test_control_directions_are_unit(self):
         dirs = control_directions(3, 10, seed=4)
@@ -105,8 +107,8 @@ class TestDistanceField:
     def test_grushin_slow_across_x1_zero(self):
         # moving in y near x1 = 0 costs ~ y^(1/3), much more than y
         system = fx.grushin()
-        lat = LatticeSpec([(-1.5, 1.5), (-1.5, 1.5)], 0.05,
-                          n_random_controls=24, tau=0.1)
+        lat = Lattice([(-1.5, 1.5), (-1.5, 1.5)], 0.05,
+                      n_random_controls=24, tau=0.1)
         df = distance_field(system, [0, 0], lat, seed=1)
         d_y = df.query([0.0, 1.0])
         d_x = df.query([1.0, 0.0])
@@ -118,7 +120,7 @@ class TestDistanceField:
         from subriemann.fields import parse_system
 
         system = parse_system(system_text)
-        lat = LatticeSpec([(-1, 1), (-1, 1)], 0.25, n_random_controls=0, tau=0.5)
+        lat = Lattice([(-1, 1), (-1, 1)], 0.25, n_random_controls=0, tau=0.5)
         df = distance_field(system, [0, 0], lat, seed=0)
         assert math.isinf(df.query([0.0, 0.5]))
         assert df.query([0.5, 0.0]) < math.inf
@@ -187,8 +189,8 @@ FIXTURES = ["euclidean2", "heisenberg1", "grushin-1-1-2", "bony3", "martinet",
 
 
 def small_lattice(dim):
-    return LatticeSpec([(-1, 1.1)] * dim, 0.15 if dim < 4 else 0.35,
-                       n_random_controls=8, tau=0.3)
+    return Lattice([(-1, 1.1)] * dim, 0.15 if dim < 4 else 0.35,
+                   n_random_controls=8, tau=0.3)
 
 
 class TestFrontierBFS:
@@ -208,22 +210,22 @@ class TestFrontierBFS:
         if lattice is None:  # every fixture on the bounded-ball tests' lattice and centre
             lattice, source = small_lattice(system.dim), [0.1] * system.dim
         else:
-            lattice = LatticeSpec(**lattice)
+            lattice = Lattice(**lattice)
         assert_matches_reference(system, source, lattice, seed)
 
     @pytest.mark.parametrize("name", ["grushin-1-1-2", "martinet", "heisenberg1",
                                       "r4-fourfields", "ex31"])
     def test_tables_match_full_grid_arithmetic(self, systems, name):
         system = systems[name]
-        lat = LatticeSpec([(-1, 1.1)] * system.dim, 0.15 if system.dim < 4 else 0.35)
+        lat = Lattice([(-1, 1.1)] * system.dim, 0.15 if system.dim < 4 else 0.35)
         directions = control_directions(system.m, 8, seed=1)
         tables = _neighbor_tables(system, lat, directions, 0.3)
         assert np.array_equal(tables, reference_tables(system, lat, directions, 0.3).T)
 
     def test_tables_are_stacked_int32(self):
         system = fx.martinet()
-        lat = LatticeSpec([(-1, 1), (-1, 1), (-1, 1)], 0.25,
-                          n_random_controls=6, tau=0.25)
+        lat = Lattice([(-1, 1), (-1, 1), (-1, 1)], 0.25,
+                      n_random_controls=6, tau=0.25)
         directions = control_directions(system.m, 6, seed=0)
         tables = _neighbor_tables(system, lat, directions, 0.25)
         assert tables.dtype == np.int32
@@ -303,7 +305,7 @@ class TestBoundedBall:
     def test_radius_on_a_level(self):
         # tau = 0.125 and r = 4 tau = 0.5: the level-4 shell lies outside the ball
         system = fx.grushin()
-        lat = LatticeSpec([(-1.5, 1.5)] * 2, 0.05, n_random_controls=12, tau=0.125)
+        lat = Lattice([(-1.5, 1.5)] * 2, 0.05, n_random_controls=12, tau=0.125)
         df = distance_field(system, [0.2, 0.0], lat, seed=2)
         assert (df.values == 0.5).any()
         full = assert_same_volume(system, [0.2, 0.0], 0.5, lat, seed=2)
@@ -315,14 +317,14 @@ class TestBoundedBall:
         from subriemann.fields import parse_system
 
         system = parse_system("dim = 2\nweights = 1,1\nX1 = 1*d1\nX2 = 1*d1\n")
-        lat = LatticeSpec([(-1, 1), (-1, 1)], 0.25, n_random_controls=0, tau=0.5)
+        lat = Lattice([(-1, 1), (-1, 1)], 0.25, n_random_controls=0, tau=0.5)
         for r in (10.0, math.inf):
             est = assert_same_volume(system, [0, 0], r, lat, seed=0)
             assert est.sample_count == 5
 
     def test_truncation_raises_on_both_paths(self):
         system = fx.euclidean(2)
-        lat = LatticeSpec([(-1, 1), (-1, 1)], 0.1, n_random_controls=8, tau=0.2)
+        lat = Lattice([(-1, 1), (-1, 1)], 0.1, n_random_controls=8, tau=0.2)
         with pytest.raises(BallTruncated):
             ball_volume(system, [0, 0], 1.5, lattice=lat, seed=1)
         with pytest.raises(BallTruncated):

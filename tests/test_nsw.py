@@ -106,11 +106,13 @@ class TestAssembly:
             consts = [e for e in nsw.slots[q] if e.poly.is_constant()]
             assert consts, name
 
-    def test_budget_cap(self, bases):
+    def test_budget_cap(self, bases, monkeypatch):
+        monkeypatch.setattr(nsw_module, "DEFAULT_TUPLE_CAP", 10)
         with pytest.raises(BudgetExceeded):
-            build_nsw(bases["r4-fourfields"], tuple_cap=10)
+            build_nsw(bases["r4-fourfields"])
         # allow_over_cap proceeds anyway
-        nsw = build_nsw(bases["martinet"], tuple_cap=1, allow_over_cap=True)
+        monkeypatch.setattr(nsw_module, "DEFAULT_TUPLE_CAP", 1)
+        nsw = build_nsw(bases["martinet"], allow_over_cap=True)
         assert nsw.Q == 5
 
     @pytest.mark.parametrize("make, q", [

@@ -251,8 +251,8 @@ class TestSubstitution:
 
     def test_lift_keeps_values(self):
         p = parse_polynomial("x1*x2 - 1", 2)
-        lifted = p.lift(4, offset=1)
-        assert lifted.eval([99, 2, 3, 99]) == p.eval([2, 3])
+        lifted = p.lift(4)
+        assert lifted.eval([2, 3, 99, 99]) == p.eval([2, 3])
 
 
 class TestHomogeneity:

@@ -8,10 +8,9 @@ import pytest
 
 from subriemann import fixtures as fx
 from subriemann.fields import VectorField, VectorFieldSystem
-from subriemann.lattice import _COARSEST, HorizontalOperator, LatticeError, _smoother_diagonal
-from subriemann.metric import LatticeSpec, distance_field
+from subriemann.lattice import _COARSEST, HorizontalOperator, Lattice, LatticeError, _smoother_diagonal
+from subriemann.metric import distance_field
 from subriemann.sobolev import (
-    GridDomain,
     GridFunction,
     SobolevError,
     SupportEscape,
@@ -41,7 +40,7 @@ def euclid2():
 
 @pytest.fixture(scope="module")
 def small_domain():
-    return GridDomain([(-2, 2), (-2, 2)], 0.25)
+    return Lattice([(-2, 2), (-2, 2)], 0.25)
 
 
 class TestGridDomain:
@@ -52,8 +51,8 @@ class TestGridDomain:
         assert small_domain.free[8, 8]
 
     def test_predicate_restricts(self):
-        dom = GridDomain([(-1, 1), (-1, 1)], 0.5,
-                         predicate=lambda x: x[0] >= 0)
+        dom = Lattice([(-1, 1), (-1, 1)], 0.5,
+                      predicate=lambda x: x[0] >= 0)
         assert not dom.free[0, 2]
         assert dom.free[3, 2]
 
@@ -65,15 +64,15 @@ class TestGridDomain:
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(LatticeError):
-            GridDomain([(-1, 1)], [0.5, 0.5])
+            Lattice([(-1, 1)], [0.5, 0.5])
 
     def test_spacing_must_divide_the_box(self):
         # the last node would sit at 0.8, and at 2.125 outside the box
         for box, spacing in (([(0, 1)] * 2, 0.4), ([(-2, 2)] * 2, 0.375)):
             with pytest.raises(LatticeError, match="does not divide"):
-                GridDomain(box, spacing)
+                Lattice(box, spacing)
         # a rounding miss is accepted: the last node of (0, 0.3) at 0.1 is 0.30000000000000004
-        dom = GridDomain([(0, 0.3), (-1.5, 1.5)], [0.1, 0.375])
+        dom = Lattice([(0, 0.3), (-1.5, 1.5)], [0.1, 0.375])
         assert dom.shape == (4, 9)
         assert dom.axes[0][-1] != 0.3
         assert [ax[-1] for ax in dom.axes] == pytest.approx([0.3, 1.5], abs=1e-12)
@@ -106,7 +105,7 @@ class TestHorizontalGradient:
 
     def test_grushin_coefficients_enter(self):
         system = fx.grushin()
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         x, y = dom.mesh
         u = GridFunction(dom, dom.clamp(y))
         g = horizontal_gradient(system, u)
@@ -170,11 +169,11 @@ def reference_energy_and_gradient(system, dom, values, p):
 
 
 PARITY_CASES = {
-    "grushin": (fx.grushin, GridDomain([(-1, 1), (-1.5, 1)], [0.25, 0.125])),
-    "martinet": (fx.martinet, GridDomain([(-1, 1)] * 3, 0.25)),
-    "euclidean3": (lambda: fx.euclidean(3), GridDomain([(-1, 1)] * 3, [0.25, 0.5, 0.2])),
-    "grushin-disc": (fx.grushin, GridDomain([(-1, 1), (-1, 1)], 0.125,
-                                            predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
+    "grushin": (fx.grushin, Lattice([(-1, 1), (-1.5, 1)], [0.25, 0.125])),
+    "martinet": (fx.martinet, Lattice([(-1, 1)] * 3, 0.25)),
+    "euclidean3": (lambda: fx.euclidean(3), Lattice([(-1, 1)] * 3, [0.25, 0.5, 0.2])),
+    "grushin-disc": (fx.grushin, Lattice([(-1, 1), (-1, 1)], 0.125,
+                                         predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
 }
 
 
@@ -187,8 +186,8 @@ def x_squared_dy():
 # the PARITY_CASES lattices, plus a predicate lattice with empty columns
 GRAM_CASES = {
     **PARITY_CASES,
-    "x2dy-disc": (x_squared_dy, GridDomain([(-1, 1), (-1, 1)], 0.25,
-                                           predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
+    "x2dy-disc": (x_squared_dy, Lattice([(-1, 1), (-1, 1)], 0.25,
+                                        predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
 }
 
 
@@ -266,7 +265,7 @@ class TestOperatorAssembly:
 
     def test_diag_is_constant_on_a_euclidean_lattice(self):
         spacing = [0.25, 0.5, 0.2]
-        dom = GridDomain([(-1, 1)] * 3, spacing)
+        dom = Lattice([(-1, 1)] * 3, spacing)
         op = dom.horizontal_operator(fx.euclidean(3))
         # each axis gives (1/h)^2 from the node's own forward and backward
         # rows and from the two neighbours' rows
@@ -279,7 +278,7 @@ class TestOperatorAssembly:
         dim = 2
         comps = [Polynomial.zero(dim), Polynomial.variable(dim, 1) ** 2]
         system = VectorFieldSystem([VectorField(comps)], [1, 3])
-        dom = GridDomain([(-1, 1), (-1, 1)], 0.5)
+        dom = Lattice([(-1, 1), (-1, 1)], 0.5)
         op = dom.horizontal_operator(system)
         normal = (op.matrix.T @ op.matrix).diagonal()
         empty = normal == 0.0
@@ -296,12 +295,12 @@ def disc(x):
 
 # lattices with more than _COARSEST unknowns, so the cycle has a coarse level
 MULTIGRID_CASES = {
-    "grushin": (fx.grushin, GridDomain([(-2, 2), (-2, 2)], 0.125)),
-    "grushin-even": (fx.grushin, GridDomain([(-2, 2.125), (-2, 2.125)], 0.125)),
-    "martinet": (fx.martinet, GridDomain([(-1, 1)] * 3, 0.2)),
-    "heisenberg": (fx.heisenberg, GridDomain([(-1, 1)] * 3, 0.2)),
-    "grushin-disc": (fx.grushin, GridDomain([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
-    "x2dy-disc": (x_squared_dy, GridDomain([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
+    "grushin": (fx.grushin, Lattice([(-2, 2), (-2, 2)], 0.125)),
+    "grushin-even": (fx.grushin, Lattice([(-2, 2.125), (-2, 2.125)], 0.125)),
+    "martinet": (fx.martinet, Lattice([(-1, 1)] * 3, 0.2)),
+    "heisenberg": (fx.heisenberg, Lattice([(-1, 1)] * 3, 0.2)),
+    "grushin-disc": (fx.grushin, Lattice([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
+    "x2dy-disc": (x_squared_dy, Lattice([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
 }
 
 
@@ -329,7 +328,7 @@ class TestMultigrid:
 
     def test_coarse_levels_halve_the_grid(self):
         system = fx.euclidean(3)
-        dom = GridDomain([(-8, 8)] * 3, 0.5)
+        dom = Lattice([(-8, 8)] * 3, 0.5)
         mg = dom.horizontal_operator(system).multigrid
         # 31^3 free nodes; the coarse levels keep the 17^3, 9^3 and 5^3
         # even-index nodes that touch them, boundary nodes included
@@ -342,7 +341,7 @@ class TestMultigrid:
 
     def test_built_on_the_first_solve_and_cached(self):
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         energy_report(system, bump(dom, [0, 0], 1.0), 2.0)
         op = dom.horizontal_operator(system)
         assert "multigrid" not in vars(op)
@@ -378,7 +377,7 @@ class TestEnergyAndGradient:
         # first p != 2 gradient and holds it, and test_gram_is_the_normal_matrix
         # checks A = X_h^T X_h
         system = fx.martinet()
-        dom = GridDomain([(-1, 1)] * 3, 0.5)
+        dom = Lattice([(-1, 1)] * 3, 0.5)
         op = dom.horizontal_operator(system)
         assert dom.horizontal_operator(system) is op
         assert op.matrix.format == op.gram.format == "csr"
@@ -396,11 +395,11 @@ class TestEnergyAndGradient:
 
     def test_diagnostics_never_form_the_gram_matrix(self, monkeypatch):
         system = fx.grushin()
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.5)
         horizontal_gradient(system, u)
         ops = [dom.horizontal_operator(system)]
-        assemble = GridDomain.horizontal_operator
+        assemble = Lattice.horizontal_operator
 
         def recording(lattice, system):
             op = assemble(lattice, system)
@@ -408,7 +407,7 @@ class TestEnergyAndGradient:
             return op
 
         # exponent_probe reads X_h on one dilated lattice per t
-        monkeypatch.setattr(GridDomain, "horizontal_operator", recording)
+        monkeypatch.setattr(Lattice, "horizontal_operator", recording)
         exponent_probe(system, None, 4.0, u, [1.0, 0.5, 0.1])
         assert len(ops) == 4
         assert not any("gram" in vars(op) for op in ops)
@@ -417,7 +416,7 @@ class TestEnergyAndGradient:
     def test_gradient_matches_finite_differences(self, p):
         # eps = 1e-8 regularizes the energy at p = 1.3 only
         system = fx.grushin()
-        dom = GridDomain([(-1, 1), (-1, 1)], 0.5)
+        dom = Lattice([(-1, 1), (-1, 1)], 0.5)
         rng = np.random.default_rng(5)
         quotient = _Quotient(system, dom, p)
         assert quotient.eps == (1e-8 if p < 1.5 else 0.0)
@@ -435,7 +434,7 @@ class TestEnergyAndGradient:
     def test_quotient_gradient_matches_finite_differences(self, p):
         # E(u) / ||S u||_{p*}^p, smoothing and quotient rule included
         system = fx.grushin()
-        dom = GridDomain([(-1, 1), (-1, 1)], 0.25)
+        dom = Lattice([(-1, 1), (-1, 1)], 0.25)
         quotient = _Quotient(system, dom, p)
         rng = np.random.default_rng(7)
         x = rng.normal(size=quotient.op.free_index.size)
@@ -506,18 +505,19 @@ def scaling_spread(system, res):
 class TestMinimize:
     def test_quotient_decreases(self):
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.25)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.25)
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=200,
                                 seed=0)
         assert res.trace[-1] < res.trace[0]
         diffs = np.diff(res.trace)
         assert (diffs <= 1e-12).all()
         assert res.constant == pytest.approx(res.trace[-1])
-        assert res.report.quotient == pytest.approx(res.constant, rel=1e-6)
+        rep = energy_report(system, res.minimizer, 2.0)
+        assert rep.quotient == pytest.approx(res.constant, rel=1e-6)
 
     def test_multistart_keeps_best(self):
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         res = minimize_quotient(system, dom, p=2.0, n_starts=2, max_iter=60,
                                 seed=3)
         assert len(res.start_quotients) == 2
@@ -525,7 +525,7 @@ class TestMinimize:
 
     def test_stop_reason_max_iter(self):
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=5, seed=0)
         assert res.iterations == 5
         assert res.stop_reason == "max_iter"
@@ -533,7 +533,7 @@ class TestMinimize:
 
     def test_stalled_line_search_is_not_converged(self):
         # one free node: every normalized candidate has the same quotient
-        dom = GridDomain([(-1, 1), (-1, 1)], 1.0)
+        dom = Lattice([(-1, 1), (-1, 1)], 1.0)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=50)
         assert res.stop_reason == "stalled"
         assert res.iterations == 1
@@ -544,7 +544,7 @@ class TestMinimize:
         # below the rounding floor _DECREMENT_FLOOR, and stops there on
         # "converged" before its line search
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=4000, rel_tol=0.0,
                                 seed=0)
         assert res.stop_reason == "converged"
@@ -557,7 +557,7 @@ class TestMinimize:
         # the decrement is the stop quantity at every p: with rel_tol = 0
         # these solves stop on its floor after 1160 (p = 1.5) and 832 (p = 3)
         # iterations, not on a failed line search
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         floor = minimize_quotient(fx.grushin(), dom, p=p, n_starts=1, max_iter=4000,
                                   rel_tol=0.0, seed=0)
         assert floor.stop_reason == "converged"
@@ -570,7 +570,7 @@ class TestMinimize:
     def test_r3_iterations_stay_flat_under_refinement(self):
         # 18 iterations at 33^3 from an off-node start; criterion 7 runs
         # the same solve on 65^3 nodes (20 iterations, slow)
-        dom = GridDomain([(-8, 8)] * 3, 0.5)
+        dom = Lattice([(-8, 8)] * 3, 0.5)
         res = minimize_quotient(fx.euclidean(3), dom, 2.0, init_centers=[[0.1, -0.2, 0.3]],
                                 n_starts=1, max_iter=4000)
         assert res.stop_reason == "converged"
@@ -580,7 +580,7 @@ class TestMinimize:
         # the decrement rule stops at the first iterate whose -g.d / f is
         # below rel_tol: one iteration less ends on max_iter above it
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=2000,
                                 rel_tol=1e-4, seed=0)
         assert res.stop_reason == "converged"
@@ -597,7 +597,7 @@ class TestMinimize:
         # the default rel_tol stops 5.0e-10 (relative) above the rounding
         # floor that rel_tol = 0 reaches, after 42 iterations against 56;
         # the bound is 1e-8, the p = 2 accuracy the default promises
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800, seed=0)
         floor = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800,
                                   rel_tol=0.0, seed=0)
@@ -607,7 +607,7 @@ class TestMinimize:
 
     def test_solver_record(self):
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=30, seed=0)
         assert res.evaluations >= res.iterations + 1
         quotient = _Quotient(system, dom, 2.0)
@@ -663,7 +663,7 @@ class TestMinimize:
             return apply
 
         monkeypatch.setattr(HorizontalOperator, "multigrid", property(counting))
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=max_iter,
                                 seed=0)
         assert res.stop_reason == ("max_iter" if max_iter == 3 else "converged")
@@ -675,7 +675,7 @@ class TestMinimize:
         # any preconditioning) converged on this grid after 1181 iterations
         # to C = 2.8182942726610074 (max_iter=20000, n_starts=1, seed=0)
         unscaled_constant = 2.8182942726610074
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800, seed=0)
         assert res.stop_reason == "converged"
         assert res.iterations < 300
@@ -685,14 +685,14 @@ class TestMinimize:
         # the line search counts a drop below _ROUNDOFF * f as no decrease,
         # so the rounding noise of the quotient along the ray c x must stay
         # below it at the minimizer
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.25)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800, seed=0)
         assert res.stop_reason == "converged"
         assert scaling_spread(fx.grushin(), res) < _ROUNDOFF
 
     @pytest.mark.slow
     def test_scaling_spread_below_roundoff_on_the_decay_grid(self):
-        dom = GridDomain([(-8, 8), (-80, 80)], [0.125, 1.0])
+        dom = Lattice([(-8, 8), (-80, 80)], [0.125, 1.0])
         x, y = dom.mesh
         u0 = GridFunction(dom, (0.0625 + x ** 2 + (np.abs(y) / 3.0) ** (2.0 / 3.0)) ** -1.0)
         res = minimize_quotient(fx.grushin(), dom, 2.0, init=u0, n_starts=1, max_iter=15000)
@@ -703,7 +703,7 @@ class TestMinimize:
         # the starts are init, then init_centers, then random centres, and
         # n_starts takes the first of them with or without init
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         centers = [[0.0, 0.0], [0.75, -0.75]]
         u0 = bump(dom, [0.75, 0.75], 1.0)
 
@@ -722,12 +722,12 @@ class TestMinimize:
 
     def test_explicit_init_is_used(self):
         system = fx.grushin()
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.375)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         u0 = bump(dom, [0, 0], 1.0)
         res = minimize_quotient(system, dom, p=2.0, init=u0, n_starts=1,
                                 max_iter=5, seed=0)
         assert res.iterations <= 5
-        other = GridDomain([(-1.5, 1.5)] * 2, 0.375)
+        other = Lattice([(-1.5, 1.5)] * 2, 0.375)
         with pytest.raises(SobolevError):
             minimize_quotient(system, dom, init=bump(other, [0, 0], 1.0),
                               n_starts=1, max_iter=5)
@@ -736,7 +736,7 @@ class TestMinimize:
 class TestDilation:
     def test_exact_norm_scaling(self):
         system = fx.grushin()  # weights (1, 3), Q = 4
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.7)
         t = 0.5
         ut = dilate_function(system, u, t)
@@ -744,7 +744,7 @@ class TestDilation:
             assert ut.norm(q) == pytest.approx(t ** (4.0 / q) * u.norm(q))
 
     def test_rejects_bad_t(self):
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.7)
         with pytest.raises(SobolevError):
             dilate_function(fx.grushin(), u, 0.0)
@@ -753,7 +753,7 @@ class TestDilation:
 class TestExponentProbe:
     def test_critical_kappa_is_flat(self):
         system = fx.grushin()
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.5)
         report = exponent_probe(system, None, 4.0, u, [1.0, 0.5, 0.1])
         assert report.spread == pytest.approx(1.0, abs=1e-9)
@@ -761,7 +761,7 @@ class TestExponentProbe:
     def test_subcritical_kappa_slope_exact(self):
         # R(t) = t^(1 - Q/kappa) exactly under lattice dilation
         system = fx.grushin()
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.5)
         report = exponent_probe(system, None, 3.5, u, [1.0, 0.1, 0.01])
         assert report.slope == pytest.approx(1.0 - 4.0 / 3.5, rel=1e-9)
@@ -769,7 +769,7 @@ class TestExponentProbe:
 
     def test_support_escape(self):
         system = fx.grushin()
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.5)
         spec = parse_domain_spec("dim = 2\nbox = -1,1 ; -1,1\n")
         with pytest.raises(SupportEscape):
@@ -779,7 +779,7 @@ class TestExponentProbe:
         # the centered scheme annihilates a checkerboard away from its edge;
         # the probe's int |Xu| averages the two one-sided realizations instead
         system = fx.euclidean(2)
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         i, j = np.indices(dom.shape)
         x, y = dom.mesh
         block = (np.abs(x) <= 1) & (np.abs(y) <= 1)
@@ -795,7 +795,7 @@ class TestExponentProbe:
         assert report.ratios[0] == pytest.approx(u.norm(2.0) / denom, rel=1e-12)
 
     def test_kappa_must_exceed_one(self):
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SobolevError):
             exponent_probe(fx.grushin(), None, 1.0, u, [1.0])
@@ -808,7 +808,7 @@ class TestRescale:
 
         system = fx.grushin()
         family = parse_family(fixture_path("grushin-1-1-2.family").read_text())
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.25)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.25)
         u = bump(dom, [0, 0], 0.5)
         v = rescale(system, u, [0, 0], 1.0, family)
         assert np.allclose(v.values, u.values, atol=1e-10)
@@ -819,7 +819,7 @@ class TestRescale:
 
         system = fx.grushin()
         family = parse_family(fixture_path("grushin-1-1-2.family").read_text())
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.25)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.25)
         u = bump(dom, [0, 1.0], 0.5)
         # v(x) = u(T(w, x)) with T(w, x) = (x1, x2 + w2): w2 = 1 recenters
         v = rescale(system, u, [0, 1.0], 1.0, family)
@@ -832,7 +832,7 @@ class TestRescale:
 
         system = fx.grushin()
         family = parse_family(fixture_path("grushin-1-1-2.family").read_text())
-        dom = GridDomain([(-3, 3), (-3, 3)], 0.25)
+        dom = Lattice([(-3, 3), (-3, 3)], 0.25)
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SupportEscape):
             rescale(system, u, [0, 5.9], 1.0, family)
@@ -841,9 +841,9 @@ class TestRescale:
 class TestLevyConcentration:
     def test_monotone_profile_and_rho_half(self):
         system = fx.euclidean(2)
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.1)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.1)
         u = bump(dom, [0, 0], 0.4)
-        lat = LatticeSpec(dom.box, dom.spacing, n_random_controls=24, tau=0.2)
+        lat = Lattice(dom.box, dom.spacing, n_random_controls=24, tau=0.2)
         df = distance_field(system, [0, 0], lat, seed=1)
         diag = levy_concentration(u, [0.25, 0.5, 1.0, 1.5], [[0.0, 0.0]],
                                   [df], p_star=4.0)
@@ -867,11 +867,11 @@ class TestLevyConcentration:
         assert dens[df.values < rho].sum() < 0.5 * dens.sum()
 
     def test_spike_has_rho_half_zero(self):
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.25)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         vals = np.zeros(dom.shape)
         vals[dom.node_index([0.5, -0.25])] = 1.0
         u = GridFunction(dom, vals)
-        lat = LatticeSpec(dom.box, dom.spacing, n_random_controls=4, tau=0.5)
+        lat = Lattice(dom.box, dom.spacing, n_random_controls=4, tau=0.5)
         fields = [distance_field(fx.euclidean(2), c, lat, seed=1)
                   for c in ([0.0, 0.0], [0.5, -0.25])]
         diag = levy_concentration(u, [0.25, 1.0], [[0.0, 0.0], [0.5, -0.25]],
@@ -880,15 +880,15 @@ class TestLevyConcentration:
         assert diag.best_center == (0.5, -0.25)
 
     def test_field_count_checked(self):
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.5)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.5)
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SobolevError):
             levy_concentration(u, [0.5], [[0.0, 0.0]], [], p_star=4.0)
 
     def test_shifted_lattice_rejected(self):
-        dom = GridDomain([(-2, 2), (-2, 2)], 0.5)
+        dom = Lattice([(-2, 2), (-2, 2)], 0.5)
         u = bump(dom, [0, 0], 0.5)
-        shifted = LatticeSpec([(-1, 3), (-2, 2)], 0.5, n_random_controls=4, tau=0.5)
+        shifted = Lattice([(-1, 3), (-2, 2)], 0.5, n_random_controls=4, tau=0.5)
         df = distance_field(fx.euclidean(2), [0, 0], shifted, seed=1)
         assert df.values.shape == dom.shape
         with pytest.raises(SobolevError):
@@ -898,11 +898,11 @@ class TestLevyConcentration:
 class TestDecayProfile:
     def make_distance_field(self, dom):
         system = fx.euclidean(2)
-        lat = LatticeSpec(dom.box, dom.spacing, n_random_controls=24, tau=0.2)
+        lat = Lattice(dom.box, dom.spacing, n_random_controls=24, tau=0.2)
         return distance_field(system, [0, 0], lat, seed=1)
 
     def test_recovers_synthetic_power_law(self):
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.1)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.1)
         df = self.make_distance_field(dom)
         with np.errstate(divide="ignore"):
             vals = np.where(df.values > 0, df.values, 0.05) ** -1.5
@@ -912,18 +912,18 @@ class TestDecayProfile:
         assert fit.exponent == pytest.approx(-1.5, abs=0.15)
 
     def test_constant_field_rejected(self):
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.1)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.1)
         df = self.make_distance_field(dom)
         u = GridFunction(dom, np.ones(dom.shape))
         fit = decay_profile(u, df, 1.0, 3.0)
         assert fit.rejected
 
     def test_lattice_contract(self):
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.1)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.1)
         u = bump(dom, [0, 0], 0.5)
         for box, spacing in (([(-3, 5), (-4, 4)], 0.1),      # same shape, shifted box
                              ([(-4, 4), (-4, 4)], [0.1, 0.1 + 1e-9])):
-            lat = LatticeSpec(box, spacing, n_random_controls=4, tau=0.2)
+            lat = Lattice(box, spacing, n_random_controls=4, tau=0.2)
             df = distance_field(fx.euclidean(2), [0, 0], lat, seed=1)
             assert df.values.shape == dom.shape
             with pytest.raises(SobolevError, match="does not match"):
@@ -933,7 +933,7 @@ class TestDecayProfile:
         assert decay_profile(u, bare, 1.0, 3.0).n_points > 0
 
     def test_empty_annulus(self):
-        dom = GridDomain([(-4, 4), (-4, 4)], 0.1)
+        dom = Lattice([(-4, 4), (-4, 4)], 0.1)
         df = self.make_distance_field(dom)
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SobolevError):
