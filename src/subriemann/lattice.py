@@ -2,18 +2,17 @@
 
 One `Lattice` holds an axis-aligned box, the per-axis spacing, the node
 coordinates per axis, the outer boundary shell and the Dirichlet
-``free`` mask, plus the control-set resolution that distance fields
-read.  The full-shape coordinate mesh is built on first use (at
-construction only when a ``predicate`` must be evaluated on it), so the
-metric layer, which reads the axes at the nodes it steps from, never
-pays for it.  For the Sobolev layer, a lattice holds one cache, keyed
-by system: the assembled sparse horizontal-gradient operator X_h
-(`Lattice.horizontal_operator`).  The polynomial coefficients it is
-built from are evaluated on the mesh for the assembly and then
-dropped.  What is derived from X_h belongs to the operator and is
-built on first use: its Gram matrix A = X_h^T X_h
-(`HorizontalOperator.gram`, on the first p = 2 energy) and the
-Galerkin multigrid hierarchy of A that preconditions the Sobolev solver
+``free`` mask (every node off the shell), plus the control-set
+resolution that distance fields read.  The full-shape coordinate mesh
+is built on first use, so the metric layer, which reads the axes at the
+nodes it steps from, never pays for it.  For the Sobolev layer, a
+lattice holds one cache, keyed by system: the assembled sparse
+horizontal-gradient operator X_h (`Lattice.horizontal_operator`).  The
+polynomial coefficients it is built from are evaluated on the mesh for
+the assembly and then dropped.  What is derived from X_h belongs to the
+operator and is built on first use: its Gram matrix A = X_h^T X_h
+(`HorizontalOperator.gram`, on the first p = 2 energy) and the Galerkin
+multigrid hierarchy of A that preconditions the Sobolev solver
 (`HorizontalOperator.multigrid`, on the first solve).  So evaluating an
 energy never builds the hierarchy, and the diagnostics that read X_h
 alone never form A.  X_h^T itself is not kept: the Sobolev quotient
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -62,8 +60,8 @@ class HorizontalOperator:
     forward before backward, then by field, then by flat node index, so
     ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
     X_j^- u on every node of the lattice ``shape``.  Its columns are the
-    free nodes only, in the order of ``free_index`` (flat node indices):
-    x = u.ravel()[free_index].  ``gram`` and ``multigrid`` are derived
+    free nodes only, that is the interior of the box, in the order of
+    ``free_index`` (flat node indices): x = u.ravel()[free_index].  ``gram`` and ``multigrid`` are derived
     from ``matrix`` on first use and then kept with it.
     """
 
@@ -92,9 +90,8 @@ class HorizontalOperator:
 
         Level k + 1 lives on the even-index nodes of level k's grid.  Its
         prolongation P is the tensor product (``sparse.kron``) of one
-        linear interpolation per axis, with rows restricted to level k's
-        unknowns and columns to the coarse nodes they touch; its operator
-        is P^T A P.  Coarsening stops at `_COARSEST` unknowns or fewer.
+        linear interpolation per axis, each with the rows of the axis's
+        interior nodes only on the finest level; its operator is P^T A P.  Coarsening stops at `_COARSEST` unknowns or fewer.
         """
         return Multigrid(self)
 
@@ -104,17 +101,15 @@ class Lattice:
 
     The spacing must divide every box side, so each axis ends on the box.
 
-    ``boundary`` marks the outermost node shell.  ``free`` marks nodes
-    where a function may be nonzero: everything off the shell, further
-    restricted by an optional membership ``predicate`` on float
-    coordinates (the only way to express a non-box domain).
+    ``boundary`` marks the outermost node shell.  ``free``, its
+    complement, marks the nodes where a function may be nonzero.
 
     ``n_random_controls`` defaults to 2 m^2 extra unit directions on top
     of the +-axis controls; ``tau`` defaults to twice the largest
     spacing (steps must clear the snapping radius).
     """
 
-    def __init__(self, box, spacing, predicate: Callable | None = None, *,
+    def __init__(self, box, spacing, *,
                  n_random_controls: int | None = None, tau: float | None = None):
         if not box:
             raise LatticeError("empty box")
@@ -142,7 +137,6 @@ class Lattice:
                 raise LatticeError(f"spacing {h} does not divide the box side [{lo}, {hi}]")
         self.n_random_controls = n_random_controls
         self.tau = tau
-        self.predicate = predicate
         self.axes = [
             lo + h * np.arange(n)
             for (lo, _), h, n in zip(self.box, self.spacing, self.shape)
@@ -155,10 +149,7 @@ class Lattice:
             sl[ax] = self.shape[ax] - 1
             boundary[tuple(sl)] = True
         self.boundary = boundary
-        free = ~boundary
-        if predicate is not None:
-            free &= np.vectorize(lambda *xs: bool(predicate(xs)))(*self.mesh)
-        self.free = free
+        self.free = ~boundary
         self._operator_cache: dict = {}
 
     @cached_property
@@ -293,44 +284,43 @@ class Multigrid:
 
     Each level smooths with damped Jacobi, x <- x + w D^-1 (r - A x), once
     before and once after the coarse correction x <- x + P V(P^T (r - A x)).
-    The coarsest level applies the pseudo-inverse of its operator (a
-    predicate domain can leave coarse columns that touch the same single
-    fine node, so that operator may be singular).  The pre- and
-    post-smoother are the same symmetric map, so the cycle is symmetric;
-    it is positive definite when w lambda_max(D^-1 A) < 2 on every level,
-    which the damping enforces through the Gershgorin bound on
-    lambda_max.
+    The coarsest level applies the pseudo-inverse of its operator.  The
+    pre- and post-smoother are the same symmetric map, so the cycle is
+    symmetric; it is positive definite when w lambda_max(D^-1 A) < 2 on
+    every level, which the damping enforces through the Gershgorin bound
+    on lambda_max.
+
+    On a box every coarse node touches an interior fine node, and on
+    every level after the finest all nodes are unknowns, so each P is the
+    plain tensor product of the per-axis interpolations.
     """
 
     def __init__(self, op: HorizontalOperator):
         from scipy import sparse
 
         a = op.gram
+        # the operator's index type (int32 where it fits) carries over to
+        # the products below, so every level stays at 12 bytes an entry
+        index = op.matrix.indices.dtype
         shape = op.shape
-        diag = _smoother_diagonal(a)
-        unknowns = op.free_index
+        # the finest level's unknowns are the interior nodes of each axis
+        axes = [_interpolation(n)[1:-1] for n in shape]
         self.levels = []
         while a.shape[0] > _COARSEST:
-            p = _interpolation(shape[0])
-            for n in shape[1:]:
-                p = sparse.kron(p, _interpolation(n), format="csr")
-            p = p[unknowns]
-            touched = np.flatnonzero(p.count_nonzero(axis=0))
-            p = p[:, touched]
-            # the operator's index type (int32 where it fits) carries over
-            # to the products below, so every level stays at 12 bytes an entry
-            index = op.matrix.indices.dtype
+            p = axes[0]
+            for axis in axes[1:]:
+                p = sparse.kron(p, axis, format="csr")
             p = sparse.csr_array((p.data, p.indices.astype(index), p.indptr.astype(index)),
                                  shape=p.shape)
             pt = p.T.tocsr()
+            diag = _smoother_diagonal(a)
             # Gershgorin: lambda_max(D^-1 A) <= max_i sum_j |a_ij| / d_i
             bound = float((abs(a).sum(axis=1) / diag).max())
             damping = min(_DAMPING, 1.9 / bound)
             self.levels.append((a, damping / diag, p, pt))
             a = (pt @ (a @ p)).tocsr()
-            diag = _smoother_diagonal(a)
             shape = tuple((n + 1) // 2 for n in shape)
-            unknowns = touched
+            axes = [_interpolation(n) for n in shape]
         self.coarse_inverse = np.linalg.pinv(a.toarray(), hermitian=True)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:

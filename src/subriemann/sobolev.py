@@ -94,7 +94,7 @@ def _smooth(u: np.ndarray) -> np.ndarray:
 
 
 class GridFunction:
-    """Scalar field sampled on a Lattice; zero at masked nodes."""
+    """Scalar field sampled on a Lattice; zero on its boundary shell."""
 
     def __init__(self, domain: Lattice, values: np.ndarray):
         values = np.asarray(values, dtype=float)

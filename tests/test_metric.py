@@ -71,9 +71,6 @@ class TestLatticeSpec:
         assert "mesh" not in vars(lat)
         assert np.array_equal(lat.mesh[1][0], lat.axes[1])
         assert lat.mesh is lat.mesh
-        # a predicate still runs on the mesh at construction, so its errors surface there
-        with pytest.raises(ZeroDivisionError):
-            Lattice([(0, 1), (-1, 1)], 0.5, predicate=lambda x: 1 / 0)
 
     def test_control_directions_are_unit(self):
         dirs = control_directions(3, 10, seed=4)

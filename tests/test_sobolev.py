@@ -8,7 +8,14 @@ import pytest
 
 from subriemann import fixtures as fx
 from subriemann.fields import VectorField, VectorFieldSystem
-from subriemann.lattice import _COARSEST, HorizontalOperator, Lattice, LatticeError, _smoother_diagonal
+from subriemann.lattice import (
+    _COARSEST,
+    HorizontalOperator,
+    Lattice,
+    LatticeError,
+    _interpolation,
+    _smoother_diagonal,
+)
 from subriemann.metric import distance_field
 from subriemann.sobolev import (
     GridFunction,
@@ -49,12 +56,6 @@ class TestGridDomain:
         assert not small_domain.free[0].any()
         assert not small_domain.free[:, -1].any()
         assert small_domain.free[8, 8]
-
-    def test_predicate_restricts(self):
-        dom = Lattice([(-1, 1), (-1, 1)], 0.5,
-                      predicate=lambda x: x[0] >= 0)
-        assert not dom.free[0, 2]
-        assert dom.free[3, 2]
 
     def test_clamp(self, small_domain):
         vals = np.ones(small_domain.shape)
@@ -172,8 +173,6 @@ PARITY_CASES = {
     "grushin": (fx.grushin, Lattice([(-1, 1), (-1.5, 1)], [0.25, 0.125])),
     "martinet": (fx.martinet, Lattice([(-1, 1)] * 3, 0.25)),
     "euclidean3": (lambda: fx.euclidean(3), Lattice([(-1, 1)] * 3, [0.25, 0.5, 0.2])),
-    "grushin-disc": (fx.grushin, Lattice([(-1, 1), (-1, 1)], 0.125,
-                                         predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
 }
 
 
@@ -183,11 +182,10 @@ def x_squared_dy():
     return VectorFieldSystem([VectorField(comps)], [1, 3])
 
 
-# the PARITY_CASES lattices, plus a predicate lattice with empty columns
+# the PARITY_CASES lattices, plus one with empty columns on {x = 0}
 GRAM_CASES = {
     **PARITY_CASES,
-    "x2dy-disc": (x_squared_dy, Lattice([(-1, 1), (-1, 1)], 0.25,
-                                        predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.7)),
+    "x2dy": (x_squared_dy, Lattice([(-1, 1), (-1, 1)], 0.25)),
 }
 
 
@@ -255,9 +253,8 @@ class TestOperatorAssembly:
         np.testing.assert_allclose(op.gram.toarray(), normal, rtol=1e-13)
         gram_diag = op.gram.diagonal()
         empty = gram_diag == 0.0
-        assert empty.any() == (case == "x2dy-disc")
-        if case == "x2dy-disc":
-            assert (~dom.free & ~dom.boundary).any()
+        assert empty.any() == (case == "x2dy")
+        if case == "x2dy":
             x_free = dom.mesh[0].ravel()[op.free_index]
             np.testing.assert_array_equal(empty, x_free == 0.0)
         np.testing.assert_array_equal(_smoother_diagonal(op.gram),
@@ -289,19 +286,42 @@ class TestOperatorAssembly:
         np.testing.assert_allclose(diag[~empty], normal[~empty], rtol=1e-13)
 
 
-def disc(x):
-    return x[0] ** 2 + x[1] ** 2 < 0.7
-
-
 # lattices with more than _COARSEST unknowns, so the cycle has a coarse level
 MULTIGRID_CASES = {
     "grushin": (fx.grushin, Lattice([(-2, 2), (-2, 2)], 0.125)),
     "grushin-even": (fx.grushin, Lattice([(-2, 2.125), (-2, 2.125)], 0.125)),
     "martinet": (fx.martinet, Lattice([(-1, 1)] * 3, 0.2)),
     "heisenberg": (fx.heisenberg, Lattice([(-1, 1)] * 3, 0.2)),
-    "grushin-disc": (fx.grushin, Lattice([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
-    "x2dy-disc": (x_squared_dy, Lattice([(-1, 1), (-1, 1)], 0.05, predicate=disc)),
+    # one interior node across axis 0: it interpolates both coarse planes
+    # equally, so the coarse operator P^T A P is singular
+    "euclidean-thin": (lambda: fx.euclidean(3), Lattice([(-1, 1), (0, 25), (0, 25)], 1.0)),
+    # A has the empty rows of the 23 free nodes on {x = 0}
+    "x2dy": (x_squared_dy, Lattice([(-1.5, 1.5), (-1.5, 1.5)], 0.125)),
 }
+
+
+def reference_prolongations(op):
+    """Each level's (P, P^T A P) as they were built with row and column selection.
+
+    The full tensor-product interpolation of the level's grid, with rows
+    restricted to the level's unknowns and columns to the coarse nodes
+    they touch.
+    """
+    from scipy import sparse
+
+    a, shape, unknowns, out = op.gram, op.shape, op.free_index, []
+    while a.shape[0] > _COARSEST:
+        p = _interpolation(shape[0])
+        for n in shape[1:]:
+            p = sparse.kron(p, _interpolation(n), format="csr")
+        p = p[unknowns]
+        touched = np.flatnonzero(p.count_nonzero(axis=0))
+        p = p[:, touched]
+        a = (p.T @ a @ p).tocsr()
+        out.append((p, a))
+        shape = tuple((n + 1) // 2 for n in shape)
+        unknowns = touched
+    return out
 
 
 class TestMultigrid:
@@ -314,8 +334,8 @@ class TestMultigrid:
         assert mg.levels and n > _COARSEST >= mg.coarse_inverse.shape[0]
         if case == "grushin-even":
             assert all(k % 2 == 0 for k in dom.shape)
-        if case.endswith("disc"):
-            assert (~dom.free & ~dom.boundary).any()
+        if case == "x2dy":
+            assert (op.gram.diagonal() == 0.0).sum() == 23
         # the cycle as a dense matrix, one column per unit vector
         m = np.column_stack([mg(e) for e in np.eye(n)])
         scale = np.abs(m).max()
@@ -325,6 +345,20 @@ class TestMultigrid:
         u, v = rng.normal(size=(2, n))
         assert float(u @ mg(v)) == pytest.approx(float(mg(u) @ v), rel=1e-12)
         assert float(v @ mg(v)) > 0.0
+
+    @pytest.mark.parametrize("case", sorted(MULTIGRID_CASES))
+    def test_prolongations_match_the_selected_construction(self, case):
+        make_system, dom = MULTIGRID_CASES[case]
+        op = dom.horizontal_operator(make_system())
+        levels = op.multigrid.levels
+        ref = reference_prolongations(op)
+        assert len(levels) == len(ref)
+        coarse_ops = [a for a, *_ in levels[1:]] + [None]
+        for (_, _, p, pt), a_coarse, (p_ref, a_ref) in zip(levels, coarse_ops, ref):
+            assert p.shape == p_ref.shape and (p != p_ref).nnz == 0
+            assert (pt != p_ref.T).nnz == 0
+            if a_coarse is not None:
+                assert (a_coarse != a_ref).nnz == 0
 
     def test_coarse_levels_halve_the_grid(self):
         system = fx.euclidean(3)
@@ -356,9 +390,6 @@ class TestEnergyAndGradient:
     def test_operator_matches_stencil_reference(self, case, p):
         make_system, dom = PARITY_CASES[case]
         system = make_system()
-        if case == "grushin-disc":
-            # the predicate cuts interior nodes out of the free mask
-            assert (~dom.free & ~dom.boundary).any()
         rng = np.random.default_rng(11)
         values = dom.clamp(rng.normal(size=dom.shape))
         quotient = _Quotient(system, dom, p)
