@@ -2,17 +2,17 @@
 
 One `Lattice` holds an axis-aligned box, the per-axis spacing, the node
 coordinates per axis, the outer boundary shell and the Dirichlet
-``free`` mask (every node off the shell), plus the control-set
-resolution that distance fields read.  The full-shape coordinate mesh
-is built on first use, so the metric layer, which reads the axes at the
-nodes it steps from, never pays for it.  For the Sobolev layer, a
-lattice holds one cache, keyed by system: the assembled sparse
-horizontal-gradient operator X_h (`Lattice.horizontal_operator`).  The
-polynomial coefficients it is built from are evaluated on the mesh for
-the assembly and then dropped.  What is derived from X_h belongs to the
-operator and is built on first use: its Gram matrix A = X_h^T X_h
-(`HorizontalOperator.gram`, on the first p = 2 energy) and the Galerkin
-multigrid hierarchy of A that preconditions the Sobolev solver
+``free`` mask, plus the control-set resolution that distance fields
+read.  The full-shape coordinate mesh is built on first use, so the
+metric layer, which reads the axes at the nodes it steps from, never
+pays for it.  For the Sobolev layer, a lattice holds one cache, keyed
+by system: the assembled sparse horizontal-gradient operator X_h
+(`Lattice.horizontal_operator`).  The polynomial coefficients it is
+built from are evaluated on the mesh for the assembly and then
+dropped.  What is derived from X_h belongs to the operator and is
+built on first use: its Gram matrix A = X_h^T X_h
+(`HorizontalOperator.gram`, on the first p = 2 energy) and the
+Galerkin multigrid hierarchy of A that preconditions the Sobolev solver
 (`HorizontalOperator.multigrid`, on the first solve).  So evaluating an
 energy never builds the hierarchy, and the diagnostics that read X_h
 alone never form A.  X_h^T itself is not kept: the Sobolev quotient
@@ -60,9 +60,9 @@ class HorizontalOperator:
     forward before backward, then by field, then by flat node index, so
     ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
     X_j^- u on every node of the lattice ``shape``.  Its columns are the
-    free nodes only, that is the interior of the box, in the order of
-    ``free_index`` (flat node indices): x = u.ravel()[free_index].  ``gram`` and ``multigrid`` are derived
-    from ``matrix`` on first use and then kept with it.
+    interior nodes only, in the order of ``free_index`` (flat node
+    indices): x = u.ravel()[free_index].  ``gram`` and ``multigrid`` are
+    derived from ``matrix`` on first use and then kept with it.
     """
 
     matrix: object
@@ -90,8 +90,9 @@ class HorizontalOperator:
 
         Level k + 1 lives on the even-index nodes of level k's grid.  Its
         prolongation P is the tensor product (``sparse.kron``) of one
-        linear interpolation per axis, each with the rows of the axis's
-        interior nodes only on the finest level; its operator is P^T A P.  Coarsening stops at `_COARSEST` unknowns or fewer.
+        linear interpolation per axis (on the finest level, its interior
+        rows only); its operator is P^T A P.  Coarsening stops at
+        `_COARSEST` unknowns or fewer.
         """
         return Multigrid(self)
 
@@ -284,15 +285,15 @@ class Multigrid:
 
     Each level smooths with damped Jacobi, x <- x + w D^-1 (r - A x), once
     before and once after the coarse correction x <- x + P V(P^T (r - A x)).
-    The coarsest level applies the pseudo-inverse of its operator.  The
-    pre- and post-smoother are the same symmetric map, so the cycle is
-    symmetric; it is positive definite when w lambda_max(D^-1 A) < 2 on
-    every level, which the damping enforces through the Gershgorin bound
-    on lambda_max.
-
-    On a box every coarse node touches an interior fine node, and on
-    every level after the finest all nodes are unknowns, so each P is the
-    plain tensor product of the per-axis interpolations.
+    The coarsest level applies the inverse of its operator, or its
+    pseudo-inverse when a Cholesky factorization fails.  On a box that
+    happens for a system that leaves nodes unseen (x^2 d_y on {x = 0}, as
+    in `_smoother_diagonal`) on a lattice with no coarse level, and for an
+    axis with one interior node, whose two coarse nodes share a column of
+    P.  The pre- and post-smoother are the same symmetric map, so the
+    cycle is symmetric; it is positive definite when w lambda_max(D^-1 A)
+    < 2 on every level, which the damping enforces through the Gershgorin
+    bound on lambda_max.
     """
 
     def __init__(self, op: HorizontalOperator):
@@ -303,7 +304,8 @@ class Multigrid:
         # the products below, so every level stays at 12 bytes an entry
         index = op.matrix.indices.dtype
         shape = op.shape
-        # the finest level's unknowns are the interior nodes of each axis
+        # each coarse node of a box touches an interior fine node, and each
+        # node of a coarse level is an unknown: only the finest drops rows
         axes = [_interpolation(n)[1:-1] for n in shape]
         self.levels = []
         while a.shape[0] > _COARSEST:
@@ -321,7 +323,12 @@ class Multigrid:
             a = (pt @ (a @ p)).tocsr()
             shape = tuple((n + 1) // 2 for n in shape)
             axes = [_interpolation(n) for n in shape]
-        self.coarse_inverse = np.linalg.pinv(a.toarray(), hermitian=True)
+        dense = a.toarray()
+        try:
+            np.linalg.cholesky(dense)
+            self.coarse_inverse = np.linalg.inv(dense)
+        except np.linalg.LinAlgError:
+            self.coarse_inverse = np.linalg.pinv(dense, hermitian=True)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """One V-cycle from x = 0 for A x = r."""

@@ -13,6 +13,7 @@ from subriemann.lattice import (
     HorizontalOperator,
     Lattice,
     LatticeError,
+    Multigrid,
     _interpolation,
     _smoother_diagonal,
 )
@@ -286,6 +287,8 @@ class TestOperatorAssembly:
         np.testing.assert_allclose(diag[~empty], normal[~empty], rtol=1e-13)
 
 
+PINV = np.linalg.pinv
+
 # lattices with more than _COARSEST unknowns, so the cycle has a coarse level
 MULTIGRID_CASES = {
     "grushin": (fx.grushin, Lattice([(-2, 2), (-2, 2)], 0.125)),
@@ -359,6 +362,37 @@ class TestMultigrid:
             assert (pt != p_ref.T).nnz == 0
             if a_coarse is not None:
                 assert (a_coarse != a_ref).nnz == 0
+
+    @pytest.fixture
+    def pinv_calls(self, monkeypatch):
+        """The shapes np.linalg.pinv is called on while the test runs."""
+        calls = []
+        monkeypatch.setattr(np.linalg, "pinv",
+                            lambda m, **kw: calls.append(m.shape) or PINV(m, **kw))
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(MULTIGRID_CASES))
+    def test_coarse_inverse_is_the_pseudo_inverse(self, case, pinv_calls):
+        make_system, dom = MULTIGRID_CASES[case]
+        mg = Multigrid(dom.horizontal_operator(make_system()))
+        a, _, p, pt = mg.levels[-1]
+        coarse = (pt @ (a @ p)).toarray()
+        # Cholesky fails, and pinv runs, only on the singular coarse operator
+        assert pinv_calls == ([coarse.shape] if case == "euclidean-thin" else [])
+        ref = PINV(coarse, hermitian=True)
+        # an inverse carries rounding of order cond * eps (x2dy: cond 2e6)
+        eig = np.linalg.eigvalsh(coarse)
+        tol = max(1e-12, eig[-1] / eig[0] * np.finfo(float).eps) if eig[0] > 0 else 0.0
+        np.testing.assert_allclose(mg.coarse_inverse, ref, rtol=0, atol=tol * abs(ref).max())
+
+    def test_unseen_nodes_on_the_coarsest_level_use_the_pseudo_inverse(self, pinv_calls):
+        # 49 unknowns, so A itself is the coarsest operator, with the empty
+        # rows of the 7 nodes on {x = 0}
+        op = Lattice([(-1, 1), (-1, 1)], 0.25).horizontal_operator(x_squared_dy())
+        mg = Multigrid(op)
+        assert not mg.levels and pinv_calls == [(49, 49)]
+        ref = PINV(op.gram.toarray(), hermitian=True)
+        np.testing.assert_array_equal(mg.coarse_inverse, ref)
 
     def test_coarse_levels_halve_the_grid(self):
         system = fx.euclidean(3)
