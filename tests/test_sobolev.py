@@ -287,6 +287,7 @@ class TestOperatorAssembly:
         np.testing.assert_allclose(diag[~empty], normal[~empty], rtol=1e-13)
 
 
+# the real pseudo-inverse, for the tests that spy on np.linalg.pinv
 PINV = np.linalg.pinv
 
 # lattices with more than _COARSEST unknowns, so the cycle has a coarse level
