@@ -2,17 +2,17 @@
 
 One `Lattice` holds an axis-aligned box, the per-axis spacing, the node
 coordinates per axis, the outer boundary shell and the Dirichlet
-``free`` mask, plus the control-set resolution that distance fields
-read.  The full-shape coordinate mesh is built on first use, so the
-metric layer, which reads the axes at the nodes it steps from, never
-pays for it.  For the Sobolev layer, a lattice holds one cache, keyed
-by system: the assembled sparse horizontal-gradient operator X_h
-(`Lattice.horizontal_operator`).  The polynomial coefficients it is
-built from are evaluated on the mesh for the assembly and then
-dropped.  What is derived from X_h belongs to the operator and is
-built on first use: its Gram matrix A = X_h^T X_h
-(`HorizontalOperator.gram`, on the first p = 2 energy) and the
-Galerkin multigrid hierarchy of A that preconditions the Sobolev solver
+``free`` mask (every node off the shell), plus the control-set
+resolution that distance fields read.  The full-shape coordinate mesh
+is built on first use, so the metric layer, which reads the axes at the
+nodes it steps from, never pays for it.  For the Sobolev layer, a
+lattice holds one cache, keyed by system: the assembled sparse
+horizontal-gradient operator X_h (`Lattice.horizontal_operator`).  The
+polynomial coefficients it is built from are evaluated on the mesh for
+the assembly and then dropped.  What is derived from X_h belongs to the
+operator and is built on first use: its Gram matrix A = X_h^T X_h
+(`HorizontalOperator.gram`, on the first p = 2 energy) and the Galerkin
+multigrid hierarchy of A that preconditions the Sobolev solver
 (`HorizontalOperator.multigrid`, on the first solve).  So evaluating an
 energy never builds the hierarchy, and the diagnostics that read X_h
 alone never form A.  X_h^T itself is not kept: the Sobolev quotient
@@ -285,15 +285,20 @@ class Multigrid:
 
     Each level smooths with damped Jacobi, x <- x + w D^-1 (r - A x), once
     before and once after the coarse correction x <- x + P V(P^T (r - A x)).
-    The coarsest level applies the inverse of its operator, or its
-    pseudo-inverse when a Cholesky factorization fails.  On a box that
-    happens for a system that leaves nodes unseen (x^2 d_y on {x = 0}, as
-    in `_smoother_diagonal`) on a lattice with no coarse level, and for an
-    axis with one interior node, whose two coarse nodes share a column of
-    P.  The pre- and post-smoother are the same symmetric map, so the
-    cycle is symmetric; it is positive definite when w lambda_max(D^-1 A)
-    < 2 on every level, which the damping enforces through the Gershgorin
-    bound on lambda_max.
+    The coarsest level applies the pseudo-inverse of its operator, which
+    is singular on a box when an axis has one interior node (its two
+    coarse nodes get the same column of P) or, with no coarse level, when
+    the system leaves nodes unseen (x^2 d_y on {x = 0}).  The null
+    eigenvalues round to about n eps lambda_max, above numpy's default
+    cutoff of 1e-15 lambda_max on some lattices, so the cutoff is
+    matrix_rank's n eps lambda_max.  The pre- and post-smoother are the
+    same symmetric map, so the cycle is symmetric; it is positive definite
+    when w lambda_max(D^-1 A) < 2 on every level, which the damping
+    enforces through the Gershgorin bound on lambda_max.
+
+    On a box every coarse node touches an interior fine node, and on
+    every level after the finest all nodes are unknowns, so each P is the
+    plain tensor product of the per-axis interpolations.
     """
 
     def __init__(self, op: HorizontalOperator):
@@ -304,8 +309,7 @@ class Multigrid:
         # the products below, so every level stays at 12 bytes an entry
         index = op.matrix.indices.dtype
         shape = op.shape
-        # each coarse node of a box touches an interior fine node, and each
-        # node of a coarse level is an unknown: only the finest drops rows
+        # the finest level's unknowns are the interior nodes of each axis
         axes = [_interpolation(n)[1:-1] for n in shape]
         self.levels = []
         while a.shape[0] > _COARSEST:
@@ -323,12 +327,8 @@ class Multigrid:
             a = (pt @ (a @ p)).tocsr()
             shape = tuple((n + 1) // 2 for n in shape)
             axes = [_interpolation(n) for n in shape]
-        dense = a.toarray()
-        try:
-            np.linalg.cholesky(dense)
-            self.coarse_inverse = np.linalg.inv(dense)
-        except np.linalg.LinAlgError:
-            self.coarse_inverse = np.linalg.pinv(dense, hermitian=True)
+        self.coarse_inverse = np.linalg.pinv(a.toarray(), hermitian=True,
+                                             rcond=a.shape[0] * np.finfo(float).eps)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """One V-cycle from x = 0 for A x = r."""
