@@ -1,7 +1,7 @@
 """Minimize the discrete Sobolev quotient for the Grushin fields.
 
 The constant C0 = inf int |Xu|^2 / ||u||_{p*}^2 (p* = 2Q/(Q-2), Q = 4)
-is approached on a Dirichlet box by L-BFGS on the free-node values,
+is approached on a Dirichlet box by L-BFGS on the interior-node values,
 with the energy built from the lattice's sparse horizontal-gradient
 operator X_h.  The script prints the solver record (iterations,
 evaluations, stop reason, final gradient norm and decrement), where

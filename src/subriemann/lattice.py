@@ -1,11 +1,11 @@
 """The truncated box lattice shared by the metric and Sobolev layers.
 
 One `Lattice` holds an axis-aligned box, the per-axis spacing, the node
-coordinates per axis, the outer boundary shell and the Dirichlet
-``free`` mask (every node off the shell), plus the control-set
-resolution that distance fields read.  The full-shape coordinate mesh
-is built on first use, so the metric layer, which reads the axes at the
-nodes it steps from, never pays for it.  For the Sobolev layer, a
+coordinates per axis, its ``interior`` (the nodes off the outer shell,
+the Dirichlet unknowns) and the control-set resolution that distance
+fields read.  The full-shape coordinate mesh and shell mask are built
+on first use, so the metric layer, which reads the axes at the nodes it
+steps from, never pays for them.  For the Sobolev layer, a
 lattice holds one cache, keyed by system: the assembled sparse
 horizontal-gradient operator X_h (`Lattice.horizontal_operator`).  The
 polynomial coefficients it is built from are evaluated on the mesh for
@@ -60,23 +60,33 @@ class HorizontalOperator:
     forward before backward, then by field, then by flat node index, so
     ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
     X_j^- u on every node of the lattice ``shape``.  Its columns are the
-    interior nodes only, in the order of ``free_index`` (flat node
-    indices): x = u.ravel()[free_index].  ``gram`` and ``multigrid`` are
+    unknowns, the ``interior`` nodes in C order: `unknowns` and `grid`
+    map a node grid to them and back.  ``gram`` and ``multigrid`` are
     derived from ``matrix`` on first use and then kept with it.
     """
 
     matrix: object
-    free_index: np.ndarray
     n_fields: int
     shape: tuple[int, ...]
+    interior: tuple[slice, ...]
 
     @property
     def n_nodes(self) -> int:
         return math.prod(self.shape)
 
+    def unknowns(self, u: np.ndarray) -> np.ndarray:
+        """The unknowns x of the node grid u: its interior values, in C order."""
+        return u[self.interior].ravel()
+
+    def grid(self, x: np.ndarray) -> np.ndarray:
+        """The node grid of the unknowns x, zero on the boundary shell."""
+        u = np.zeros(self.shape)
+        u[self.interior] = x.reshape(u[self.interior].shape)
+        return u
+
     @cached_property
     def gram(self):
-        """The Gram matrix A = X_h^T X_h on the free nodes, in CSR (formed on first use).
+        """The Gram matrix A = X_h^T X_h on the unknowns, in CSR (formed on first use).
 
         The p = 2 energy is 1/2 x.Ax and its gradient Ax, one product
         instead of X_h and X_h^T.
@@ -98,12 +108,12 @@ class HorizontalOperator:
 
 
 class Lattice:
-    """Axis-aligned box lattice with a Dirichlet mask and a control set.
+    """Axis-aligned box lattice with a Dirichlet interior and a control set.
 
     The spacing must divide every box side, so each axis ends on the box.
 
-    ``boundary`` marks the outermost node shell.  ``free``, its
-    complement, marks the nodes where a function may be nonzero.
+    ``interior`` indexes the nodes off the outermost shell, where a
+    function may be nonzero; ``boundary`` (built on first use) marks it.
 
     ``n_random_controls`` defaults to 2 m^2 extra unit directions on top
     of the +-axis controls; ``tau`` defaults to twice the largest
@@ -142,16 +152,15 @@ class Lattice:
             lo + h * np.arange(n)
             for (lo, _), h, n in zip(self.box, self.spacing, self.shape)
         ]
-        boundary = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[ax] = 0
-            boundary[tuple(sl)] = True
-            sl[ax] = self.shape[ax] - 1
-            boundary[tuple(sl)] = True
-        self.boundary = boundary
-        self.free = ~boundary
+        self.interior = (slice(1, -1),) * self.dim
         self._operator_cache: dict = {}
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        """The outermost node shell, a full-shape mask (built on first use)."""
+        shell = np.ones(self.shape, dtype=bool)
+        shell[self.interior] = False
+        return shell
 
     @cached_property
     def mesh(self) -> tuple[np.ndarray, ...]:
@@ -194,7 +203,7 @@ class Lattice:
 
         X_j^+ u(i) = sum_k a_jk(i) (u(i + e_k) - u(i)) / h_k and X_j^- u(i)
         = sum_k a_jk(i) (u(i) - u(i - e_k)) / h_k at every node i, with u
-        zero off the free nodes (so also outside the box).  Axes whose
+        zero off the interior (so also outside the box).  Axes whose
         coefficient vanishes on the whole lattice are skipped.
         """
         cached = self._operator_cache.get(id(system))
@@ -213,10 +222,10 @@ class Lattice:
         # int32 indices keep the CSR arrays at 12 bytes per entry
         max_nnz = n_rows * (self.dim + 1)
         index = np.int32 if max_nnz < 2 ** 31 else np.int64
-        free_index = np.flatnonzero(self.free)
-        # column of each node, -1 off the free nodes
+        # column of each node, -1 on the boundary shell
         column = np.full(self.shape, -1, dtype=index)
-        column.ravel()[free_index] = np.arange(free_index.size, dtype=index)
+        inner = column[self.interior]
+        inner[...] = np.arange(inner.size, dtype=index).reshape(inner.shape)
         data, indices, counts = [], [], []
         for side in (1, -1):
             for comps in grids:
@@ -249,11 +258,8 @@ class Lattice:
         np.cumsum(np.concatenate(counts), out=indptr[1:])
         indices = np.concatenate(indices)
         data = np.concatenate(data)
-        matrix = sparse.csr_array((data, indices, indptr), shape=(n_rows, free_index.size))
-        return HorizontalOperator(matrix, free_index, len(grids), self.shape)
-
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        return np.where(self.free, values, 0.0)
+        matrix = sparse.csr_array((data, indices, indptr), shape=(n_rows, inner.size))
+        return HorizontalOperator(matrix, len(grids), self.shape, self.interior)
 
 
 def _smoother_diagonal(a) -> np.ndarray:

@@ -273,7 +273,7 @@ def pointwise_nu(nsw: BallPolynomial, x) -> int:
 
 @dataclass
 class DomainSpec:
-    """A domain given by a membership predicate, box, and sample points.
+    """A closed rational box and sample points; interior samples must lie in it.
 
     Samples are rational points tagged 'interior' or 'closure'.  All
     closure-based quantities computed from a DomainSpec are certificates
@@ -281,7 +281,6 @@ class DomainSpec:
     """
 
     dim: int
-    predicate: Callable[[Sequence[Fraction]], bool]
     box: list[tuple[Fraction, Fraction]]
     samples: list[tuple[tuple[Fraction, ...], str]] = field(default_factory=list)
 
@@ -291,8 +290,11 @@ class DomainSpec:
                 raise ValueError("sample dimension mismatch")
             if tag not in ("interior", "closure"):
                 raise ValueError(f"unknown sample tag {tag!r}")
-            if tag == "interior" and not self.predicate(pt):
-                raise ValueError(f"interior sample {pt} fails the membership predicate")
+            if tag == "interior" and not self.contains(pt):
+                raise ValueError(f"interior sample {pt} lies outside the box")
+
+    def contains(self, point) -> bool:
+        return all(lo <= Fraction(x) <= hi for x, (lo, hi) in zip(point, self.box))
 
     def sample_points(self):
         return [pt for pt, _ in self.samples]
@@ -329,11 +331,7 @@ def parse_domain_spec(text: str) -> DomainSpec:
         raise ValueError("domain spec must declare dim and box")
     if len(box) != dim:
         raise ValueError("box must have one interval per coordinate")
-
-    def member(pt, _box=tuple(box)):
-        return all(lo <= Fraction(x) <= hi for x, (lo, hi) in zip(pt, _box))
-
-    return DomainSpec(dim, member, box, samples)
+    return DomainSpec(dim, box, samples)
 
 
 def nu_tilde(nsw: BallPolynomial, domain: DomainSpec) -> int:

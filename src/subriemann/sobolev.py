@@ -2,8 +2,8 @@
 
 The continuum problem is C0 = inf { int |Xu|^p : ||u||_{p*} = 1 } with
 p* = pQ/(Q-p).  Here u lives on a `Lattice` (``GridDomain`` is the same
-class) and is zero off its Dirichlet ``free`` mask, a compact-support
-surrogate; the unknowns are the values on the free nodes.  Xu is the
+class) and is zero on its boundary shell, a compact-support surrogate;
+the unknowns are its values on the lattice's ``interior``.  Xu is the
 lattice's assembled sparse operator X_h (`Lattice.horizontal_operator`):
 the forward and the backward one-sided difference realizations of every
 X_j, weighted by the polynomial coefficients evaluated on the nodes.
@@ -16,7 +16,7 @@ gradient one with X_h^T.  `_Quotient` owns this functional and the
 norm it is divided by.  The diagnostics (`horizontal_gradient`,
 `exponent_probe`) use X_h itself and never form A.
 The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
-local average, is minimized by limited-memory BFGS on the free nodes,
+local average, is minimized by limited-memory BFGS on the unknowns,
 preconditioned by multigrid: the initial inverse Hessian is one
 symmetric V(1,1) cycle of the Galerkin hierarchy of A = X_h^T X_h
 (`HorizontalOperator.multigrid`, built by the operator on the first
@@ -94,14 +94,15 @@ def _smooth(u: np.ndarray) -> np.ndarray:
 
 
 class GridFunction:
-    """Scalar field sampled on a Lattice; zero on its boundary shell."""
+    """Scalar field sampled on a Lattice: a copy of the values, zeroed on the boundary shell."""
 
     def __init__(self, domain: Lattice, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != domain.shape:
             raise SobolevError("value array does not match the lattice shape")
         self.domain = domain
-        self.values = domain.clamp(values)
+        self.values = np.zeros(domain.shape)
+        self.values[domain.interior] = values[domain.interior]
 
     def norm(self, q: float) -> float:
         cv = self.domain.cell_volume()
@@ -121,7 +122,7 @@ def bump(domain: Lattice, center, width) -> GridFunction:
 def _realizations(system: VectorFieldSystem, u: GridFunction) -> np.ndarray:
     """X_j^+ u and X_j^- u on every node, shape (2, m, n_nodes)."""
     op = u.domain.horizontal_operator(system)
-    y = op.matrix @ u.values.ravel()[op.free_index]
+    y = op.matrix @ op.unknowns(u.values)
     return y.reshape(2, op.n_fields, op.n_nodes)
 
 
@@ -155,7 +156,7 @@ def _pstar(Q: int, p: float) -> float:
 
 
 class _Quotient:
-    """E(u) / ||S u||_{p*}^p as a function of the free-node values x of u.
+    """E(u) / ||S u||_{p*}^p as a function of the unknowns x of u.
 
     It holds everything the functional reads: X_h, the cell volume, p,
     the regularization eps (set from p) and, from the first p != 2
@@ -176,14 +177,8 @@ class _Quotient:
     def p_star(self) -> float:
         return _pstar(sum(self.system.weights), self.p)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """The full node grid of x (zero off the free nodes)."""
-        u = np.zeros(self.op.n_nodes)
-        u[self.op.free_index] = x
-        return u.reshape(self.op.shape)
-
     def energy(self, x: np.ndarray, need_gradient: bool = True):
-        """int |X_h u|^p and its gradient on the free-node values x of u.
+        """int |X_h u|^p and its gradient on the unknowns x of u.
 
         The energy averages the forward- and backward-difference
         realizations of Xu.  A purely centered scheme annihilates the
@@ -191,8 +186,8 @@ class _Quotient:
         one-sided pair has no null modes, is still exact on linear
         functions, and the average is second-order accurate.  Below
         p = 1.5 |Xu|^p is regularized to (|Xu|^2 + eps^2)^{p/2}.  The
-        gradient is nodal (cell volume included) and lives on the free
-        nodes.  At p = 2 the energy is (cv/2) x.Ax with
+        gradient is nodal (cell volume included) and lives on the
+        unknowns.  At p = 2 the energy is (cv/2) x.Ax with
         A = X_h^T X_h (`HorizontalOperator.gram`), so energy and gradient
         cv Ax take one product with A; otherwise the energy is one
         product with X_h and the gradient one more with X_h^T.
@@ -220,13 +215,13 @@ class _Quotient:
     def norm(self, x: np.ndarray, need_gradient: bool = True):
         """||S u||_{p*} and its gradient."""
         ps = self.p_star
-        su = _smooth(self.values(x))
+        su = _smooth(self.op.grid(x))
         mag = np.abs(su)
         mag_pm1 = mag ** (ps - 1.0)
         nrm = (self.cv * float(np.vdot(mag_pm1, mag))) ** (1.0 / ps)
         if not need_gradient or nrm == 0.0:
             return nrm, None
-        dual = _smooth(np.copysign(mag_pm1, su)).ravel()[self.op.free_index]
+        dual = self.op.unknowns(_smooth(np.copysign(mag_pm1, su)))
         return nrm, self.cv * nrm ** (1.0 - ps) * dual
 
     def __call__(self, x: np.ndarray):
@@ -248,7 +243,7 @@ def energy_report(system: VectorFieldSystem, u: GridFunction, p: float) -> Energ
     evaluations of reference profiles are directly comparable.
     """
     quot = _Quotient(system, u.domain, p)
-    x = u.values.ravel()[quot.op.free_index]
+    x = quot.op.unknowns(u.values)
     energy, _ = quot.energy(x, need_gradient=False)
     nrm, _ = quot.norm(x, need_gradient=False)
     ratio = energy / nrm ** p if nrm > 0 else None
@@ -272,7 +267,7 @@ class MinimizeResult:
     start_quotients: list[float]
     p_star: float                  # the critical exponent pQ/(Q - p) of the norm
     evaluations: int               # quotient+gradient evaluations of the best start
-    grad_norm: float               # 2-norm of the quotient gradient on the free nodes, at the minimizer
+    grad_norm: float               # 2-norm of the quotient gradient on the unknowns, at the minimizer
     decrement: float               # -g.d / f of the last L-BFGS direction d, at the minimizer
 
     @property
@@ -413,7 +408,7 @@ def minimize_quotient(
     rel_tol: float = 1e-9,
     seed: int = 0,
 ) -> MinimizeResult:
-    """Minimize the quotient E(u) / ||S u||_{p*}^p by L-BFGS on the free nodes.
+    """Minimize the quotient E(u) / ||S u||_{p*}^p by L-BFGS on the unknowns.
 
     The starts are ``init`` (when given), then ``init_centers`` (the box
     centre when there are none), then random centres in the middle half
@@ -423,7 +418,7 @@ def minimize_quotient(
     recursion over the last 10 curvature pairs).  The recursion's
     initial inverse Hessian is B scaled by s.y / y.By of the newest pair,
     where B is one symmetric multigrid V-cycle for A = X_h^T X_h on the
-    free nodes (`HorizontalOperator.multigrid`, built on the operator's
+    unknowns (`HorizontalOperator.multigrid`, built on the operator's
     first solve and kept with it); the first step is -Bg with its
     largest entry scaled to 1.  B is applied once per accepted step, to
     the new gradient.  The Armijo backtracking line search also requires
@@ -471,9 +466,9 @@ def minimize_quotient(
     start_quotients = []
     for start in starts[:n_starts]:
         u = start if isinstance(start, GridFunction) else bump(domain, start, widths)
-        x = u.values.ravel()[quotient.op.free_index]
+        x = quotient.op.unknowns(u.values)
         if not np.any(x):
-            raise SobolevError("initial iterate is fully masked")
+            raise SobolevError("initial iterate is zero on the interior")
         x = x / quotient.norm(x, need_gradient=False)[0]
         run = _lbfgs(quotient, x, max_iter, rel_tol)
         start_quotients.append(run[1])
@@ -481,7 +476,7 @@ def minimize_quotient(
             best = run
 
     x, constant, trace, it, stop_reason, evaluations, grad_norm, decrement = best
-    return MinimizeResult(GridFunction(domain, quotient.values(x)), constant, trace, it,
+    return MinimizeResult(GridFunction(domain, quotient.op.grid(x)), constant, trace, it,
                           stop_reason, start_quotients, quotient.p_star, evaluations,
                           grad_norm, decrement)
 

@@ -1,10 +1,13 @@
-"""Layer boundaries: the exact layer imports no numerics, and the
-numerical layers load no scipy at import time and no ``scipy.linalg``."""
+"""Layer boundaries: the exact layer imports no numerics, the
+numerical layers load no scipy at import time and no ``scipy.linalg``,
+and the benchmark's imports from the library exist."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,43 @@ def test_no_scipy_at_import_and_no_scipy_linalg():
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _imported(module: str, name: str):
+    """What ``from module import name`` binds, or None when it would fail."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def test_benchmark_imports_exist():
+    """Every name ``perfbench/workloads.py`` imports from the library exists.
+
+    The benchmark cannot run without them, and a rename in ``src/`` that
+    misses one fails every benchmark run but no other test.  Names read
+    off an imported module (``fx.grushin``) are checked too.
+    """
+    tree = ast.parse(WORKLOADS.read_text())
+    missing, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "subriemann":
+            for alias in node.names:
+                value = _imported(node.module, alias.name)
+                if value is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(value, types.ModuleType):
+                    modules[alias.asname or alias.name] = value
+    assert modules, "workloads.py imports no library module"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)):
+            missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    assert not missing, f"perfbench/workloads.py uses names the library lacks: {missing}"

@@ -317,13 +317,18 @@ class TestDomainSpec:
         )
         dom = parse_domain_spec(text)
         assert dom.dim == 3
-        assert dom.predicate([Fraction(1, 2), 0, 0])
-        assert not dom.predicate([2, 0, 0])
+        assert dom.contains([Fraction(1, 2), 0, 0])
+        assert dom.contains([0, -1, 1])  # the box is closed
+        assert not dom.contains([2, 0, 0])
+        assert not dom.contains([Fraction(1, 2), 0, Fraction(-3, 2)])
         assert nu_tilde(nsw_polys["ex31"], dom) == 6
 
-    def test_interior_sample_must_satisfy_predicate(self):
-        with pytest.raises(ValueError):
+    def test_interior_sample_must_lie_in_the_box(self):
+        with pytest.raises(ValueError, match="outside the box"):
             parse_domain_spec("dim = 1\nbox = 0,1\ninterior = 2\n")
+        # a closure sample may lie anywhere
+        dom = parse_domain_spec("dim = 1\nbox = 0,1\nclosure = 2\n")
+        assert dom.sample_points() == [(Fraction(2),)]
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -333,5 +338,4 @@ class TestDomainSpec:
 
     def test_domain_spec_tags(self):
         with pytest.raises(ValueError):
-            DomainSpec(1, lambda p: True, [(Fraction(0), Fraction(1))],
-                       [((Fraction(0),), "edge")])
+            DomainSpec(1, [(Fraction(0), Fraction(1))], [((Fraction(0),), "edge")])

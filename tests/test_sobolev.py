@@ -51,17 +51,14 @@ def small_domain():
 
 
 class TestGridDomain:
-    def test_shape_and_mask(self, small_domain):
-        assert small_domain.shape == (17, 17)
-        assert not small_domain.free[0].any()
-        assert not small_domain.free[:, -1].any()
-        assert small_domain.free[8, 8]
-
-    def test_clamp(self, small_domain):
-        vals = np.ones(small_domain.shape)
-        clamped = small_domain.clamp(vals)
-        assert clamped[0, 0] == 0.0
-        assert clamped[8, 8] == 1.0
+    def test_shape_and_mask(self):
+        dom = Lattice([(-2, 2), (-2, 2)], 0.25)
+        assert dom.shape == (17, 17)
+        assert dom.interior == (slice(1, -1), slice(1, -1))
+        assert "boundary" not in vars(dom)
+        assert dom.boundary[0].all() and dom.boundary[:, -1].all()
+        assert not dom.boundary[1:-1, 1:-1].any()
+        assert dom.boundary is dom.boundary
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(LatticeError):
@@ -80,10 +77,19 @@ class TestGridDomain:
 
 
 class TestGridFunction:
+    def test_zeroes_the_shell(self, small_domain):
+        vals = np.full(small_domain.shape, 2.0)
+        vals[0, 3] = np.nan
+        u = GridFunction(small_domain, vals)
+        assert (u.values[[0, -1]] == 0.0).all() and (u.values[:, [0, -1]] == 0.0).all()
+        assert (u.values[1:-1, 1:-1] == 2.0).all()
+        # the given array is copied, not zeroed in place
+        assert vals[-1, -1] == 2.0 and np.isnan(vals[0, 3])
+
     def test_norm_matches_manual(self, euclid2, small_domain):
         u = GridFunction(small_domain, np.ones(small_domain.shape))
         cv = small_domain.cell_volume()
-        manual = (float(small_domain.free.sum()) * cv) ** 0.5
+        manual = (15 * 15 * cv) ** 0.5
         assert u.norm(2.0) == pytest.approx(manual)
 
     def test_bump_peaks_at_center(self, small_domain):
@@ -95,22 +101,19 @@ class TestGridFunction:
 class TestHorizontalGradient:
     def test_exact_on_linear_functions(self, euclid2, small_domain):
         x, y = small_domain.mesh
-        u = GridFunction(small_domain, small_domain.clamp(x + 2 * y))
+        u = GridFunction(small_domain, x + 2 * y)
         g = horizontal_gradient(euclid2, u)
-        interior = small_domain.free.copy()
-        # one extra layer in from the clamped shell (stencil touches it)
-        interior[1:3] = interior[-3:-1] = False
-        interior[:, 1:3] = interior[:, -3:-1] = False
-        assert np.allclose(g[0][interior], 1.0)
-        assert np.allclose(g[1][interior], 2.0)
+        # two layers in from the zeroed shell (the stencil touches it)
+        assert np.allclose(g[0][3:-3, 3:-3], 1.0)
+        assert np.allclose(g[1][3:-3, 3:-3], 2.0)
 
     def test_grushin_coefficients_enter(self):
         system = fx.grushin()
         dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         x, y = dom.mesh
-        u = GridFunction(dom, dom.clamp(y))
+        u = GridFunction(dom, y)
         g = horizontal_gradient(system, u)
-        # X2 u = 3 x^2 at interior nodes away from the clamp shell
+        # X2 u = 3 x^2 at interior nodes away from the zeroed shell
         i = dom.shape[0] // 2 + 2
         j = dom.shape[1] // 2
         x_val = dom.axes[0][i]
@@ -166,7 +169,9 @@ def reference_energy_and_gradient(system, dom, values, p):
                 if np.any(g):
                     flux = flux + weight * (g * comps[j])
             total_grad = total_grad - adj_op(flux, k, dom.spacing[k])
-    return energy, 0.5 * p * cv * dom.clamp(total_grad)
+    # the gradient has no entries on the boundary shell
+    inner = total_grad[(slice(1, -1),) * dom.dim]
+    return energy, 0.5 * p * cv * np.pad(inner, 1)
 
 
 PARITY_CASES = {
@@ -189,15 +194,24 @@ GRAM_CASES = {
 }
 
 
+def interior_nodes(shape):
+    """The flat node index of each unknown: the nodes off the outer shell, in C order."""
+    inner = tuple(n - 2 for n in shape)
+    index = np.indices(inner).reshape(len(shape), -1)
+    nodes = np.empty(index.shape[1], dtype=np.intp)
+    nodes[np.ravel_multi_index(index, inner)] = np.ravel_multi_index(index + 1, shape)
+    return nodes
+
+
 def reference_coo_operator(system, dom):
     """X_h as it was assembled before: COO blocks, concatenated, then CSR."""
     from scipy import sparse
 
     grids = dom.field_grids(system)
     n_nodes = int(np.prod(dom.shape))
-    free_index = np.flatnonzero(dom.free)
+    unknowns = interior_nodes(dom.shape)
     column = np.full(n_nodes + 1, -1)
-    column[free_index] = np.arange(free_index.size)
+    column[unknowns] = np.arange(unknowns.size)
     node = np.arange(n_nodes).reshape(dom.shape)
     rows, cols, vals = [], [], []
     for r, side in enumerate((1, -1)):
@@ -220,7 +234,7 @@ def reference_coo_operator(system, dom):
                     cols.append(c[keep])
                     vals.append(v[keep])
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sparse.csr_array(entries, shape=(2 * len(grids) * n_nodes, free_index.size))
+    return sparse.csr_array(entries, shape=(2 * len(grids) * n_nodes, unknowns.size))
 
 
 class TestOperatorAssembly:
@@ -234,6 +248,26 @@ class TestOperatorAssembly:
         assert (op.matrix != ref).nnz == 0
         assert op.matrix.has_sorted_indices
         assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_unknowns_are_the_interior_in_c_order(self, case):
+        make_system, dom = PARITY_CASES[case]
+        system = make_system()
+        op = dom.horizontal_operator(system)
+        nodes = interior_nodes(dom.shape)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=op.matrix.shape[1])
+        u = op.grid(x)
+        assert u.shape == dom.shape and op.unknowns(u).shape == x.shape
+        np.testing.assert_array_equal(op.unknowns(u), x)
+        np.testing.assert_array_equal(u.ravel()[nodes], x)
+        assert not np.delete(u.ravel(), nodes).any()
+        # unknowns ignores the shell; X_h is the reference on them
+        v = rng.normal(size=dom.shape)
+        np.testing.assert_array_equal(op.unknowns(v), v.ravel()[nodes])
+        ref = reference_coo_operator(system, dom) @ v.ravel()[nodes]
+        np.testing.assert_allclose(op.matrix @ op.unknowns(v), ref,
+                                   rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_diag_is_the_normal_diagonal(self, case):
@@ -255,8 +289,7 @@ class TestOperatorAssembly:
         empty = gram_diag == 0.0
         assert empty.any() == (case == "x2dy")
         if case == "x2dy":
-            x_free = dom.mesh[0].ravel()[op.free_index]
-            np.testing.assert_array_equal(empty, x_free == 0.0)
+            np.testing.assert_array_equal(empty, op.unknowns(dom.mesh[0]) == 0.0)
         np.testing.assert_array_equal(_smoother_diagonal(op.gram),
                                       np.where(empty, 1.0, gram_diag))
 
@@ -271,7 +304,7 @@ class TestOperatorAssembly:
         assert diag[0] == pytest.approx(sum(4.0 / h ** 2 for h in spacing), rel=1e-14)
 
     def test_empty_column_gets_unit_diag(self):
-        # X = x^2 d_y vanishes on the free nodes of {x = 0} and their y-neighbours
+        # X = x^2 d_y vanishes on the interior nodes of {x = 0} and their y-neighbours
         dim = 2
         comps = [Polynomial.zero(dim), Polynomial.variable(dim, 1) ** 2]
         system = VectorFieldSystem([VectorField(comps)], [1, 3])
@@ -279,8 +312,7 @@ class TestOperatorAssembly:
         op = dom.horizontal_operator(system)
         normal = (op.matrix.T @ op.matrix).diagonal()
         empty = normal == 0.0
-        x_free = dom.mesh[0].ravel()[op.free_index]
-        np.testing.assert_array_equal(empty, x_free == 0.0)
+        np.testing.assert_array_equal(empty, op.unknowns(dom.mesh[0]) == 0.0)
         diag = _smoother_diagonal(op.gram)
         assert (diag[empty] == 1.0).all()
         np.testing.assert_allclose(diag[~empty], normal[~empty], rtol=1e-13)
@@ -296,7 +328,7 @@ MULTIGRID_CASES = {
     # equally, so the coarse operator P^T A P is singular
     "euclidean-thin": (lambda: fx.euclidean(3), Lattice([(-1, 1), (0, 25), (0, 25)], 1.0)),
     "euclidean-thin-oblong": (lambda: fx.euclidean(3), Lattice([(-1, 1), (0, 21), (0, 29)], 1.0)),
-    # A has the empty rows of the 23 free nodes on {x = 0}
+    # A has the empty rows of the 23 interior nodes on {x = 0}
     "x2dy": (x_squared_dy, Lattice([(-1.5, 1.5), (-1.5, 1.5)], 0.125)),
 }
 
@@ -310,7 +342,7 @@ def reference_prolongations(op):
     """
     from scipy import sparse
 
-    a, shape, unknowns, out = op.gram, op.shape, op.free_index, []
+    a, shape, unknowns, out = op.gram, op.shape, interior_nodes(op.shape), []
     while a.shape[0] > _COARSEST:
         p = _interpolation(shape[0])
         for n in shape[1:]:
@@ -331,7 +363,7 @@ class TestMultigrid:
         make_system, dom = MULTIGRID_CASES[case]
         op = dom.horizontal_operator(make_system())
         mg = op.multigrid
-        n = op.free_index.size
+        n = op.matrix.shape[1]
         assert mg.levels and n > _COARSEST >= mg.coarse_inverse.shape[0]
         if case == "grushin-even":
             assert all(k % 2 == 0 for k in dom.shape)
@@ -369,7 +401,7 @@ class TestMultigrid:
         system = fx.euclidean(3)
         dom = Lattice([(-8, 8)] * 3, 0.5)
         mg = dom.horizontal_operator(system).multigrid
-        # 31^3 free nodes; the coarse levels keep the 17^3, 9^3 and 5^3
+        # 31^3 unknowns; the coarse levels keep the 17^3, 9^3 and 5^3
         # even-index nodes that touch them, boundary nodes included
         assert [level[0].shape[0] for level in mg.levels] == [31 ** 3, 17 ** 3, 9 ** 3]
         assert mg.coarse_inverse.shape == (5 ** 3, 5 ** 3)
@@ -396,15 +428,14 @@ class TestEnergyAndGradient:
         make_system, dom = PARITY_CASES[case]
         system = make_system()
         rng = np.random.default_rng(11)
-        values = dom.clamp(rng.normal(size=dom.shape))
+        values = GridFunction(dom, rng.normal(size=dom.shape)).values
         quotient = _Quotient(system, dom, p)
         op = quotient.op
-        x = values.ravel()[op.free_index]
+        x = op.unknowns(values)
         energy, grad = quotient.energy(x)
         ref_energy, ref_grad = reference_energy_and_gradient(system, dom, values, p)
         assert energy == pytest.approx(ref_energy, rel=1e-12)
-        full = np.zeros(dom.shape)
-        full.ravel()[op.free_index] = grad
+        full = op.grid(grad)
         scale = np.abs(ref_grad).max()
         np.testing.assert_allclose(full, ref_grad, rtol=1e-12, atol=1e-12 * scale)
 
@@ -417,10 +448,10 @@ class TestEnergyAndGradient:
         op = dom.horizontal_operator(system)
         assert dom.horizontal_operator(system) is op
         assert op.matrix.format == op.gram.format == "csr"
-        assert op.matrix.shape == (2 * system.m * op.n_nodes, int(dom.free.sum()))
+        assert op.matrix.shape == (2 * system.m * op.n_nodes, 3 ** 3)
         assert not hasattr(op, "transpose")
         quotient = _Quotient(system, dom, 2.5)
-        x = np.ones(op.free_index.size)
+        x = np.ones(op.matrix.shape[1])
         quotient.energy(x, need_gradient=False)
         assert quotient._matrix_t is None
         quotient.energy(x)
@@ -456,7 +487,7 @@ class TestEnergyAndGradient:
         rng = np.random.default_rng(5)
         quotient = _Quotient(system, dom, p)
         assert quotient.eps == (1e-8 if p < 1.5 else 0.0)
-        values = rng.normal(size=quotient.op.free_index.size)
+        values = rng.normal(size=quotient.op.matrix.shape[1])
         energy, grad = quotient.energy(values)
         direction = rng.normal(size=values.size)
         h = 1e-6
@@ -473,7 +504,7 @@ class TestEnergyAndGradient:
         dom = Lattice([(-1, 1), (-1, 1)], 0.25)
         quotient = _Quotient(system, dom, p)
         rng = np.random.default_rng(7)
-        x = rng.normal(size=quotient.op.free_index.size)
+        x = rng.normal(size=quotient.op.matrix.shape[1])
         f, grad, nrm = quotient(x)
         assert nrm == pytest.approx(quotient.norm(x, need_gradient=False)[0])
         direction = rng.normal(size=x.size)
@@ -533,7 +564,7 @@ def two_application_direction(g, pairs, precondition):
 def scaling_spread(system, res):
     """(max - min) / min of the p = 2 quotient at c u over 50 scalings c in [1/2, 2]."""
     quotient = _Quotient(system, res.minimizer.domain, 2.0)
-    x = res.minimizer.values.ravel()[quotient.op.free_index]
+    x = quotient.op.unknowns(res.minimizer.values)
     values = np.array([quotient(c * x)[0] for c in np.linspace(0.5, 2.0, 50)])
     return (values.max() - values.min()) / values.min()
 
@@ -568,7 +599,7 @@ class TestMinimize:
         assert res.converged is False
 
     def test_stalled_line_search_is_not_converged(self):
-        # one free node: every normalized candidate has the same quotient
+        # one interior node: every normalized candidate has the same quotient
         dom = Lattice([(-1, 1), (-1, 1)], 1.0)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=50)
         assert res.stop_reason == "stalled"
@@ -647,7 +678,7 @@ class TestMinimize:
         res = minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=30, seed=0)
         assert res.evaluations >= res.iterations + 1
         quotient = _Quotient(system, dom, 2.0)
-        f, grad, nrm = quotient(res.minimizer.values.ravel()[quotient.op.free_index])
+        f, grad, nrm = quotient(quotient.op.unknowns(res.minimizer.values))
         assert nrm == pytest.approx(1.0, rel=1e-12)
         assert f == pytest.approx(res.constant, rel=1e-12)
         assert res.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
@@ -942,7 +973,7 @@ class TestDecayProfile:
         df = self.make_distance_field(dom)
         with np.errstate(divide="ignore"):
             vals = np.where(df.values > 0, df.values, 0.05) ** -1.5
-        u = GridFunction(dom, dom.clamp(vals))
+        u = GridFunction(dom, vals)
         fit = decay_profile(u, df, 1.0, 3.0)
         assert not fit.rejected
         assert fit.exponent == pytest.approx(-1.5, abs=0.15)
