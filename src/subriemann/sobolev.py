@@ -17,17 +17,20 @@ norm it is divided by.  The diagnostics (`horizontal_gradient`,
 `exponent_probe`) use X_h itself and never form A.
 The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
 local average, is minimized by limited-memory BFGS on the unknowns,
-preconditioned by multigrid: the initial inverse Hessian is one
-symmetric V(1,1) cycle of the Galerkin hierarchy of A = X_h^T X_h
-(`HorizontalOperator.multigrid`, built by the operator on the first
-solve and kept with it), applied once per iteration.  A solve stops
-when the decrement -g.d, the decrease that the quasi-Newton model
-predicts along the L-BFGS direction d, falls below ``rel_tol`` (default
-1e-9) times the quotient, or below the rounding floor 1e-12 times it.
-The cycle keeps the iteration count from growing as the lattice is
-refined (R^3: 18 iterations at 33^3, 20 at 65^3), also where the
-degenerate X_2 = 3x^2 d_y of Grushin makes diag(A) vary 540-fold (37
-iterations on the 129 x 161 decay grid).
+preconditioned by B ~ A^-1 for A = X_h^T X_h: one symmetric V(1,1)
+cycle of its Galerkin hierarchy (`HorizontalOperator.multigrid`, built
+by the operator on the first solve and kept with it), whose coarsest
+level is solved exactly by nested dissection, applied once per
+iteration.  On a 2-D lattice of up to 4 096 unknowns the hierarchy has
+no coarse level, and B is A^-1 itself.  A solve stops when the
+decrement -g.d, the decrease that the quasi-Newton model predicts along
+the L-BFGS direction d, falls below ``rel_tol`` (default 1e-9) times
+the quotient, or below the rounding floor 1e-12 times it.  The cycle
+keeps the iteration count from growing as the lattice is refined (R^3:
+18 iterations at 33^3, 20 at 65^3), also where the degenerate
+X_2 = 3x^2 d_y of Grushin makes diag(A) vary 540-fold (32 iterations on
+the 129 x 161 decay grid); the exact A^-1 takes the 33 x 33 Grushin
+grid's p = 2 solve from the centre in 13.
 Distance fields for the concentration and decay diagnostics must come
 from a lattice with the same box and spacing as the function's; both
 diagnostics check this when the field carries its lattice.  Dirichlet
@@ -335,8 +338,8 @@ def _rescale_pairs(pairs, c: float) -> None:
 def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, rel_tol: float):
     """Minimize the quotient from x; the iterate is renormalized when its norm drifts.
 
-    B (one V-cycle) is applied once per accepted step, to the new
-    gradient; each pair stores By = Bg_new - Bg_old.  Returns
+    B (`HorizontalOperator.multigrid`) is applied once per accepted step,
+    to the new gradient; each pair stores By = Bg_new - Bg_old.  Returns
     (normalized x, quotient, trace, iterations, stop reason, evaluations,
     gradient norm at the normalized x, decrement -g.d / f).
     """
@@ -417,10 +420,12 @@ def minimize_quotient(
     ||S u||_{p*} = 1 and descended by limited-memory BFGS (two-loop
     recursion over the last 10 curvature pairs).  The recursion's
     initial inverse Hessian is B scaled by s.y / y.By of the newest pair,
-    where B is one symmetric multigrid V-cycle for A = X_h^T X_h on the
-    unknowns (`HorizontalOperator.multigrid`, built on the operator's
-    first solve and kept with it); the first step is -Bg with its
-    largest entry scaled to 1.  B is applied once per accepted step, to
+    where B approximates A^-1 for A = X_h^T X_h on the unknowns: one
+    symmetric multigrid V-cycle whose coarsest level is solved exactly,
+    or A^-1 itself on a 2-D lattice of up to 4 096 unknowns
+    (`HorizontalOperator.multigrid`, built on the operator's first solve
+    and kept with it); the first step is -Bg with its largest entry
+    scaled to 1.  B is applied once per accepted step, to
     the new gradient.  The Armijo backtracking line search also requires
     a strict decrease larger than rounding, so the trace falls
     monotonically; it stops halving once the step's first-order decrease

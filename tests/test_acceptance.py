@@ -436,7 +436,7 @@ def test_decay_exponent_grushin(grushin):
                             max_iter=15000, seed=0)
     assert res.stop_reason == "converged"
     # inside the benchmark's fixed budget for the same solve (DECAY_MAX_ITER),
-    # with room over the 37 iterations measured with the multigrid
+    # with room over the 32 iterations measured with the multigrid
     # preconditioner and the decrement stop
     assert res.iterations < 1000
     assert res.iterations <= 110

@@ -51,9 +51,11 @@ from subriemann.lattice import Lattice
 from subriemann.metric import distance_field
 from subriemann.sobolev import minimize_quotient
 system = fx.grushin()
-# 529 unknowns: the solve builds a Galerkin level and its coarse solve
-minimize_quotient(system, Lattice([(-3, 3), (-3, 3)], 0.25), p=2.0,
-                  n_starts=1, max_iter=3, seed=0)
+# 127 x 33 unknowns, above the 2-D direct-solve size: the solve builds one
+# Galerkin level and the nested-dissection solve of the coarsest
+dom = Lattice([(-4, 4), (-2.125, 2.125)], [0.0625, 0.125])
+minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=3, seed=0)
+assert len(dom.horizontal_operator(system).multigrid.levels) == 1
 distance_field(system, [0, 0], Lattice([(-1, 1), (-1, 1)], 0.25, tau=0.5), seed=0)
 assert "scipy.linalg" not in sys.modules, "a solve or distance field loads scipy.linalg"
 """

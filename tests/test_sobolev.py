@@ -13,6 +13,7 @@ from subriemann.lattice import (
     HorizontalOperator,
     Lattice,
     LatticeError,
+    NestedDissection,
     _interpolation,
     _smoother_diagonal,
 )
@@ -318,43 +319,125 @@ class TestOperatorAssembly:
         np.testing.assert_allclose(diag[~empty], normal[~empty], rtol=1e-13)
 
 
-# lattices with more than _COARSEST unknowns, so the cycle has a coarse level
+# the 2-D lattices up to _COARSEST[2] unknowns are solved directly, with
+# no coarse level; the 3-D ones and "grushin-wide" keep one
 MULTIGRID_CASES = {
     "grushin": (fx.grushin, Lattice([(-2, 2), (-2, 2)], 0.125)),
     "grushin-even": (fx.grushin, Lattice([(-2, 2.125), (-2, 2.125)], 0.125)),
+    # 127 x 33 = 4191 unknowns, one coarse level of 65 x 18 nodes
+    "grushin-wide": (fx.grushin, Lattice([(-4, 4), (-2.125, 2.125)], [0.0625, 0.125])),
     "martinet": (fx.martinet, Lattice([(-1, 1)] * 3, 0.2)),
     "heisenberg": (fx.heisenberg, Lattice([(-1, 1)] * 3, 0.2)),
     # one interior node across axis 0: it interpolates both coarse planes
-    # equally, so the coarse operator P^T A P is singular
+    # equally, so the selected construction's P^T A P is singular
     "euclidean-thin": (lambda: fx.euclidean(3), Lattice([(-1, 1), (0, 25), (0, 25)], 1.0)),
     "euclidean-thin-oblong": (lambda: fx.euclidean(3), Lattice([(-1, 1), (0, 21), (0, 29)], 1.0)),
     # A has the empty rows of the 23 interior nodes on {x = 0}
     "x2dy": (x_squared_dy, Lattice([(-1.5, 1.5), (-1.5, 1.5)], 0.125)),
 }
+THIN_CASES = ["euclidean-thin", "euclidean-thin-oblong"]
 
 
-def reference_prolongations(op):
+def merge_equal_columns(p):
+    """P with each set of equal columns summed into the first of them."""
+    from scipy import sparse
+
+    csc = p.tocsc()
+    first, group = {}, []
+    for j in range(csc.shape[1]):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        key = (csc.indices[lo:hi].tobytes(), csc.data[lo:hi].tobytes())
+        group.append(first.setdefault(key, len(first)))
+    merge = sparse.csr_array((np.ones(len(group)), (np.arange(len(group)), group)),
+                             shape=(len(group), len(first)))
+    kept = np.unique(group, return_index=True)[1]
+    return (p @ merge).tocsr(), kept
+
+
+def reference_prolongations(op, merge=True):
     """Each level's (P, P^T A P) as they were built with row and column selection.
 
     The full tensor-product interpolation of the level's grid, with rows
     restricted to the level's unknowns and columns to the coarse nodes
-    they touch.
+    they touch; with ``merge``, equal columns are summed into one.
     """
     from scipy import sparse
 
     a, shape, unknowns, out = op.gram, op.shape, interior_nodes(op.shape), []
-    while a.shape[0] > _COARSEST:
+    while a.shape[0] > _COARSEST[len(shape)]:
         p = _interpolation(shape[0])
         for n in shape[1:]:
             p = sparse.kron(p, _interpolation(n), format="csr")
         p = p[unknowns]
         touched = np.flatnonzero(p.count_nonzero(axis=0))
         p = p[:, touched]
+        if merge:
+            p, kept = merge_equal_columns(p)
+            touched = touched[kept]
         a = (p.T.tocsr() @ (a @ p)).tocsr()
         out.append((p, a))
         shape = tuple((n + 1) // 2 for n in shape)
         unknowns = touched
     return out
+
+
+def dense_with_unit_empty_rows(a):
+    """a as a dense array, with 1 on the diagonal of each empty row."""
+    dense = a.toarray()
+    empty = ~dense.any(axis=1)
+    dense[empty, empty] = 1.0
+    return dense
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("case", sorted(MULTIGRID_CASES))
+    def test_matches_a_dense_solve(self, case):
+        make_system, dom = MULTIGRID_CASES[case]
+        a = dom.horizontal_operator(make_system()).gram
+        solve = NestedDissection(a, tuple(n - 2 for n in dom.shape))
+        rhs = np.random.default_rng(5).normal(size=(a.shape[0], 3))
+        expected = np.linalg.solve(dense_with_unit_empty_rows(a), rhs)
+        for r, x in zip(rhs.T, expected.T):
+            np.testing.assert_allclose(solve(r), x, rtol=0, atol=1e-10 * np.abs(x).max())
+
+    def test_agrees_with_the_pseudo_inverse_on_the_range(self):
+        # x^2 d_y leaves the nodes of {x = 0} unseen: their rows are empty
+        make_system, dom = MULTIGRID_CASES["x2dy"]
+        a = dom.horizontal_operator(make_system()).gram
+        solve = NestedDissection(a, tuple(n - 2 for n in dom.shape))
+        empty = a.diagonal() == 0.0
+        assert empty.sum() == 23
+        r = np.random.default_rng(7).normal(size=a.shape[0])
+        r[empty] = 0.0
+        expected = np.linalg.pinv(a.toarray(), hermitian=True) @ r
+        np.testing.assert_allclose(solve(r), expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("case", THIN_CASES)
+    def test_merged_planes_give_the_pseudo_inverse_correction(self, case):
+        # with the two equal columns of a one-node axis kept, P^T A P is
+        # singular; merged into one, the coarse correction P (P^T A P)^-1 P^T
+        # is the one the pseudo-inverse gives with both
+        make_system, dom = MULTIGRID_CASES[case]
+        op = dom.horizontal_operator(make_system())
+        mg = op.multigrid
+        assert len(mg.levels) == 1
+        (p_two, a_two), = reference_prolongations(op, merge=False)
+        assert p_two.shape[1] == 2 * mg.levels[0][2].shape[1]
+        assert np.linalg.matrix_rank(a_two.toarray()) == a_two.shape[0] // 2
+        _, _, p, pt = mg.levels[0]
+        r = np.random.default_rng(9).normal(size=p.shape[0])
+        # the null eigenvalues round to about n eps lambda_max, above numpy's
+        # default cutoff here, so the cutoff is matrix_rank's
+        pinv = np.linalg.pinv(a_two.toarray(), hermitian=True,
+                              rcond=a_two.shape[0] * np.finfo(float).eps)
+        expected = p_two @ (pinv @ (p_two.T @ r))
+        np.testing.assert_allclose(p @ mg.coarsest(pt @ r), expected, rtol=0,
+                                   atol=1e-10 * np.abs(expected).max())
+
+    def test_one_node(self):
+        a = Lattice([(-1, 1), (-1, 1)], 1.0).horizontal_operator(fx.grushin()).gram
+        solve = NestedDissection(a, (1, 1))
+        assert solve(np.array([3.0])) == pytest.approx(3.0 / a[0, 0], rel=1e-15)
 
 
 class TestMultigrid:
@@ -364,17 +447,24 @@ class TestMultigrid:
         op = dom.horizontal_operator(make_system())
         mg = op.multigrid
         n = op.matrix.shape[1]
-        assert mg.levels and n > _COARSEST >= mg.coarse_inverse.shape[0]
+        assert bool(mg.levels) == (n > _COARSEST[dom.dim])
+        if mg.levels:
+            assert mg.levels[-1][2].shape[1] <= _COARSEST[dom.dim]
         if case == "grushin-even":
             assert all(k % 2 == 0 for k in dom.shape)
         if case == "x2dy":
             assert (op.gram.diagonal() == 0.0).sum() == 23
-        # the cycle as a dense matrix, one column per unit vector
-        m = np.column_stack([mg(e) for e in np.eye(n)])
+        rng = np.random.default_rng(3)
+        if n <= 2000:
+            # the cycle as a dense matrix, one column per unit vector
+            basis = np.eye(n)
+        else:
+            # on a random 200-dimensional subspace
+            basis = np.linalg.qr(rng.normal(size=(n, 200)))[0]
+        m = basis.T @ np.column_stack([mg(e) for e in basis.T])
         scale = np.abs(m).max()
         np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-12 * scale)
         assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 1e-9 * scale
-        rng = np.random.default_rng(3)
         u, v = rng.normal(size=(2, n))
         assert float(u @ mg(v)) == pytest.approx(float(mg(u) @ v), rel=1e-12)
         assert float(v @ mg(v)) > 0.0
@@ -391,11 +481,12 @@ class TestMultigrid:
             assert (pt != p_ref.T).nnz == 0
         for (a, *_), (_, a_ref) in zip(mg.levels[1:], ref):
             assert (a != a_ref).nnz == 0
-        # the coarsest operator is only kept as its pseudo-inverse
-        coarsest = ref[-1][1].toarray()
-        coarsest = np.linalg.pinv(coarsest, hermitian=True,
-                                  rcond=coarsest.shape[0] * np.finfo(float).eps)
-        np.testing.assert_array_equal(mg.coarse_inverse, coarsest)
+        # the coarsest level is solved exactly
+        coarsest = dense_with_unit_empty_rows(ref[-1][1] if ref else op.gram)
+        r = np.random.default_rng(8).normal(size=coarsest.shape[0])
+        expected = np.linalg.solve(coarsest, r)
+        np.testing.assert_allclose(mg.coarsest(r), expected, rtol=0,
+                                   atol=1e-10 * np.abs(expected).max())
 
     def test_coarse_levels_halve_the_grid(self):
         system = fx.euclidean(3)
@@ -404,11 +495,18 @@ class TestMultigrid:
         # 31^3 unknowns; the coarse levels keep the 17^3, 9^3 and 5^3
         # even-index nodes that touch them, boundary nodes included
         assert [level[0].shape[0] for level in mg.levels] == [31 ** 3, 17 ** 3, 9 ** 3]
-        assert mg.coarse_inverse.shape == (5 ** 3, 5 ** 3)
         # Galerkin: each coarse operator is P^T A P of the level above
         (a, _, p, pt), (a_coarse, *_) = mg.levels[:2]
         assert abs(pt @ a @ p - a_coarse).max() <= 1e-14 * abs(a_coarse).max()
         assert a is dom.horizontal_operator(system).gram
+        # and the 5^3 coarsest one is solved exactly
+        a_last, _, p_last, pt_last = mg.levels[-1]
+        coarsest = (pt_last @ a_last @ p_last).toarray()
+        assert coarsest.shape == (5 ** 3, 5 ** 3)
+        r = np.random.default_rng(4).normal(size=5 ** 3)
+        expected = np.linalg.solve(coarsest, r)
+        np.testing.assert_allclose(mg.coarsest(r), expected, rtol=0,
+                                   atol=1e-10 * np.abs(expected).max())
 
     def test_built_on_the_first_solve_and_cached(self):
         system = fx.grushin()
@@ -622,7 +720,7 @@ class TestMinimize:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_rounding_floor_is_converged_at_p_other_than_2(self, p):
         # the decrement is the stop quantity at every p: with rel_tol = 0
-        # these solves stop on its floor after 1160 (p = 1.5) and 832 (p = 3)
+        # these solves stop on its floor after 817 (p = 1.5) and 155 (p = 3)
         # iterations, not on a failed line search
         dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         floor = minimize_quotient(fx.grushin(), dom, p=p, n_starts=1, max_iter=4000,
@@ -661,8 +759,8 @@ class TestMinimize:
         assert short.constant > res.constant
 
     def test_default_tolerance_gap_on_the_criterion_8_grid(self):
-        # the default rel_tol stops 5.0e-10 (relative) above the rounding
-        # floor that rel_tol = 0 reaches, after 42 iterations against 56;
+        # the default rel_tol stops 4.9e-12 (relative) above the rounding
+        # floor that rel_tol = 0 reaches, after 13 iterations against 14;
         # the bound is 1e-8, the p = 2 accuracy the default promises
         dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=800, seed=0)
