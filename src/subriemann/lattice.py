@@ -291,6 +291,41 @@ def _interpolation(n: int):
 _LEAF = 32
 
 
+def _dissect(shape: tuple[int, ...]) -> list:
+    """The nested-dissection fronts of a box of nodes, each after its parent.
+
+    A front is (depth, parent, separator, halo): the flat indices of the
+    nodes it eliminates, the middle plane of its sub-box's longest axis
+    (the whole sub-box when it has at most `_LEAF` nodes), and of the
+    nodes just outside its sub-box.
+    """
+    nodes = np.arange(math.prod(shape)).reshape(shape)
+    fronts = []
+    stack = [(tuple((0, k) for k in shape), 0, -1)]
+    while stack:
+        box, depth, parent = stack.pop()
+        lengths = [hi - lo for lo, hi in box]
+        if min(lengths) == 0:
+            continue
+        inside = tuple(slice(lo, hi) for lo, hi in box)
+        around = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in box)
+        ring = np.ones(nodes[around].shape, dtype=bool)
+        ring[tuple(slice(lo - s.start, hi - s.start) for (lo, hi), s in zip(box, around))] = False
+        halo = nodes[around][ring]
+        if math.prod(lengths) <= _LEAF:
+            fronts.append((depth, parent, nodes[inside].ravel(), halo))
+            continue
+        k = int(np.argmax(lengths))
+        lo, hi = box[k]
+        mid = (lo + hi) // 2
+        plane = list(inside)
+        plane[k] = mid
+        fronts.append((depth, parent, nodes[tuple(plane)].ravel(), halo))
+        for half in ((lo, mid), (mid + 1, hi)):
+            stack.append((box[:k] + (half,) + box[k + 1:], depth + 1, len(fronts) - 1))
+    return fronts
+
+
 class NestedDissection:
     """An exact solve of A x = r on a box of unknowns, by nested dissection.
 
@@ -317,34 +352,8 @@ class NestedDissection:
     """
 
     def __init__(self, a, shape):
-        shape = tuple(shape)
         n = math.prod(shape)
-        nodes = np.arange(n).reshape(shape)
-        # the fronts, each after its parent: (depth, parent, separator, halo)
-        fronts = []
-        stack = [(tuple((0, k) for k in shape), 0, -1)]
-        while stack:
-            box, depth, parent = stack.pop()
-            lengths = [hi - lo for lo, hi in box]
-            if min(lengths) == 0:
-                continue
-            inside = tuple(slice(lo, hi) for lo, hi in box)
-            around = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in box)
-            ring = np.ones(nodes[around].shape, dtype=bool)
-            ring[tuple(slice(lo - s.start, hi - s.start) for (lo, hi), s in zip(box, around))] = False
-            halo = nodes[around][ring]
-            front = len(fronts)
-            if math.prod(lengths) <= _LEAF:
-                fronts.append((depth, parent, nodes[inside].ravel(), halo))
-                continue
-            k = int(np.argmax(lengths))
-            lo, hi = box[k]
-            mid = (lo + hi) // 2
-            plane = list(inside)
-            plane[k] = mid
-            fronts.append((depth, parent, nodes[tuple(plane)].ravel(), halo))
-            for half in ((lo, mid), (mid + 1, hi)):
-                stack.append((box[:k] + (half,) + box[k + 1:], depth + 1, front))
+        fronts = _dissect(tuple(shape))
         depth, parent, seps, halos = zip(*fronts)
         depth, parent = np.array(depth), np.array(parent)
         n_sep = np.array([s.size for s in seps])

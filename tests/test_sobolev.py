@@ -434,11 +434,6 @@ class TestNestedDissection:
         np.testing.assert_allclose(p @ mg.coarsest(pt @ r), expected, rtol=0,
                                    atol=1e-10 * np.abs(expected).max())
 
-    def test_one_node(self):
-        a = Lattice([(-1, 1), (-1, 1)], 1.0).horizontal_operator(fx.grushin()).gram
-        solve = NestedDissection(a, (1, 1))
-        assert solve(np.array([3.0])) == pytest.approx(3.0 / a[0, 0], rel=1e-15)
-
 
 class TestMultigrid:
     @pytest.mark.parametrize("case", sorted(MULTIGRID_CASES))
