@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: analyze, nu, nsw, dist, ballvol, growth, verify-auto,
-probe-exponent, sobolev.  Exit codes: 0 success, 1 usage error,
-2 structural-hypothesis failure, 3 property-check failure.  All floats
+probe-exponent, sobolev.  Exit codes: 0 success, 1 usage error (a
+malformed or mis-sized option value, or a system whose ball-volume
+polynomial needs more determinants than the cap allows), 2
+structural-hypothesis failure, 3 property-check failure.  All floats
 print with 12 significant digits; exact rationals print as p/q.
 """
 
@@ -13,6 +15,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +39,7 @@ from .metric import (
     growth_exponent_scan,
 )
 from .nsw import (
+    BudgetExceeded,
     build_nsw,
     eval_lambda,
     nu_tilde,
@@ -98,22 +102,36 @@ def _read_csv(path: str, parse, width: int):
         _fail_usage(f"cannot read {path!r}: {exc}")
 
 
-def _parse_floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+# argparse types: an ArgumentTypeError reaches _Parser.error as a usage error
 
 
-def _parse_spacing(text: str):
-    """Per-axis spacings; a single value broadcasts over all axes."""
-    vals = _parse_floats(text)
-    return vals[0] if len(vals) == 1 else vals
+def _floats(text: str) -> list[float]:
+    """A comma-separated list of one or more finite numbers."""
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        vals = []
+    if not vals or not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of finite numbers: {text!r}")
+    return vals
 
 
-def _parse_box(text: str):
+def _box(text: str) -> list[tuple[float, float]]:
+    """Semicolon-separated lo,hi intervals."""
     out = []
     for part in text.split(";"):
-        lo, hi = (float(v) for v in part.split(","))
-        out.append((lo, hi))
+        interval = _floats(part)
+        if len(interval) != 2:
+            raise argparse.ArgumentTypeError(f"each interval of {text!r} must be lo,hi")
+        out.append(tuple(interval))
     return out
+
+
+def _point(values: list[float], option: str, dim: int) -> list[float]:
+    """The point of ``option``, which must have ``dim`` coordinates."""
+    if len(values) != dim:
+        _fail_usage(f"{option} has {len(values)} coordinates; the system has {dim}")
+    return values
 
 
 def _write(path_opt, text: str):
@@ -219,19 +237,20 @@ def cmd_nsw(args) -> int:
     return EXIT_OK
 
 
-def _lattice_from_args(args) -> Lattice:
-    return Lattice(
-        box=_parse_box(args.box),
-        spacing=_parse_spacing(args.spacing),
-        n_random_controls=args.controls,
-        tau=args.tau,
-    )
+def _lattice(args, dim: int, **options) -> Lattice:
+    """The lattice of ``--box`` and ``--spacing`` (one value, or one per axis)."""
+    if len(args.box) != dim:
+        _fail_usage(f"--box has {len(args.box)} intervals; the system has {dim} coordinates")
+    if len(args.spacing) not in (1, dim):
+        _fail_usage(f"--spacing has {len(args.spacing)} values; give 1 or {dim}")
+    spacing = args.spacing * dim if len(args.spacing) == 1 else args.spacing
+    return Lattice(args.box, spacing, **options)
 
 
 def cmd_dist(args) -> int:
     system = _load_system(args.system)
-    lattice = _lattice_from_args(args)
-    source = _parse_floats(args.source)
+    source = _point(args.source, "--source", system.dim)
+    lattice = _lattice(args, system.dim, n_random_controls=args.controls, tau=args.tau)
     dfield = distance_field(system, source, lattice, seed=args.seed)
     if args.query:
         points = ([float(v) for v in row]
@@ -246,12 +265,12 @@ def cmd_dist(args) -> int:
 
 def cmd_ballvol(args) -> int:
     system = _load_system(args.system)
-    lattice = _lattice_from_args(args)
-    center = _parse_floats(args.center)
+    center = _point(args.center, "--center", system.dim)
+    lattice = _lattice(args, system.dim, n_random_controls=args.controls, tau=args.tau)
     dfield = distance_field(system, center, lattice, seed=args.seed)
     _write_csv(args.out, ["radius", "volume"],
                ([_fmt(r), _fmt(ball_volume(system, center, r, dfield=dfield).estimate)]
-                for r in _parse_floats(args.radii)))
+                for r in args.radii))
     return EXIT_OK
 
 
@@ -262,13 +281,12 @@ def cmd_growth(args) -> int:
         domain = parse_domain_spec(Path(args.domain).read_text())
     except (OSError, ValueError) as exc:
         _fail_usage(f"cannot load domain spec: {exc}")
-    kappas = _parse_floats(args.kappa)
     if args.plan:
         plan = _read_csv(args.plan, parse_plan, system.dim)
     else:
         radii = [Fraction(1, 2 ** k) for k in range(1, 9)]
         plan = [(list(pt), r) for pt in domain.sample_points() for r in radii]
-    report = growth_exponent_scan(nsw, kappas, plan)
+    report = growth_exponent_scan(nsw, args.kappa, plan)
     _write_csv(args.out, ["kappa", "center", "r", "volume_over_r_kappa"],
                ([_fmt(kappa), ";".join(_fmt(float(v)) for v in center), _fmt(r), _fmt(value)]
                 for kappa, center, r, value in report.table))
@@ -300,12 +318,11 @@ def cmd_verify_auto(args) -> int:
 
 def cmd_probe_exponent(args) -> int:
     system = _load_system(args.system)
-    dom = Lattice(_parse_box(args.box), _parse_spacing(args.spacing))
+    dom = _lattice(args, system.dim)
     center = [0.5 * (lo + hi) for lo, hi in dom.box]
     widths = [(hi - lo) / 8.0 for lo, hi in dom.box]
     seed_fn = bump(dom, center, widths)
-    ts = _parse_floats(args.t)
-    report = exponent_probe(system, None, args.kappa, seed_fn, ts)
+    report = exponent_probe(system, None, args.kappa, seed_fn, args.t)
     _write_csv(args.out, ["t", "R"],
                ([_fmt(t), _fmt(r)] for t, r in zip(report.t_values, report.ratios)))
     print(json.dumps({
@@ -319,7 +336,7 @@ def cmd_probe_exponent(args) -> int:
 
 def cmd_sobolev(args) -> int:
     system = _load_system(args.system)
-    dom = Lattice(_parse_box(args.box), _parse_spacing(args.spacing))
+    dom = _lattice(args, system.dim)
     res = minimize_quotient(
         system, dom, p=args.p, n_starts=args.starts,
         max_iter=args.max_iter, rel_tol=args.tol, seed=args.seed,
@@ -387,9 +404,13 @@ def build_parser() -> _Parser:
     csv_out(p)
     p.set_defaults(func=cmd_nsw)
 
+    def box_opts(p):
+        p.add_argument("--box", type=_box, required=True, help="lo,hi;lo,hi;...")
+        p.add_argument("--spacing", type=_floats, required=True,
+                       help="h, or h per axis, comma separated")
+
     def lattice_opts(p):
-        p.add_argument("--box", required=True, help="lo,hi;lo,hi;...")
-        p.add_argument("--spacing", required=True, help="h per axis, comma separated")
+        box_opts(p)
         p.add_argument("--tau", type=float, default=None)
         p.add_argument("--controls", type=int, default=None,
                        help="extra random control directions")
@@ -398,7 +419,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dist", help="lattice subunit distance field")
     p.add_argument("system")
-    p.add_argument("--source", required=True)
+    p.add_argument("--source", type=_floats, required=True)
     lattice_opts(p)
     p.add_argument("--query", help="CSV of target points (default: dump all nodes)")
     csv_out(p)
@@ -406,8 +427,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ballvol", help="subunit ball volume estimates")
     p.add_argument("system")
-    p.add_argument("--center", required=True)
-    p.add_argument("--radii", required=True)
+    p.add_argument("--center", type=_floats, required=True)
+    p.add_argument("--radii", type=_floats, required=True)
     lattice_opts(p)
     csv_out(p)
     p.set_defaults(func=cmd_ballvol)
@@ -415,7 +436,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("growth", help="volume-growth exponent scan (Lambda proxy)")
     p.add_argument("system")
     p.add_argument("--domain", required=True)
-    p.add_argument("--kappa", required=True)
+    p.add_argument("--kappa", type=_floats, required=True)
     p.add_argument("--plan", help="CSV of x...,r evaluation rows")
     csv_out(p)
     p.set_defaults(func=cmd_growth)
@@ -429,16 +450,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe-exponent", help="R(t) scaling probe for one kappa")
     p.add_argument("system")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--t", required=True, help="comma-separated t values")
-    p.add_argument("--box", required=True)
-    p.add_argument("--spacing", required=True)
+    p.add_argument("--t", type=_floats, required=True, help="comma-separated t values")
+    box_opts(p)
     csv_out(p)
     p.set_defaults(func=cmd_probe_exponent)
 
     p = sub.add_parser("sobolev", help="minimize the discrete Sobolev quotient")
     p.add_argument("system")
-    p.add_argument("--box", required=True)
-    p.add_argument("--spacing", required=True)
+    box_opts(p)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--max-iter", type=int, default=20000)
     p.add_argument("--tol", type=float,
@@ -462,6 +481,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
+    except BudgetExceeded as exc:
+        # the library's way past the cap (allow_over_cap) is no option here
+        _fail_usage(f"the ball-volume polynomial needs {exc.count} determinants, "
+                    f"more than the cap of {exc.cap}")
     except (FieldError, PolynomialError, LatticeError, MetricError, SobolevError,
             ValueError) as exc:
         _fail_property(str(exc))

@@ -1,10 +1,11 @@
 """Built-in vector field systems used across tests and demos.
 
-Each builder returns a fresh `VectorFieldSystem`.  The named systems
-(`martinet`, `fourfield_r4`, `twofield_r3`, `chain3`) are parsed from
-their spec files under ``subriemann/fixtures/``; the parametric
+Each builder returns a fresh `VectorFieldSystem`.  The parametric
 builders construct their fields directly, and their default instances
-ship as spec files too, for the command line.
+ship as spec files too, for the command line.  `martinet` and `chain3`
+parse their spec files under ``subriemann/fixtures/``.  `ALL_BUILDERS`
+maps the name of each shipped system to its builder; `r4-fourfields`
+and `example6` have no builder of their own and parse their file.
 """
 
 from __future__ import annotations
@@ -71,27 +72,19 @@ def bony(n: int = 3) -> VectorFieldSystem:
     return VectorFieldSystem(fields, list(range(1, n + 1)), name=f"bony{n}")
 
 
+def _shipped(name: str) -> VectorFieldSystem:
+    """The system of the shipped spec file ``<name>.vf``."""
+    return parse_system(fixture_path(f"{name}.vf").read_text())
+
+
 def martinet() -> VectorFieldSystem:
     """Martinet fields d1 and d2 + x1^2 d3; weights (1,1,3), Q = 5."""
-    return parse_system(fixture_path("martinet.vf").read_text())
-
-
-def fourfield_r4() -> VectorFieldSystem:
-    """Four fields on R^4 with weights (1,2,4,4); Q = 11."""
-    return parse_system(fixture_path("r4-fourfields.vf").read_text())
-
-
-def twofield_r3() -> VectorFieldSystem:
-    """Two fields on R^3 with quadratic drift; weights (1,1,3), Q = 5.
-
-    X1 = d1 - x2^2 d3,  X2 = d1 + d2 + (x1-x2)^2 d3.
-    """
-    return parse_system(fixture_path("example6.vf").read_text())
+    return _shipped("martinet")
 
 
 def chain3() -> VectorFieldSystem:
     """The chained system (d1, x1 d2, x2 d3); weights (1,2,3), Q = 6."""
-    return parse_system(fixture_path("ex31.vf").read_text())
+    return _shipped("ex31")
 
 
 ALL_BUILDERS = {
@@ -100,8 +93,8 @@ ALL_BUILDERS = {
     "grushin-1-1-2": lambda: grushin(1, 1, 2),
     "bony3": lambda: bony(3),
     "martinet": martinet,
-    "r4-fourfields": fourfield_r4,
-    "example6": twofield_r3,
+    "r4-fourfields": lambda: _shipped("r4-fourfields"),
+    "example6": lambda: _shipped("example6"),
     "ex31": chain3,
 }
 

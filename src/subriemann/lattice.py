@@ -11,15 +11,16 @@ horizontal-gradient operator X_h (`Lattice.horizontal_operator`).  The
 polynomial coefficients it is built from are evaluated on the mesh for
 the assembly and then dropped.  What is derived from X_h belongs to the
 operator and is built on first use: its Gram matrix A = X_h^T X_h
-(`HorizontalOperator.gram`, on the first p = 2 energy) and the Galerkin
-multigrid hierarchy of A that preconditions the Sobolev solver
-(`HorizontalOperator.multigrid`, on the first solve), whose coarsest
-level, on a 2-D lattice of up to 4 096 unknowns the only one, is solved
-exactly by nested dissection (`NestedDissection`).  So evaluating an
-energy never builds the hierarchy, and the diagnostics that read X_h
-alone never form A.  X_h^T itself is not kept: the Sobolev quotient
-builds it in CSR on its first p != 2 gradient and holds it for the
-solve.  Exact polynomials become floats here, in `eval_grid`, and
+(`HorizontalOperator.gram`, on the first p = 2 energy) and the
+preconditioner B ~ A^-1 of the Sobolev solver
+(`HorizontalOperator.preconditioner`, on the first solve): one V-cycle
+of a Galerkin multigrid hierarchy of A whose coarsest level is solved
+exactly by nested dissection (`NestedDissection`).  On a 2-D lattice of
+up to 4 096 unknowns that level is the only one, and B is the exact
+solve.  So evaluating an energy never builds B, and the diagnostics
+that read X_h alone never form A.  X_h^T itself is not kept: the
+Sobolev quotient builds it in CSR on its first p != 2 gradient and
+holds it for the solve.  Exact polynomials become floats here, in `eval_grid`, and
 nowhere else.
 """
 
@@ -63,8 +64,8 @@ class HorizontalOperator:
     ``(matrix @ x).reshape(2, n_fields, n_nodes)`` holds X_j^+ u and
     X_j^- u on every node of the lattice ``shape``.  Its columns are the
     unknowns, the ``interior`` nodes in C order: `unknowns` and `grid`
-    map a node grid to them and back.  ``gram`` and ``multigrid`` are
-    derived from ``matrix`` on first use and then kept with it.
+    map a node grid to them and back.  ``gram`` and ``preconditioner``
+    are derived from ``matrix`` on first use and then kept with it.
     """
 
     matrix: object
@@ -97,15 +98,16 @@ class HorizontalOperator:
         return self.matrix.T.tocsr() @ self.matrix
 
     @cached_property
-    def multigrid(self) -> "Multigrid":
-        """The Galerkin multigrid hierarchy of A = X_h^T X_h (built on first use).
+    def preconditioner(self) -> "Multigrid":
+        """B ~ A^-1 for A = X_h^T X_h: one V-cycle of its Galerkin hierarchy (built on first use).
 
         Level k + 1 lives on the even-index nodes of level k's grid.  Its
         prolongation P is the tensor product (``sparse.kron``) of one
         linear interpolation per axis (on the finest level, its interior
         rows only); its operator is P^T A P.  Coarsening stops at
         `_COARSEST` unknowns or fewer (per dimension), and that level is
-        solved exactly.
+        solved exactly; with no more unknowns than that on the finest
+        level there is no coarse level, and B is A^-1.
         """
         return Multigrid(self)
 

@@ -41,7 +41,11 @@ DEFAULT_TUPLE_CAP = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    pass
+    """``count`` determinants are needed, more than the ``cap``."""
+
+    def __init__(self, message: str, count: int, cap: int):
+        super().__init__(message)
+        self.count, self.cap = count, cap
 
 
 @dataclass
@@ -218,7 +222,8 @@ def build_nsw(basis: CommutatorBasis, allow_over_cap: bool = False) -> BallPolyn
     if n_dets > DEFAULT_TUPLE_CAP and not allow_over_cap:
         raise BudgetExceeded(
             f"C({q}, {n}) = {n_dets} determinants exceed the cap of {DEFAULT_TUPLE_CAP}; "
-            "pass allow_over_cap=True to proceed"
+            "pass allow_over_cap=True to proceed",
+            n_dets, DEFAULT_TUPLE_CAP,
         )
     supports = [
         sum(1 << k for k, c in enumerate(e.vf.coeffs) if not c.is_zero())

@@ -18,9 +18,9 @@ norm it is divided by.  The diagnostics (`horizontal_gradient`,
 The scale-invariant quotient E(u) / ||S u||_{p*}^p, with S a small
 local average, is minimized by limited-memory BFGS on the unknowns,
 preconditioned by B ~ A^-1 for A = X_h^T X_h: one symmetric V(1,1)
-cycle of its Galerkin hierarchy (`HorizontalOperator.multigrid`, built
-by the operator on the first solve and kept with it), whose coarsest
-level is solved exactly by nested dissection, applied once per
+cycle of its Galerkin hierarchy (`HorizontalOperator.preconditioner`,
+built by the operator on the first solve and kept with it), whose
+coarsest level is solved exactly by nested dissection, applied once per
 iteration.  On a 2-D lattice of up to 4 096 unknowns the hierarchy has
 no coarse level, and B is A^-1 itself.  A solve stops when the
 decrement -g.d, the decrease that the quasi-Newton model predicts along
@@ -338,12 +338,12 @@ def _rescale_pairs(pairs, c: float) -> None:
 def _lbfgs(quotient: _Quotient, x: np.ndarray, max_iter: int, rel_tol: float):
     """Minimize the quotient from x; the iterate is renormalized when its norm drifts.
 
-    B (`HorizontalOperator.multigrid`) is applied once per accepted step,
-    to the new gradient; each pair stores By = Bg_new - Bg_old.  Returns
+    B (`HorizontalOperator.preconditioner`) is applied once per accepted
+    step, to the new gradient; each pair stores By = Bg_new - Bg_old.  Returns
     (normalized x, quotient, trace, iterations, stop reason, evaluations,
     gradient norm at the normalized x, decrement -g.d / f).
     """
-    precondition = quotient.op.multigrid
+    precondition = quotient.op.preconditioner
     f, g, nrm = quotient(x)
     bg = precondition(g)
     evaluations = 1
@@ -423,15 +423,16 @@ def minimize_quotient(
     where B approximates A^-1 for A = X_h^T X_h on the unknowns: one
     symmetric multigrid V-cycle whose coarsest level is solved exactly,
     or A^-1 itself on a 2-D lattice of up to 4 096 unknowns
-    (`HorizontalOperator.multigrid`, built on the operator's first solve
-    and kept with it); the first step is -Bg with its largest entry
-    scaled to 1.  B is applied once per accepted step, to
+    (`HorizontalOperator.preconditioner`, built on the operator's first
+    solve and kept with it); the first step is -Bg with its largest
+    entry scaled to 1.  B is applied once per accepted step, to
     the new gradient.  The Armijo backtracking line search also requires
     a strict decrease larger than rounding, so the trace falls
     monotonically; it stops halving once the step's first-order decrease
     is below rounding.  The quotient gradient comes from the quotient
     rule; the iterate is renormalized whenever its norm leaves [1/2, 2].
-    ``max_iter`` counts L-BFGS iterations (accepted steps) per start.
+    ``max_iter`` (at least 0) counts L-BFGS iterations (accepted steps)
+    per start.
     A start stops with ``"converged"`` before its line search when, with
     at least one curvature pair, the decrement -g.d (the decrease that
     the quasi-Newton model predicts along the L-BFGS direction d) is
@@ -451,6 +452,8 @@ def minimize_quotient(
         raise SobolevError(f"need 1 < p < Q; got p = {p}, Q = {Q}")
     if n_starts < 1:
         raise SobolevError(f"need at least one start; got n_starts = {n_starts}")
+    if max_iter < 0:
+        raise SobolevError(f"need max_iter >= 0; got max_iter = {max_iter}")
     if init is not None and init.domain.shape != domain.shape:
         raise SobolevError("explicit initial iterate lives on a different lattice")
     quotient = _Quotient(system, domain, p)

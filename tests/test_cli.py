@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from subriemann import fixtures as fx
 from subriemann.cli import build_parser, main
+from subriemann.fields import format_system
 from subriemann.fixtures import fixture_path
 
 from test_fields import DEPENDENT_GENERATORS, INHOMOGENEOUS, RANK_TWO
@@ -328,6 +330,53 @@ class TestUsageAndErrors:
         payload = json.loads(err)
         assert payload["error"] == "usage"
         assert str(rows) in payload["message"]
+
+    # each value either does not parse or has the wrong number of entries
+    # for the 2-D system; the message names the option
+    @pytest.mark.parametrize("argv, option", [
+        (("dist", "--source", "0,0", "--box=-1,1,2;-1,1", "--spacing", "0.5"), "--box"),
+        (("dist", "--source", "0,x", "--box=-1,1;-1,1", "--spacing", "0.5"), "--source"),
+        (("dist", "--source", "nan,0", "--box=-1,1;-1,1", "--spacing", "0.5"), "--source"),
+        (("dist", "--source", "0,0", "--box=-1,1;-1,1", "--spacing", "x"), "--spacing"),
+        (("ballvol", "--center", "0,0", "--radii", "x", "--box=-1,1;-1,1", "--spacing", "0.5"),
+         "--radii"),
+        (("growth", "--domain", "d.json", "--kappa", "x"), "--kappa"),
+        (("probe-exponent", "--kappa", "1", "--t", "x", "--box=-1,1;-1,1", "--spacing", "0.5"),
+         "--t"),
+        (("dist", "--source", "0", "--box=-1,1;-1,1", "--spacing", "0.5"), "--source"),
+        (("ballvol", "--center", "0,0,0", "--radii", "1", "--box=-1,1;-1,1", "--spacing", "0.5"),
+         "--center"),
+        (("dist", "--source", "0,0", "--box=-1,1;-1,1;-1,1", "--spacing", "0.5"), "--box"),
+        (("sobolev", "--box=-1,1;-1,1", "--spacing", "0.5,0.5,0.5"), "--spacing"),
+    ], ids=["box-interval", "source-value", "source-nan", "spacing-value", "radii", "kappa", "t",
+            "source-short", "center-long", "box-axes", "spacing-count"])
+    def test_bad_option_value_is_usage_error(self, capsys, argv, option):
+        command, *options = argv
+        code, out, err = run(capsys, command, vf("euclidean2.vf"), *options)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert option in payload["message"]
+
+    @pytest.mark.parametrize("command", ["nsw", "analyze"])
+    def test_over_the_determinant_cap_is_usage_error(self, capsys, tmp_path, command):
+        # C(24, 13) = 2 496 144 determinants; the cap refuses them before any is built
+        spec = tmp_path / "heisenberg6.vf"
+        spec.write_text(format_system(fx.heisenberg(6)))
+        code, out, err = run(capsys, command, str(spec))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert "2496144" in payload["message"] and "2000000" in payload["message"]
+
+    @pytest.mark.parametrize("option, value", [("--starts", "0"), ("--max-iter", "-1")])
+    def test_bad_solver_budget_exits_3(self, capsys, option, value):
+        code, out, err = run(capsys, "sobolev", vf("grushin-1-1-2.vf"), "--box=-3,3;-3,3",
+                             "--spacing", "0.375", option, value)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "property"
 
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")

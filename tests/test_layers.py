@@ -1,6 +1,6 @@
-"""Layer boundaries: the exact layer imports no numerics, the
-numerical layers load no scipy at import time and no ``scipy.linalg``,
-and the benchmark's imports from the library exist."""
+"""Layer boundaries: the exact layer imports no numerics, statically and
+at run time; the numerical layers load no scipy at import time and no
+``scipy.linalg``; and the benchmark's imports from the library exist."""
 
 import ast
 import importlib
@@ -14,7 +14,7 @@ import pytest
 
 import subriemann
 
-EXACT_MODULES = ["polynomials", "fields", "nsw", "automorph"]
+EXACT_MODULES = ["polynomials", "fields", "nsw", "automorph", "fixtures"]
 FORBIDDEN = {"numpy", "scipy", "lattice", "metric", "sobolev"}
 
 
@@ -41,6 +41,30 @@ def test_exact_layer_imports_no_numerics(module):
         assert not parts & FORBIDDEN, f"{module} imports {name}"
 
 
+EXACT_PROBE = f"""
+import importlib
+import sys
+for module in {EXACT_MODULES!r}:
+    importlib.import_module("subriemann." + module)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+assert not loaded, f"the exact modules load {{loaded[:5]}} ({{len(loaded)}} in all)"
+"""
+
+
+def _run_probe(code: str):
+    env = dict(os.environ, PYTHONPATH=str(Path(subriemann.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_layer_loads_no_numerics():
+    """Importing the exact modules and ``fixtures`` loads no numpy or scipy
+    module, so the package root and whatever they import stay off the
+    numerical layers at run time, not only in each file's import lines."""
+    _run_probe(EXACT_PROBE)
+
+
 SCIPY_PROBE = """
 import sys
 import subriemann
@@ -55,7 +79,7 @@ system = fx.grushin()
 # Galerkin level and the nested-dissection solve of the coarsest
 dom = Lattice([(-4, 4), (-2.125, 2.125)], [0.0625, 0.125])
 minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=3, seed=0)
-assert len(dom.horizontal_operator(system).multigrid.levels) == 1
+assert len(dom.horizontal_operator(system).preconditioner.levels) == 1
 distance_field(system, [0, 0], Lattice([(-1, 1), (-1, 1)], 0.25, tau=0.5), seed=0)
 assert "scipy.linalg" not in sys.modules, "a solve or distance field loads scipy.linalg"
 """
@@ -81,10 +105,7 @@ def test_no_scipy_at_import_and_no_scipy_linalg():
     So a faster coarse solve or thread fix in the Sobolev layer has to
     stay within numpy.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(subriemann.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_probe(SCIPY_PROBE)
 
 
 

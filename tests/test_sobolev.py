@@ -419,7 +419,7 @@ class TestNestedDissection:
         # is the one the pseudo-inverse gives with both
         make_system, dom = MULTIGRID_CASES[case]
         op = dom.horizontal_operator(make_system())
-        mg = op.multigrid
+        mg = op.preconditioner
         assert len(mg.levels) == 1
         (p_two, a_two), = reference_prolongations(op, merge=False)
         assert p_two.shape[1] == 2 * mg.levels[0][2].shape[1]
@@ -440,7 +440,7 @@ class TestMultigrid:
     def test_v_cycle_is_symmetric_positive_definite(self, case):
         make_system, dom = MULTIGRID_CASES[case]
         op = dom.horizontal_operator(make_system())
-        mg = op.multigrid
+        mg = op.preconditioner
         n = op.matrix.shape[1]
         assert bool(mg.levels) == (n > _COARSEST[dom.dim])
         if mg.levels:
@@ -468,7 +468,7 @@ class TestMultigrid:
     def test_prolongations_match_the_selected_construction(self, case):
         make_system, dom = MULTIGRID_CASES[case]
         op = dom.horizontal_operator(make_system())
-        mg = op.multigrid
+        mg = op.preconditioner
         ref = reference_prolongations(op)
         assert len(mg.levels) == len(ref)
         for (_, _, p, pt), (p_ref, _) in zip(mg.levels, ref):
@@ -486,7 +486,7 @@ class TestMultigrid:
     def test_coarse_levels_halve_the_grid(self):
         system = fx.euclidean(3)
         dom = Lattice([(-8, 8)] * 3, 0.5)
-        mg = dom.horizontal_operator(system).multigrid
+        mg = dom.horizontal_operator(system).preconditioner
         # 31^3 unknowns; the coarse levels keep the 17^3, 9^3 and 5^3
         # even-index nodes that touch them, boundary nodes included
         assert [level[0].shape[0] for level in mg.levels] == [31 ** 3, 17 ** 3, 9 ** 3]
@@ -508,10 +508,10 @@ class TestMultigrid:
         dom = Lattice([(-3, 3), (-3, 3)], 0.375)
         energy_report(system, bump(dom, [0, 0], 1.0), 2.0)
         op = dom.horizontal_operator(system)
-        assert "multigrid" not in vars(op)
+        assert "preconditioner" not in vars(op)
         minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=3, seed=0)
-        mg = vars(op)["multigrid"]
-        assert op.multigrid is mg
+        mg = vars(op)["preconditioner"]
+        assert op.preconditioner is mg
 
 
 class TestEnergyAndGradient:
@@ -810,8 +810,8 @@ class TestMinimize:
         np.testing.assert_allclose(_direction(g, precondition(g), pairs), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("max_iter", [3, 800])
-    def test_one_v_cycle_per_accepted_iteration(self, monkeypatch, max_iter):
-        built = HorizontalOperator.multigrid.func
+    def test_one_preconditioner_application_per_accepted_iteration(self, monkeypatch, max_iter):
+        built = HorizontalOperator.preconditioner.func
         calls = []
 
         def counting(self):
@@ -822,12 +822,12 @@ class TestMinimize:
                 return mg(r)
             return apply
 
-        monkeypatch.setattr(HorizontalOperator, "multigrid", property(counting))
+        monkeypatch.setattr(HorizontalOperator, "preconditioner", property(counting))
         dom = Lattice([(-4, 4), (-4, 4)], 0.25)
         res = minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=max_iter,
                                 seed=0)
         assert res.stop_reason == ("max_iter" if max_iter == 3 else "converged")
-        # one V-cycle for the start's gradient, one per accepted step
+        # one application for the start's gradient, one per accepted step
         assert len(calls) == res.iterations + 1
 
     def test_jacobi_scaling_converges_on_the_criterion_8_grid(self):
@@ -879,6 +879,12 @@ class TestMinimize:
         assert len(start_quotients(init_centers=centers, n_starts=3)) == 3
         with pytest.raises(SobolevError):
             start_quotients(init_centers=centers, n_starts=0)
+
+    def test_negative_max_iter_is_rejected(self):
+        # the max_iter stop would never fire, and the solve would run unbounded
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
+        with pytest.raises(SobolevError, match="max_iter"):
+            minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=-1)
 
     def test_explicit_init_is_used(self):
         system = fx.grushin()
