@@ -130,7 +130,7 @@ def _box(text: str) -> list[tuple[float, float]]:
 def _point(values: list[float], option: str, dim: int) -> list[float]:
     """The point of ``option``, which must have ``dim`` coordinates."""
     if len(values) != dim:
-        _fail_usage(f"{option} has {len(values)} coordinates; the system has {dim}")
+        _fail_usage(f"{option} needs {dim} coordinates; got {len(values)}")
     return values
 
 
@@ -240,9 +240,9 @@ def cmd_nsw(args) -> int:
 def _lattice(args, dim: int, **options) -> Lattice:
     """The lattice of ``--box`` and ``--spacing`` (one value, or one per axis)."""
     if len(args.box) != dim:
-        _fail_usage(f"--box has {len(args.box)} intervals; the system has {dim} coordinates")
+        _fail_usage(f"--box needs {dim} intervals, one per coordinate; got {len(args.box)}")
     if len(args.spacing) not in (1, dim):
-        _fail_usage(f"--spacing has {len(args.spacing)} values; give 1 or {dim}")
+        _fail_usage(f"--spacing needs 1 or {dim} values; got {len(args.spacing)}")
     spacing = args.spacing * dim if len(args.spacing) == 1 else args.spacing
     return Lattice(args.box, spacing, **options)
 

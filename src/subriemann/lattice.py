@@ -20,8 +20,8 @@ up to 4 096 unknowns that level is the only one, and B is the exact
 solve.  So evaluating an energy never builds B, and the diagnostics
 that read X_h alone never form A.  X_h^T itself is not kept: the
 Sobolev quotient builds it in CSR on its first p != 2 gradient and
-holds it for the solve.  Exact polynomials become floats here, in `eval_grid`, and
-nowhere else.
+holds it for the solve.  Exact polynomials become floats here, in
+`eval_grid`, and nowhere else.
 """
 
 from __future__ import annotations
