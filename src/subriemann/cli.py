@@ -243,7 +243,7 @@ def _lattice(args, dim: int, **options) -> Lattice:
         _fail_usage(f"--box needs {dim} intervals, one per coordinate; got {len(args.box)}")
     if len(args.spacing) not in (1, dim):
         _fail_usage(f"--spacing needs 1 or {dim} values; got {len(args.spacing)}")
-    spacing = args.spacing * dim if len(args.spacing) == 1 else args.spacing
+    spacing = args.spacing[0] if len(args.spacing) == 1 else args.spacing
     return Lattice(args.box, spacing, **options)
 
 

@@ -67,13 +67,12 @@ def test_exact_layer_loads_no_numerics():
 
 SCIPY_PROBE = """
 import sys
-import subriemann
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, f"import subriemann loads {loaded}"
 from subriemann import fixtures as fx
 from subriemann.lattice import Lattice
 from subriemann.metric import distance_field
 from subriemann.sobolev import minimize_quotient
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"importing the numerical modules loads {loaded}"
 system = fx.grushin()
 # 127 x 33 unknowns, above the 2-D direct-solve size: the solve builds one
 # Galerkin level and the nested-dissection solve of the coarsest
@@ -86,7 +85,8 @@ assert "scipy.linalg" not in sys.modules, "a solve or distance field loads scipy
 
 
 def test_no_scipy_at_import_and_no_scipy_linalg():
-    """``import subriemann`` loads no scipy module, and a small p = 2
+    """Importing the numerical modules (``lattice``, ``metric``,
+    ``sobolev``) loads no scipy module, and a small p = 2
     ``minimize_quotient`` (with one multigrid level below the finest) plus
     a ``distance_field`` never load ``scipy.linalg``; ``scipy.sparse``
     and ``scipy.ndimage`` stay function-local imports.  Measured on a
