@@ -15,9 +15,9 @@ operator and is built on first use: its Gram matrix A = X_h^T X_h
 preconditioner B ~ A^-1 of the Sobolev solver
 (`HorizontalOperator.preconditioner`, on the first solve): one V-cycle
 of a Galerkin multigrid hierarchy of A whose coarsest level is solved
-exactly by nested dissection (`NestedDissection`).  On a 2-D lattice of
-up to 4 096 unknowns that level is the only one, and B is the exact
-solve.  So evaluating an energy never builds B, and the diagnostics
+exactly by block-tridiagonal elimination (`BlockTridiagonal`).  On a 2-D
+lattice of up to 4 096 unknowns that level is the only one, and B is the
+exact solve.  So evaluating an energy never builds B, and the diagnostics
 that read X_h alone never form A.  X_h^T itself is not kept: the
 Sobolev quotient builds it in CSR on its first p != 2 gradient and
 holds it for the solve.  Exact polynomials become floats here, in
@@ -120,9 +120,9 @@ class Lattice:
     ``interior`` indexes the nodes off the outermost shell, where a
     function may be nonzero; ``boundary`` (built on first use) marks it.
 
-    ``n_random_controls`` defaults to 2 m^2 extra unit directions on top
-    of the +-axis controls; ``tau`` defaults to twice the largest
-    spacing (steps must clear the snapping radius).
+    ``n_random_controls`` (at least 0) defaults to 2 m^2 extra unit
+    directions on top of the +-axis controls; ``tau`` defaults to twice
+    the largest spacing (steps must clear the snapping radius).
     """
 
     def __init__(self, box, spacing, *,
@@ -141,6 +141,8 @@ class Lattice:
             raise LatticeError("box intervals must be nonempty")
         if tau is not None and tau <= 0:
             raise LatticeError("tau must be positive")
+        if n_random_controls is not None and n_random_controls < 0:
+            raise LatticeError("the random control count must be nonnegative")
         self.shape = tuple(
             int(round((hi - lo) / h)) + 1
             for (lo, hi), h in zip(self.box, self.spacing)
@@ -287,180 +289,88 @@ def _interpolation(n: int):
     return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n_coarse))
 
 
-# a sub-box of at most this many unknowns is eliminated whole; on the
-# 31 x 31 and 127 x 159 Grushin grids, 32 applied and factored faster than
-# 16, 64 or 128
-_LEAF = 32
-
-
-def _dissect(shape: tuple[int, ...]) -> list:
-    """The nested-dissection fronts of a box of nodes, each after its parent.
-
-    A front is (depth, parent, separator, halo): the flat indices of the
-    nodes it eliminates, the middle plane of its sub-box's longest axis
-    (the whole sub-box when it has at most `_LEAF` nodes), and of the
-    nodes just outside its sub-box.
-    """
-    nodes = np.arange(math.prod(shape)).reshape(shape)
-    fronts = []
-    stack = [(tuple((0, k) for k in shape), 0, -1)]
-    while stack:
-        box, depth, parent = stack.pop()
-        lengths = [hi - lo for lo, hi in box]
-        if min(lengths) == 0:
-            continue
-        inside = tuple(slice(lo, hi) for lo, hi in box)
-        around = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in box)
-        ring = np.ones(nodes[around].shape, dtype=bool)
-        ring[tuple(slice(lo - s.start, hi - s.start) for (lo, hi), s in zip(box, around))] = False
-        halo = nodes[around][ring]
-        if math.prod(lengths) <= _LEAF:
-            fronts.append((depth, parent, nodes[inside].ravel(), halo))
-            continue
-        k = int(np.argmax(lengths))
-        lo, hi = box[k]
-        mid = (lo + hi) // 2
-        plane = list(inside)
-        plane[k] = mid
-        fronts.append((depth, parent, nodes[tuple(plane)].ravel(), halo))
-        for half in ((lo, mid), (mid + 1, hi)):
-            stack.append((box[:k] + (half,) + box[k + 1:], depth + 1, len(fronts) - 1))
-    return fronts
-
-
-class NestedDissection:
-    """An exact solve of A x = r on a box of unknowns, by nested dissection.
+class BlockTridiagonal:
+    """An exact solve of A x = r on a box of unknowns, by block LDL^T elimination.
 
     ``a`` is a symmetric positive semidefinite matrix on the nodes of the
-    box ``shape`` in C order that couples each node only to nodes at
-    most one step away along every axis, as X_h^T X_h and each Galerkin
-    level of it do.  Its one singular case is read from the structure:
-    an empty row (a node the system leaves unseen) gets a unit diagonal,
-    as in the smoother, so the solve agrees with the pseudo-inverse on
-    the range of ``a`` and is the identity on those nodes.
+    box ``shape`` in C order.  Its unknowns are taken plane by plane
+    along the box's longest axis (the first one on ties), so a plane
+    holds at most n^((d-1)/d) of the n unknowns.  When ``a`` couples a
+    node only to nodes at most one plane away, as X_h^T X_h and each
+    Galerkin level of it do, it is block tridiagonal: diagonal blocks
+    D_i and sub-diagonal blocks L_i (plane i against plane i - 1).  An
+    entry that couples planes further apart raises `LatticeError`.  Its
+    one singular case is read from the structure: an empty row (a node
+    the system leaves unseen) gets a unit diagonal, as in the smoother,
+    so the solve agrees with the pseudo-inverse on the range of ``a``
+    and is the identity on those nodes.
 
-    The box is bisected at the middle plane of its longest axis, and each
-    half again, down to sub-boxes of at most `_LEAF` nodes (George,
-    SIAM J. Numer. Anal. 10, 1973).  Each sub-box is a front: it
-    eliminates its separator plane (a leaf: all of its nodes) once its
-    two halves are eliminated, and its halo, the nodes just outside the
-    sub-box, all on the planes of enclosing fronts, receives the Schur
-    complement.  The fronts of one depth are padded to one size and
-    stacked, so a solve is a forward and a backward sweep of a few numpy
-    calls per depth.  A front keeps the inverse of its pivot block S and
-    its halo block times that inverse, L; the sweeps are r_B -= L r_S
-    (deepest first) and x_S = S^-1 r_S - L^T x_B (root first), so the
-    solve is symmetric.
+    The factor is S_0 = D_0 and S_i = D_i - M_i L_i^T with M_i = L_i
+    S_{i-1}^-1 (Golub & Van Loan, Matrix Computations, sec. 4.5); it keeps
+    the symmetrized S_i^-1 and M_i^T.  A solve is a forward sweep
+    y_i -= M_i y_{i-1}, one batched product z = S^-1 y, and a backward
+    sweep x_i = z_i - M_{i+1}^T x_{i+1}, whose maps are each other's
+    transposes, so the solve is symmetric.
     """
 
     def __init__(self, a, shape):
-        n = math.prod(shape)
-        fronts = _dissect(tuple(shape))
-        depth, parent, seps, halos = zip(*fronts)
-        depth, parent = np.array(depth), np.array(parent)
-        n_sep = np.array([s.size for s in seps])
-        n_halo = np.array([h.size for h in halos])
-        # each node's front and its place in that front's separator
-        front_of, place = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-        every = np.concatenate(seps)
-        front_of[every] = np.repeat(np.arange(len(fronts)), n_sep)
-        place[every] = np.arange(n) - np.repeat(np.cumsum(n_sep) - n_sep, n_sep)
-        # the fronts of one depth stack in one (k, m, m) array, pivots first
-        n_depths = int(depth.max()) + 1
-        slot = np.empty(len(fronts), dtype=np.intp)
-        s_pad, b_pad, count = (np.zeros(n_depths, dtype=np.intp) for _ in range(3))
-        for f, d in enumerate(depth):
-            slot[f] = count[d]
-            count[d] += 1
-        np.maximum.at(s_pad, depth, n_sep)
-        np.maximum.at(b_pad, depth, n_halo)
-        m = s_pad + b_pad
-        offset = np.concatenate([[0], np.cumsum(count * m * m)])
-        # a (front, halo node) pair's place in the front: after the pivots
-        halo_key = np.repeat(np.arange(len(fronts)) * n, n_halo) + np.concatenate(halos)
-        halo_place = np.arange(halo_key.size) - np.repeat(np.cumsum(n_halo) - n_halo, n_halo)
-        order = np.argsort(halo_key)
-        # a sentinel past every key, so that a node of the front's own
-        # separator finds some place too (and ignores it)
-        halo_key = np.append(halo_key[order], len(fronts) * n)
-        halo_place = np.append(halo_place[order], 0)
-
-        def within(f, node):
-            """Place of each node in front f's matrix (pivots, then halo)."""
-            found = np.searchsorted(halo_key, f * n + node)
-            return np.where(front_of[node] == f, place[node], s_pad[depth[f]] + halo_place[found])
-
-        # each entry of a belongs to the front that eliminates its earlier node
+        axis = int(np.argmax(shape))
+        # planes[i]: the flat indices of the nodes of plane i, in C order
+        nodes = np.moveaxis(np.arange(math.prod(shape)).reshape(shape), axis, 0)
+        self.planes = nodes.reshape(shape[axis], -1)
+        n_planes, m = self.planes.shape
+        plane, place = np.empty((2, self.planes.size), dtype=np.intp)
+        plane[self.planes] = np.arange(n_planes)[:, None]
+        place[self.planes] = np.arange(m)
         coo = a.tocoo()
         off = coo.row != coo.col
-        rows = np.concatenate([coo.row[off], np.arange(n)])
-        cols = np.concatenate([coo.col[off], np.arange(n)])
+        rows = np.concatenate([coo.row[off], np.arange(plane.size)])
+        cols = np.concatenate([coo.col[off], np.arange(plane.size)])
         vals = np.concatenate([coo.data[off], _smoother_diagonal(a)])
-        node_depth = depth[front_of]
-        owner = front_of[np.where(node_depth[rows] >= node_depth[cols], rows, cols)]
-        size = m[depth[owner]]
-        flat = (offset[depth[owner]] + slot[owner] * size * size
-                + within(owner, rows) * size + within(owner, cols))
-        matrices = np.bincount(flat, vals, minlength=offset[-1])
-
-        self.depths = []
-        below = None   # the deeper depth's fronts, their halos and Schur complements
-        for d in reversed(range(n_depths)):
-            mine = np.flatnonzero(depth == d)
-            k, s, b = mine.size, s_pad[d], b_pad[d]
-            front = matrices[offset[d]:offset[d + 1]].reshape(k, m[d], m[d])
-            if below is not None:
-                # extend-add each child's Schur complement into its parent
-                children, child_halo, u = below
-                real = child_halo < n
-                dest = within(np.repeat(parent[children], b_pad[d + 1]),
-                              np.where(real, child_halo, 0).ravel()).reshape(real.shape)
-                dest = np.where(real, dest, 0)
-                dest = (slot[parent[children]][:, None, None] * m[d] * m[d]
-                        + dest[:, :, None] * m[d] + dest[:, None, :])
-                front += np.bincount(dest.ravel(), u.ravel(),
-                                     minlength=front.size).reshape(front.shape)
-            sep = np.full((k, s), n)
-            halo = np.full((k, b), n)
-            for i, f in enumerate(mine):
-                sep[i, :n_sep[f]] = seps[f]
-                halo[i, :n_halo[f]] = halos[f]
-            # the padding pivots are 1, and their rows and columns 0
-            front.reshape(k, -1)[:, :(m[d] + 1) * s:m[d] + 1][sep == n] = 1.0
-            inverse = np.linalg.inv(front[:, :s, :s])
-            inverse = 0.5 * (inverse + inverse.transpose(0, 2, 1))
-            lower = front[:, s:, :s] @ inverse
-            # [S^-1, -L^T]: the backward sweep's map from (r_S, x_B) to x_S
-            solve = np.concatenate([inverse, -lower.transpose(0, 2, 1)], axis=2)
-            self.depths.append((sep, halo.ravel(), np.concatenate([sep, halo], axis=1), solve))
-            below = (mine, halo, front[:, s:, s:] - lower @ front[:, s:, :s].transpose(0, 2, 1))
-        self.depths.reverse()
+        step = plane[rows] - plane[cols]
+        if np.abs(step).max() > 1:
+            raise LatticeError("the matrix couples unknowns more than one plane apart")
+        # blocks[i] holds D_i and L_i (L_0 is zero); the upper entries repeat L
+        lower = step >= 0
+        flat = ((2 * plane[rows] + step) * m + place[rows]) * m + place[cols]
+        blocks = np.bincount(flat[lower], vals[lower], minlength=2 * n_planes * m * m)
+        blocks = blocks.reshape(n_planes, 2, m, m)
+        # inverse[i] = S_i^-1, and lower_t[i - 1] = M_i^T = S_{i-1}^-1 L_i^T
+        self.inverse = np.empty((n_planes, m, m))
+        self.lower_t = np.empty((n_planes - 1, m, m))
+        schur = blocks[0, 0]
+        for i in range(n_planes):
+            if i:
+                self.lower_t[i - 1] = self.inverse[i - 1] @ blocks[i, 1].T
+                schur = blocks[i, 0] - blocks[i, 1] @ self.lower_t[i - 1]
+            inverse = np.linalg.inv(schur)
+            self.inverse[i] = 0.5 * (inverse + inverse.T)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """x with A x = r: a forward sweep from the leaves, then a backward one."""
-        # the last slot is the padding's: it reads 0 and takes 0
-        r = np.append(r, 0.0)
-        for sep, halo, _, solve in reversed(self.depths):
-            s = sep.shape[1]
-            # r_B -= L r_S, with -L^T the last columns of the stored map
-            step = solve[:, :, s:].transpose(0, 2, 1) @ r[sep][..., None]
-            r += np.bincount(halo, step.ravel(), minlength=r.size)
-        # root first, x_S overwrites r_S: every halo node already holds x
-        for sep, _, front, solve in self.depths:
-            r[sep] = (solve @ r[front][..., None])[..., 0]
-        return r[:-1]
+        """x with A x = r: a forward sweep, the pivot solves, a backward sweep."""
+        y = r[self.planes]
+        for i, m_t in enumerate(self.lower_t):
+            y[i + 1] -= y[i] @ m_t
+        y = (self.inverse @ y[..., None])[..., 0]
+        for i in range(len(self.lower_t) - 1, -1, -1):
+            y[i] -= self.lower_t[i] @ y[i + 1]
+        x = np.empty_like(r)
+        x[self.planes] = y
+        return x
 
 
-# unknowns at or below which a level is solved directly, by dimension.  In
-# 2-D one nested-dissection solve costs no more than the V-cycle it
-# replaces up to about 4 000 unknowns (0.21 against 0.22 ms on a 63 x 63
-# Grushin box, one thread), and factoring it costs about 4 ms per 1 000.
-# So the criterion-8 grids are solved exactly, and the 127 x 159 decay
-# grid keeps two Galerkin levels (factored whole it took 11 iterations
-# but 174 ms against 105 ms).  In 3-D, on R^3 at 33^3 from (0.1, -0.2,
-# 0.3), a 17^3 coarsest level took 21 iterations against 18 with a 5^3
-# one, and an exact solve of all 31^3 unknowns took 18, in 1.6 s against
-# 0.1 s.
+# unknowns at or below which a level is solved directly, by dimension
+# (measured on one BLAS thread).  In 2-D an exact solve costs more per
+# application than the V-cycle it replaces (0.43 against 0.16 ms on a
+# 63 x 63 Grushin box, 0.13 against 0.09 ms on 31 x 31), and factoring it
+# takes 1.5 ms at 31 x 31 and 10 ms at 63 x 63; but it cuts the
+# criterion-8 solve from 40 iterations to 14 per box, so the iteration
+# count, not the per-solve cost, sets the 2-D size.  The 127 x 159 decay
+# grid keeps two Galerkin levels: factored whole its planes hold 127
+# unknowns, and the factor took 190 ms and each solve 3.2 ms against
+# 0.62 ms for the V-cycle.  In 3-D, on R^3 at 33^3 from (0.1, -0.2, 0.3),
+# a 17^3 coarsest level took 21 iterations against 18 with a 5^3 one, and
+# an exact solve of all 31^3 unknowns took 18, in 1.6 s against 0.1 s.
 _COARSEST = {2: 4096, 3: 500}
 _DAMPING = 0.6     # Jacobi damping of the smoother
 
@@ -470,7 +380,7 @@ class Multigrid:
 
     Each level smooths with damped Jacobi, x <- x + w D^-1 (r - A x), once
     before and once after the coarse correction x <- x + P V(P^T (r - A x)).
-    The coarsest level is solved exactly (`NestedDissection`); when the
+    The coarsest level is solved exactly (`BlockTridiagonal`); when the
     finest level has at most `_COARSEST` unknowns it is the coarsest, and
     the cycle is A^-1.  The pre- and post-smoother are the same symmetric
     map, so the cycle is symmetric; it is positive definite when
@@ -513,7 +423,7 @@ class Multigrid:
             a = (pt @ (a @ p)).tocsr()
             shape = tuple(axis.shape[1] for axis in axes)
             axes = [_interpolation(n) for n in shape]
-        self.coarsest = NestedDissection(a, shape)
+        self.coarsest = BlockTridiagonal(a, shape)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """One V-cycle from x = 0 for A x = r."""

@@ -20,9 +20,10 @@ local average, is minimized by limited-memory BFGS on the unknowns,
 preconditioned by B ~ A^-1 for A = X_h^T X_h: one symmetric V(1,1)
 cycle of its Galerkin hierarchy (`HorizontalOperator.preconditioner`,
 built by the operator on the first solve and kept with it), whose
-coarsest level is solved exactly by nested dissection, applied once per
-iteration.  On a 2-D lattice of up to 4 096 unknowns the hierarchy has
-no coarse level, and B is A^-1 itself.  A solve stops when the
+coarsest level is solved exactly by block-tridiagonal elimination
+(`lattice.BlockTridiagonal`, plane by plane along the longest axis),
+applied once per iteration.  On a 2-D lattice of up to 4 096 unknowns
+the hierarchy has no coarse level, and B is A^-1 itself.  A solve stops when the
 decrement -g.d, the decrease that the quasi-Newton model predicts along
 the L-BFGS direction d, falls below ``rel_tol`` (default 1e-9) times
 the quotient, or below the rounding floor 1e-12 times it.  The cycle
@@ -421,8 +422,9 @@ def minimize_quotient(
     recursion over the last 10 curvature pairs).  The recursion's
     initial inverse Hessian is B scaled by s.y / y.By of the newest pair,
     where B approximates A^-1 for A = X_h^T X_h on the unknowns: one
-    symmetric multigrid V-cycle whose coarsest level is solved exactly,
-    or A^-1 itself on a 2-D lattice of up to 4 096 unknowns
+    symmetric multigrid V-cycle whose coarsest level is solved exactly
+    by block-tridiagonal elimination, or that solve alone, A^-1 itself,
+    on a 2-D lattice of up to 4 096 unknowns
     (`HorizontalOperator.preconditioner`, built on the operator's first
     solve and kept with it); the first step is -Bg with its largest
     entry scaled to 1.  B is applied once per accepted step, to

@@ -389,6 +389,15 @@ class TestUsageAndErrors:
         assert code == 3
         assert json.loads(err.strip())["error"] == "property"
 
+    def test_negative_control_count_exits_3(self, capsys):
+        code, out, err = run(capsys, "dist", vf("grushin-1-1-2.vf"), "--source", "0,0",
+                             "--box=-1,1;-1,1", "--spacing", "0.25", "--controls", "-3")
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "property"
+        assert "control count" in payload["message"]
+
     def test_property_error_exits_3(self, capsys, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("1,0\n")  # all lambda_I vanish nowhere... use bad kappa

@@ -75,7 +75,7 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"importing the numerical modules loads {loaded}"
 system = fx.grushin()
 # 127 x 33 unknowns, above the 2-D direct-solve size: the solve builds one
-# Galerkin level and the nested-dissection solve of the coarsest
+# Galerkin level and the block-tridiagonal solve of the coarsest
 dom = Lattice([(-4, 4), (-2.125, 2.125)], [0.0625, 0.125])
 minimize_quotient(system, dom, p=2.0, n_starts=1, max_iter=3, seed=0)
 assert len(dom.horizontal_operator(system).preconditioner.levels) == 1

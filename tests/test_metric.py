@@ -66,6 +66,11 @@ class TestLatticeSpec:
         with pytest.raises(LatticeError):  # no node off the boundary shell
             Lattice([(0, 1)], 1.0)
 
+    def test_negative_control_count_is_refused(self):
+        with pytest.raises(LatticeError, match="control count"):
+            Lattice([(-1, 1), (-1, 1)], 0.25, n_random_controls=-3)
+        assert Lattice([(-1, 1), (-1, 1)], 0.25, n_random_controls=0).n_random_controls == 0
+
     def test_mesh_built_on_first_use(self):
         lat = Lattice([(0, 1), (-1, 1)], 0.5)
         assert "mesh" not in vars(lat)

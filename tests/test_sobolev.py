@@ -10,10 +10,10 @@ from subriemann import fixtures as fx
 from subriemann.fields import VectorField, VectorFieldSystem
 from subriemann.lattice import (
     _COARSEST,
+    BlockTridiagonal,
     HorizontalOperator,
     Lattice,
     LatticeError,
-    NestedDissection,
     _interpolation,
     _smoother_diagonal,
 )
@@ -389,12 +389,12 @@ def dense_with_unit_empty_rows(a):
     return dense
 
 
-class TestNestedDissection:
+class TestBlockTridiagonal:
     @pytest.mark.parametrize("case", sorted(MULTIGRID_CASES))
     def test_matches_a_dense_solve(self, case):
         make_system, dom = MULTIGRID_CASES[case]
         a = dom.horizontal_operator(make_system()).gram
-        solve = NestedDissection(a, tuple(n - 2 for n in dom.shape))
+        solve = BlockTridiagonal(a, tuple(n - 2 for n in dom.shape))
         rhs = np.random.default_rng(5).normal(size=(a.shape[0], 3))
         expected = np.linalg.solve(dense_with_unit_empty_rows(a), rhs)
         for r, x in zip(rhs.T, expected.T):
@@ -404,7 +404,7 @@ class TestNestedDissection:
         # x^2 d_y leaves the nodes of {x = 0} unseen: their rows are empty
         make_system, dom = MULTIGRID_CASES["x2dy"]
         a = dom.horizontal_operator(make_system()).gram
-        solve = NestedDissection(a, tuple(n - 2 for n in dom.shape))
+        solve = BlockTridiagonal(a, tuple(n - 2 for n in dom.shape))
         empty = a.diagonal() == 0.0
         assert empty.sum() == 23
         r = np.random.default_rng(7).normal(size=a.shape[0])
@@ -433,6 +433,28 @@ class TestNestedDissection:
         expected = p_two @ (pinv @ (p_two.T @ r))
         np.testing.assert_allclose(p @ mg.coarsest(pt @ r), expected, rtol=0,
                                    atol=1e-10 * np.abs(expected).max())
+
+    def test_sweeps_the_longest_axis_of_a_thin_box(self):
+        # 1 x 999 unknowns: 999 planes of one node each, not one dense
+        # 999 x 999 block across the short axis
+        dom = Lattice([(-0.25, 0.25), (-125, 125)], 0.25)
+        op = dom.horizontal_operator(fx.euclidean(2))
+        mg = op.preconditioner
+        assert not mg.levels
+        assert mg.coarsest.inverse.shape == (999, 1, 1)
+        r = np.random.default_rng(11).normal(size=999)
+        expected = np.linalg.solve(op.gram.toarray(), r)
+        np.testing.assert_allclose(mg.coarsest(r), expected, rtol=0,
+                                   atol=1e-10 * np.abs(expected).max())
+
+    def test_refuses_a_coupling_beyond_the_next_plane(self):
+        # on 7 x 5 unknowns the planes run along axis 0; unknowns 0 and 10
+        # lie two planes apart
+        dom = Lattice([(-1, 1), (-1, 1)], [0.25, 1 / 3])
+        a = dom.horizontal_operator(fx.grushin()).gram.tolil()
+        a[0, 10] = a[10, 0] = -1.0
+        with pytest.raises(LatticeError, match="more than one plane apart"):
+            BlockTridiagonal(a.tocsr(), (7, 5))
 
 
 class TestMultigrid:
