@@ -3,7 +3,7 @@
 Subcommands: analyze, nu, nsw, dist, ballvol, growth, verify-auto,
 probe-exponent, sobolev.  Exit codes: 0 success, 1 usage error (a
 malformed or mis-sized option value, or a system whose ball-volume
-polynomial needs more determinants than the cap allows), 2
+polynomial needs more index combinations than the cap allows), 2
 structural-hypothesis failure, 3 property-check failure.  All floats
 print with 12 significant digits; exact rationals print as p/q.
 """
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
         raise
     except BudgetExceeded as exc:
         # the library's way past the cap (allow_over_cap) is no option here
-        _fail_usage(f"the ball-volume polynomial needs {exc.count} determinants, "
+        _fail_usage(f"the ball-volume polynomial needs {exc.count} index combinations, "
                     f"more than the cap of {exc.cap}")
     except (FieldError, PolynomialError, LatticeError, MetricError, SobolevError,
             ValueError) as exc:

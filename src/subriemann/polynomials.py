@@ -8,6 +8,9 @@ exact.  Monomials are stored sparsely as a map from exponent tuples to
 nonzero coefficients, which makes structural equality a canonical-form
 comparison.  Products and `fields.lie_bracket` share one kernel,
 `_add_products`; its callers drop the sums that cancelled to zero.
+Determinants have one kernel too: `poly_det` folds the Laplace step
+`_extend_minors` over a matrix's rows, and `nsw.build_nsw` folds it over
+the rows of its index combinations.
 
 Point queries that decide a rank or a sign (`fields.flag_at`, and
 Lambda and nu in `nsw`) do not evaluate in Fractions: they write the
@@ -471,15 +474,41 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 # ---------------------------------------------------------------------
 
 
+def _extend_minors(minors: Mapping[int, Polynomial], row: Sequence[Polynomial]) -> dict[int, Polynomial]:
+    """One Laplace step: the minors of the rows so far with ``row`` appended below.
+
+    ``minors`` maps a column bitmask to the determinant of the rows so
+    far on those columns (``{0: 1}`` before the first row).  Each mask
+    is extended by every nonzero entry of ``row`` in a new column j,
+    signed by the parity of the mask's columns to the right of j, which
+    is the cofactor sign of the entry in the bottom row.  Minors that
+    vanish are dropped, so sparse and singular matrices stay cheap.
+    """
+    entries = [(1 << j, j, p) for j, p in enumerate(row) if not p.is_zero()]
+    extended: dict[int, Polynomial] = {}
+    for mask, minor in minors.items():
+        for bit, j, entry in entries:
+            if mask & bit:
+                continue
+            term = entry * minor
+            if (mask >> j).bit_count() % 2:
+                term = -term
+            key = mask | bit
+            extended[key] = extended[key] + term if key in extended else term
+    return {mask: p for mask, p in extended.items() if not p.is_zero()}
+
+
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Division-free Laplace expansion, memoised by column set.  ``minors``
-    maps a column bitmask to the determinant of the bottom rows on those
-    columns; each row, taken bottom-up, extends every stored mask by one
-    of its nonzero entries, signed by the number of mask columns to the
-    left of the new one.  Minors that vanish are dropped, so sparse and
-    singular matrices stay cheap.
+    Division-free Laplace expansion, memoised by column set: starting
+    from ``{0: 1}``, ``_extend_minors`` appends the rows top-down, so
+    after k rows every stored mask holds the determinant of the top k
+    rows on those k columns, and the full mask holds the answer.  The
+    term for entry (k, j) is signed by the parity of the mask's columns
+    to the right of j.  ``nsw.build_nsw`` folds the same kernel over
+    its combinations of basis entries, sharing the minors of a common
+    prefix of rows.
     """
     n = len(matrix)
     if n == 0:
@@ -493,17 +522,6 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
             if p.dim != dim:
                 raise PolynomialError("matrix entries have mixed dimensions")
     minors = {0: Polynomial.constant(dim, 1)}
-    for row in reversed(matrix):
-        extended: dict[int, Polynomial] = {}
-        for mask, minor in minors.items():
-            for j, entry in enumerate(row):
-                bit = 1 << j
-                if mask & bit or entry.is_zero():
-                    continue
-                term = entry * minor
-                if (mask & (bit - 1)).bit_count() % 2:
-                    term = -term
-                key = mask | bit
-                extended[key] = extended[key] + term if key in extended else term
-        minors = {mask: p for mask, p in extended.items() if not p.is_zero()}
+    for row in matrix:
+        minors = _extend_minors(minors, row)
     return minors.get((1 << n) - 1, Polynomial.zero(dim))

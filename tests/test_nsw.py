@@ -153,18 +153,61 @@ class TestStructuralZeros:
             assert nsw.to_json() == ref.to_json(), name
             assert nsw.degree_counts() == ref.degree_counts(), name
 
-    def test_structural_zeros_are_not_computed(self, wide_bases, monkeypatch):
-        calls = []
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        """The matching searches and Laplace row steps that ``build_nsw`` makes."""
+        calls = {"searches": [], "steps": []}
+        search, extend = nsw_module._has_perfect_matching, nsw_module._extend_minors
 
-        def counting_det(matrix):
-            calls.append(len(matrix))
-            return poly_det(matrix)
+        def counting_search(rows, n):
+            calls["searches"].append(tuple(rows))
+            return search(rows, n)
 
-        monkeypatch.setattr(nsw_module, "poly_det", counting_det)
-        nsw = build_nsw(wide_bases["heisenberg(3)"])
-        # C(12, 7) = 792 combinations; only the 6 with a matching remain
-        assert len(calls) == 6
-        assert sum(len(v) for v in nsw.slots.values()) == 6
+        def counting_extend(minors, row):
+            calls["steps"].append(row)
+            return extend(minors, row)
+
+        monkeypatch.setattr(nsw_module, "_has_perfect_matching", counting_search)
+        monkeypatch.setattr(nsw_module, "_extend_minors", counting_extend)
+        return calls
+
+    def test_structural_zeros_are_not_computed(self, wide_bases, build_calls):
+        basis = wide_bases["heisenberg(3)"]
+        nsw = build_nsw(basis)
+        # C(12, 7) = 792 combinations share 63 sorted support patterns,
+        # one search each; only 6 combinations have a matching
+        searches = build_calls["searches"]
+        assert len(searches) == len(set(searches)) == 63
+        entries = [e for v in nsw.slots.values() for e in v]
+        assert len(entries) == 6
+        # only rows of those 6 are expanded, at most 7 steps each
+        kept = {id(basis.entries[i - 1].vf.coeffs) for e in entries for i in e.indices}
+        steps = build_calls["steps"]
+        assert len(steps) <= 6 * 7
+        assert all(id(row) in kept for row in steps)
+
+    def test_one_search_per_support_pattern(self, wide_bases, build_calls):
+        searches = build_calls["searches"]
+        counts = {}
+        for name, basis in wide_bases.items():
+            searches.clear()
+            build_nsw(basis)
+            supports = [sum(1 << k for k, c in enumerate(e.vf.coeffs) if not c.is_zero())
+                        for e in basis.entries]
+            patterns = {tuple(sorted(supports[i] for i in combo))
+                        for combo in itertools.combinations(range(len(supports)), basis.system.dim)}
+            assert sorted(searches) == sorted(patterns), name
+            counts[name] = len(searches)
+        assert counts == {
+            "euclidean2": 1, "heisenberg1": 3, "grushin-1-1-2": 2, "bony3": 6,
+            "martinet": 4, "r4-fourfields": 24, "example6": 4, "ex31": 7,
+            "heisenberg(3)": 63, "bony(6)": 122, "grushin(1,2,4)": 7,
+            "grushin(1,2,6)": 7, "grushin(2,2,2)": 16,
+        }
+        assert sum(counts.values()) == 266  # for 13 796 combinations
+        # matchable combinations share the minors of their common prefix:
+        # 3 708 row steps with a separate expansion per combination
+        assert len(build_calls["steps"]) == 1121
 
 
 class TestMergedSlots:

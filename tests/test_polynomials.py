@@ -10,6 +10,7 @@ from subriemann.fields import VectorField
 from subriemann.polynomials import (
     Polynomial,
     PolynomialError,
+    _extend_minors,
     format_polynomial,
     parse_polynomial,
     poly_det,
@@ -330,15 +331,35 @@ class TestDeterminant:
             assert poly_det(mat) == leibniz_det(mat)
 
     def test_cancelling_minors(self):
-        # the bottom 2x2 minor on columns {0, 1} is x1*x2^2 - x2*x1*x2 = 0
-        rows = [["1", "x1", "0", "x2"],
-                ["0", "1", "x2", "1"],
+        # the top 2x2 minor on columns {0, 1} is x1*x2*x2 - x2^2*x1 = 0
+        rows = [["x1*x2", "x2^2", "1", "0"],
                 ["x1", "x2", "0", "1"],
-                ["x1*x2", "x2^2", "1", "0"]]
+                ["0", "1", "x2", "1"],
+                ["1", "x1", "0", "x2"]]
         mat = [[parse_polynomial(e, 2) for e in row] for row in rows]
         det = poly_det(mat)
         assert det == leibniz_det(mat)
         assert not det.is_zero()
+
+    def test_transpose(self):
+        rng = random.Random(53)
+        for n in range(1, 7):
+            for zero_frac in (0.3, 0.6):
+                mat = sparse_matrix(rng, n, zero_frac=zero_frac)
+                assert poly_det([list(col) for col in zip(*mat)]) == poly_det(mat)
+
+    def test_fold_gives_every_minor_of_the_top_rows(self):
+        rng = random.Random(59)
+        for n in range(1, 7):
+            mat = sparse_matrix(rng, n, zero_frac=0.4)
+            minors = {0: Polynomial.constant(2, 1)}
+            for k, row in enumerate(mat, start=1):
+                minors = _extend_minors(minors, row)
+                assert all(m.bit_count() == k and not p.is_zero() for m, p in minors.items())
+                for cols in itertools.combinations(range(n), k):
+                    mask = sum(1 << j for j in cols)
+                    sub = [[r[j] for j in cols] for r in mat[:k]]
+                    assert minors.get(mask, Polynomial.zero(2)) == leibniz_det(sub), (n, cols)
 
     def test_rejects_malformed(self):
         x = parse_polynomial("x1", 2)
