@@ -2,8 +2,8 @@
 
 Exact layer: rational polynomial algebra (`polynomials`), Lie brackets,
 homogeneity and rank certificates (`fields`), the ball-volume
-polynomial, pointwise nu and its level sets, domain specs and
-evaluation plans (`nsw`), and automorphism certification (`automorph`).
+polynomial, pointwise nu, its certified maximal level set, domain specs
+and evaluation plans (`nsw`), and automorphism certification (`automorph`).
 Numerical layer: one box lattice type (`lattice`) shared by lattice
 subunit distance fields, ball volume estimates and ball-box ratio
 scans, and the growth-exponent scan of the ball-volume polynomial

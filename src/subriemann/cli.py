@@ -47,6 +47,7 @@ from .nsw import (
     parse_plan,
     parse_rows,
     pointwise_nu,
+    top_stratum,
 )
 from .automorph import parse_family, verify_transitive_family
 from .polynomials import PolynomialError
@@ -155,7 +156,7 @@ def _write_csv(path_opt, header, rows):
 
 
 def cmd_analyze(args) -> int:
-    """Print the hypotheses, Q, the bracket basis, Lambda's slots and the nu table.
+    """Print the hypotheses, Q, the bracket basis, Lambda's slots, {nu = Q} and the nu table.
 
     A failed H.1 stops before the basis (`CommutatorBasis` refuses an
     inhomogeneous bracket), and a rank below n at the origin stops before
@@ -165,12 +166,14 @@ def cmd_analyze(args) -> int:
     system = _load_system(args.system)
     h1 = check_h1(system)
     Q = homogeneous_dimension(system)
-    basis = h2 = nsw = None
+    basis = h2 = nsw = stratum = None
     if h1.ok:
         basis = enumerate_commutators(system)
         h2 = check_h2(system, basis)
         if h2.rank_at_origin == system.dim:
             nsw = build_nsw(basis)
+            axes = top_stratum(nsw)
+            stratum = "undecided" if axes is None else sorted(axes)
     points = [tuple(Fraction(0) for _ in range(system.dim))]
     if args.points:
         points = _read_csv(args.points, parse_rows, system.dim)
@@ -187,6 +190,7 @@ def cmd_analyze(args) -> int:
         "basis_degrees": basis.degrees() if basis is not None else None,
         "basis_degrees_canonical": basis.canonical_degrees() if basis is not None else None,
         "nsw_tuple_counts": nsw.degree_counts() if nsw is not None else None,
+        "top_stratum": stratum,
         "nu_table": [
             {"point": [str(v) for v in pt], "nu": nu} for pt, nu in nu_rows
         ] if nsw is not None else None,
@@ -203,6 +207,12 @@ def cmd_analyze(args) -> int:
     if nsw is not None:
         print("ball-volume polynomial ordered-tuple counts per degree: "
               + ", ".join(f"{k}:{v}" for k, v in sorted(nsw.degree_counts().items())))
+        if axes is None:
+            print("top stratum: undecided")
+        elif axes:
+            print("top stratum: " + " = ".join([f"x{a}" for a in stratum] + ["0"]))
+        else:
+            print(f"top stratum: R^{system.dim}")
     for pt, nu in nu_rows:
         print("nu(" + ",".join(str(v) for v in pt) + f") = {nu}")
     if args.json:

@@ -1,4 +1,4 @@
-"""The Nagel-Stein-Wainger ball-volume polynomial and its level sets.
+"""The Nagel-Stein-Wainger ball-volume polynomial and its maximal level set.
 
 Lambda(x, r) = sum_I |lambda_I(x)| r^d(I), where I ranges over ordered
 n-tuples of commutator basis entries and lambda_I is the exact
@@ -19,7 +19,8 @@ query clears the point's common denominator, evaluates each distinct
 monomial once in integers and builds one Fraction at the end.  The
 integer point evaluator is the one in ``polynomials`` that
 ``fields.flag_at`` uses for its rows too, so Lambda, nu and the flag are
-all decided over the integers.
+all decided over the integers.  ``top_stratum`` certifies {nu = Q} as a
+coordinate subspace from the monomials of the slots below degree Q.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .fields import CommutatorBasis, FieldError, spec_lines
 from .polynomials import (
@@ -374,31 +375,18 @@ def nu_tilde(nsw: BallPolynomial, domain: DomainSpec) -> int:
     return max(pointwise_nu(nsw, pt) for pt in pts)
 
 
-@dataclass
-class LevelSetReport:
-    ok: bool
-    counterexamples: list  # (point, nu, candidate verdict)
+def top_stratum(nsw: BallPolynomial) -> frozenset[int] | None:
+    """The axes S with {nu = Q} = {x_a = 0 : a in S}, or None if undecided.
 
-    def __str__(self) -> str:
-        if self.ok:
-            return "level set candidate PASS"
-        return "level set candidate FAIL at " + ", ".join(str(p) for p, _, _ in self.counterexamples[:5])
-
-
-def level_set_probe(
-    nsw: BallPolynomial,
-    candidate: Callable[[Sequence[Fraction]], bool],
-    samples: Sequence[Sequence[Fraction]],
-) -> LevelSetReport:
-    """Check nu(x) = Q <=> candidate(x) on every sample point (criterion 3)."""
-    bad = []
-    for pt in samples:
-        pt = tuple(Fraction(v) for v in pt)
-        nu = pointwise_nu(nsw, pt)
-        inside = bool(candidate(pt))
-        if (nu == nsw.Q) != inside:
-            bad.append((pt, nu, inside))
-    return LevelSetReport(not bad, bad)
+    nu(x) = Q exactly where every lambda_I of degree below Q vanishes.  S
+    holds the axis of each such lambda_I that is a pure power c * x_a^e, so
+    {nu = Q} lies in L = {x_a = 0 : a in S}; L lies in {nu = Q} when every
+    monomial of those lambda_I contains some x_a with a in S.
+    """
+    low = [e.poly.terms for k, slot in nsw.slots.items() if k < nsw.Q for e in slot]
+    supports = ([a for a, k in enumerate(e, 1) if k] for t in low if len(t) == 1 for e in t)
+    axes = frozenset(s[0] for s in supports if len(s) == 1)
+    return axes if all(any(e[a - 1] for a in axes) for t in low for e in t) else None
 
 
 def parse_rows(text: str, width: int) -> list[tuple[Fraction, ...]]:

@@ -14,6 +14,7 @@ from subriemann.automorph import (
 )
 from subriemann.fields import FieldError
 from subriemann.fixtures import fixture_path
+from subriemann.nsw import top_stratum
 from subriemann.polynomials import Polynomial, parse_polynomial
 
 
@@ -142,6 +143,16 @@ class TestTransitiveFamilies:
         )
         assert not rep.ok
         assert rep.bad_samples
+
+
+class TestFamilyLevelSets:
+    def test_h_zero_axes_match_top_stratum(self, nsw_polys):
+        # hand-written .family data against the certificate read off Lambda
+        paths = sorted(fixture_path("martinet.family").parent.glob("*.family"))
+        assert [p.stem for p in paths] == sorted(FAMILY_FILES)
+        for path in paths:
+            family = parse_family(path.read_text())
+            assert set(family.h_zero_axes) == top_stratum(nsw_polys[path.stem]), path.name
 
 
 class TestFamilyParsing:

@@ -10,6 +10,7 @@ from subriemann.fields import format_system
 from subriemann.fixtures import fixture_path
 
 from test_fields import DEPENDENT_GENERATORS, INHOMOGENEOUS, RANK_TWO
+from test_nsw import SKEW_PLANE
 
 
 def vf(name):
@@ -37,6 +38,23 @@ class TestAnalyze:
         assert payload["schema_version"] == 1
         assert payload["Q"] == 5
         assert payload["nu_table"][0]["nu"] == 5
+        assert payload["top_stratum"] == [1]
+        assert "top stratum: x1 = 0" in out
+
+    @pytest.mark.parametrize("name, axes, line", [
+        ("euclidean2.vf", [], "top stratum: R^2"),
+        ("ex31.vf", [1, 2], "top stratum: x1 = x2 = 0"),
+        (None, "undecided", "top stratum: undecided"),
+    ], ids=["euclidean2", "ex31", "skew-plane"])
+    def test_top_stratum(self, capsys, tmp_path, name, axes, line):
+        path = tmp_path / "skew.vf"
+        path.write_text(SKEW_PLANE)
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "analyze", vf(name) if name else str(path),
+                           "--json", str(report))
+        assert code == 0
+        assert line in out
+        assert json.loads(report.read_text())["top_stratum"] == axes
 
     def test_nu_points_table(self, capsys, tmp_path):
         pts = tmp_path / "pts.csv"
@@ -51,8 +69,9 @@ class TestAnalyze:
         # rank fine, independence violated
         (DEPENDENT_GENERATORS, "H.2 FAIL", []),
         (INHOMOGENEOUS, "H.1 FAIL",
-         ["h2", "basis_degrees", "basis_degrees_canonical", "nsw_tuple_counts", "nu_table"]),
-        (RANK_TWO, "H.2 FAIL", ["nsw_tuple_counts", "nu_table"]),
+         ["h2", "basis_degrees", "basis_degrees_canonical", "nsw_tuple_counts", "top_stratum",
+          "nu_table"]),
+        (RANK_TWO, "H.2 FAIL", ["nsw_tuple_counts", "top_stratum", "nu_table"]),
     ], ids=["dependent-generators", "inhomogeneous", "rank-two"])
     def test_hypothesis_failure_exits_2(self, capsys, tmp_path, text, verdict, not_computed):
         bad = tmp_path / "bad.vf"

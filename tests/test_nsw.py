@@ -1,4 +1,4 @@
-"""Ball-volume polynomial: exact coefficients, scaling, level sets."""
+"""Ball-volume polynomial: exact coefficients, scaling, the maximal level set."""
 
 import itertools
 import json
@@ -11,7 +11,12 @@ import pytest
 
 from subriemann import fixtures as fx
 from subriemann import nsw as nsw_module
-from subriemann.fields import FieldError, enumerate_commutators, homogeneous_dimension
+from subriemann.fields import (
+    FieldError,
+    enumerate_commutators,
+    homogeneous_dimension,
+    parse_system,
+)
 from subriemann.nsw import (
     BallPolynomial,
     BudgetExceeded,
@@ -20,10 +25,10 @@ from subriemann.nsw import (
     _has_perfect_matching,
     build_nsw,
     eval_lambda,
-    level_set_probe,
     nu_tilde,
     parse_domain_spec,
     pointwise_nu,
+    top_stratum,
 )
 
 from subriemann.polynomials import Polynomial, PolynomialError, parse_polynomial, poly_det
@@ -329,25 +334,45 @@ class TestPointwiseNu:
         assert pointwise_nu(nsw_polys["grushin-1-1-2"], [Fraction(1, 3), 0]) == 2
 
 
+# the x1 + x2 coefficient makes {nu = Q} the plane x1 + x2 = 0: nu(1, -1, 0) = Q = 4
+SKEW_PLANE = "dim = 3\nweights = 1,1,2\nX1 = 1*d1\nX2 = 1*d2\nX3 = x1*d3 + x2*d3\n"
+
+
 class TestLevelSets:
     H_AXIS_1 = ("grushin-1-1-2", "bony3", "martinet", "r4-fourfields", "example6")
+    VERDICTS = {
+        "euclidean2": (), "heisenberg1": (), "heisenberg(3)": (),
+        "grushin-1-1-2": (1,), "bony3": (1,), "martinet": (1,), "r4-fourfields": (1,),
+        "example6": (1,), "bony(6)": (1,), "grushin(1,2,4)": (1,), "grushin(1,2,6)": (1,),
+        "ex31": (1, 2), "grushin(2,2,2)": (1, 2),
+    }
 
     def test_maximal_level_set_is_x1_zero(self, nsw_polys):
-        rng = random.Random(53)
         for name in self.H_AXIS_1:
-            nsw = nsw_polys[name]
-            dim = nsw.n
-            samples = [random_point(rng, dim, max_num=3) for _ in range(40)]
-            samples += [[0] + random_point(rng, dim - 1, max_num=3) for _ in range(20)]
-            rep = level_set_probe(nsw, lambda pt: pt[0] == 0, samples)
-            assert rep.ok, (name, str(rep))
+            assert top_stratum(nsw_polys[name]) == {1}, name
 
-    def test_probe_reports_counterexamples(self, nsw_polys):
-        rep = level_set_probe(
-            nsw_polys["martinet"], lambda pt: pt[1] == 0, [[0, 1, 0]]
-        )
-        assert not rep.ok
-        assert rep.counterexamples
+    def test_verdicts(self, wide_polys):
+        assert {name: tuple(sorted(top_stratum(nsw))) for name, nsw in wide_polys.items()} \
+            == self.VERDICTS
+
+    def test_agrees_with_pointwise_nu(self, wide_polys, query_points):
+        rng = random.Random(71)
+        for name, nsw in wide_polys.items():
+            axes = top_stratum(nsw)
+            assert axes is not None, name
+            on_l = []
+            for _ in range(6):
+                pt = random_point(rng, nsw.n, max_num=3)
+                on_l.append([0 if a in axes else v for a, v in enumerate(pt, 1)])
+            for pt in query_points[name] + on_l:
+                in_l = all(pt[a - 1] == 0 for a in axes)
+                assert (pointwise_nu(nsw, pt) == nsw.Q) == in_l, (name, pt)
+
+    def test_undecided_off_coordinate_subspaces(self):
+        nsw = build_nsw(enumerate_commutators(parse_system(SKEW_PLANE)))
+        assert pointwise_nu(nsw, [1, -1, 0]) == nsw.Q == 4
+        assert pointwise_nu(nsw, [1, 0, 0]) < nsw.Q
+        assert top_stratum(nsw) is None
 
 
 class TestDomainSpec:
