@@ -61,21 +61,9 @@ class PolynomialMap:
         if len(params) != self.n_params:
             raise FieldError("parameter count mismatch")
         n = self.dim
-        bound = []
-        for c in self.components:
-            for k, v in enumerate(params, start=1):
-                c = c.substitute_value(n + k, v)
-            bound.append(_drop_trailing_vars(c, n))
-        return PolynomialMap(bound)
-
-
-def _drop_trailing_vars(p: Polynomial, n: int) -> Polynomial:
-    out = {}
-    for e, c in p.terms.items():
-        if any(e[n:]):
-            raise FieldError("polynomial still involves formal parameters")
-        out[e[:n]] = c
-    return Polynomial(n, out)
+        args = [Polynomial.variable(n, j) for j in range(1, n + 1)]
+        args += [Polynomial.constant(n, v) for v in params]
+        return PolynomialMap([c.compose(args) for c in self.components])
 
 
 @dataclass
@@ -169,6 +157,9 @@ class TransitiveFamily:
                 raise FieldError("family components live in 2n variables (x then w)")
         self.dim = dim
         self.h_zero_axes = tuple(sorted(set(int(a) for a in h_zero_axes)))
+        for a in self.h_zero_axes:
+            if not 1 <= a <= dim:
+                raise FieldError(f"h_zero axis {a} out of range 1..{dim}")
         comps = []
         for c in components:
             for a in self.h_zero_axes:

@@ -106,6 +106,17 @@ def _read_csv(path: str, parse, width: int):
 # argparse types: an ArgumentTypeError reaches _Parser.error as a usage error
 
 
+def _finite(text: str) -> float:
+    """One finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
     """A comma-separated list of one or more finite numbers."""
     try:
@@ -421,7 +432,7 @@ def build_parser() -> _Parser:
 
     def lattice_opts(p):
         box_opts(p)
-        p.add_argument("--tau", type=float, default=None)
+        p.add_argument("--tau", type=_finite, default=None)
         p.add_argument("--controls", type=int, default=None,
                        help="extra random control directions")
         p.add_argument("--seed", type=int, default=0,
@@ -459,7 +470,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("probe-exponent", help="R(t) scaling probe for one kappa")
     p.add_argument("system")
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_finite, required=True)
     p.add_argument("--t", type=_floats, required=True, help="comma-separated t values")
     box_opts(p)
     csv_out(p)
@@ -468,9 +479,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sobolev", help="minimize the discrete Sobolev quotient")
     p.add_argument("system")
     box_opts(p)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_finite, default=2.0)
     p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_finite,
                    default=inspect.signature(minimize_quotient).parameters["rel_tol"].default,
                    help="stop when the decrease that the L-BFGS model predicts (-g.d) "
                         "falls below TOL times the quotient (default %(default)g); a TOL "

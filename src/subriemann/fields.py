@@ -8,9 +8,9 @@ origin, enumeration of right-nested commutators, and per-point flag data
 Every rank decision (``flag_at``, ``check_h2``, ``rational_rank``) is
 made over the integers, by one fraction-free echelon, ``_echelon_add``.
 ``flag_at`` and ``check_h2`` share one flag kernel, ``_flag_counts``, which
-evaluates each basis entry as an integer row through the integer point
-evaluator of ``polynomials`` (``_point_powers``), the one that Lambda
-and nu use in ``nsw``.
+evaluates each basis entry as an integer row through
+``polynomials.IntegerForms``, the point evaluator that Lambda and nu use
+in ``nsw``.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from functools import cached_property
 from typing import Sequence
 
 from .polynomials import (
+    IntegerForms,
     Polynomial,
     _add_products,
     _clean,
     _integer_point,
-    _monomial_values,
-    _point_powers,
     format_polynomial,
     parse_polynomial,
 )
@@ -261,42 +260,28 @@ class CommutatorBasis:
 
     @cached_property
     def _integer_rows(self):
-        """(degrees, top, rows): each entry of degree 1..alpha_n as an integer row form.
+        """(forms, rows): each entry of degree 1..alpha_n as an integer row.
 
-        Rows are (degree, monomials, comps), stably sorted by degree.  With
-        L the lcm of an entry's coefficient denominators and T its top
-        total degree, ``monomials`` lists its distinct monomials as
-        (T - |e|, nonzero exponents) and ``comps`` pairs each nonzero
-        component k with its terms (L * c, monomial index).  At x = a / D,
-        component k is then the integer sum L * c * a^e * D^(T - |e|) =
-        L * D^T * b_k(x): every component of a row shares the positive
-        factor L * D^T, so ranks are those of the values.  (Scaling each
-        component by its own D power would change them.)  ``degrees`` holds
-        the highest power of each coordinate and ``top`` the largest T:
-        the powers of a_j and D that ``_flag_counts`` prepares once per point.
+        ``rows`` lists (degree, i, components) for the entries i, stably
+        sorted by degree, with the indices k of their nonzero components.
+        ``forms`` holds component k of entry i at key (i, k), times the lcm
+        L of the entry's coefficient denominators.  At a point its reader
+        gives L * D^T * b_k(x): every component of a row shares the
+        positive factor L * D^T, so ranks are those of the values.
+        (Scaling each component by its own power of D would change them.)
         """
+        forms = {}
         rows = []
-        top = 0
-        degrees = [0] * self.system.dim
-        for entry in sorted(self.entries, key=lambda e: e.degree):
+        for i, entry in sorted(enumerate(self.entries), key=lambda p: p[1].degree):
             if not 1 <= entry.degree <= self.system.weights[-1]:
                 continue
             coeffs = [c.terms for c in entry.vf.coeffs]
             scale = math.lcm(*(c.denominator for terms in coeffs for c in terms.values()))
-            t = max(sum(e) for terms in coeffs for e in terms)
-            top = max(top, t)
-            index: dict[tuple[int, ...], int] = {}
-            comps = tuple(
-                (k, tuple((int(c * scale), index.setdefault(e, len(index)))
-                          for e, c in terms.items()))
-                for k, terms in enumerate(coeffs) if terms
-            )
-            monomials = tuple(
-                (t - sum(e), tuple((j, p) for j, p in enumerate(e) if p)) for e in index
-            )
-            degrees = [max(column) for column in zip(degrees, *index)]
-            rows.append((entry.degree, monomials, comps))
-        return degrees, top, tuple(rows)
+            comps = [k for k, terms in enumerate(coeffs) if terms]
+            for k in comps:
+                forms[i, k] = {e: int(c * scale) for e, c in coeffs[k].items()}
+            rows.append((entry.degree, i, comps))
+        return IntegerForms(self.system.dim, forms), rows
 
     def canonical_degrees(self) -> dict[int, int]:
         """Entry counts per degree after identifying Y with -Y."""
@@ -362,9 +347,9 @@ def _echelon_add(rows: list[tuple[int, list[int]]], vector: list[int]) -> bool:
     appended, pivoted at its first nonzero entry; the caller passes a
     fresh list, which may become that row.  Every rank decision in the
     exact layer is made here, over the integers: the flag rows of
-    ``flag_at`` and ``check_h2`` come from the point evaluator that Lambda
-    and nu share, and ``rational_rank`` clears denominators with its
-    ``_integer_point``.
+    ``flag_at`` and ``check_h2`` come from the ``IntegerForms`` evaluator
+    that Lambda and nu share, and ``rational_rank`` clears denominators
+    with its ``_integer_point``.
     """
     v = vector
     for col, row in rows:
@@ -462,23 +447,22 @@ def _flag_counts(basis: CommutatorBasis, point) -> list[int]:
     One fraction-free elimination runs over the degree blocks in order,
     and entries are no longer evaluated once the rank reaches n.  Each
     entry is evaluated as its integer row (``CommutatorBasis._integer_rows``),
-    a positive multiple of its value, by the same integer point evaluator
+    a positive multiple of its value, through the ``IntegerForms`` type
     that Lambda and nu use in ``nsw``, so the counts are decided over the
     integers.  Their sum is the rank at the point; nothing is raised when
     it is below n.
     """
     n = basis.system.dim
-    degrees, top, flag_rows = basis._integer_rows
-    powers = _point_powers(point, degrees, top)
+    forms, flag_rows = basis._integer_rows
+    _, value = forms.at(point)
     counts = [0] * basis.system.weights[-1]
     rows: list = []
-    for degree, monomials, comps in flag_rows:
+    for degree, i, comps in flag_rows:
         if len(rows) == n:
             break
-        values = _monomial_values(monomials, powers)
         row = [0] * n
-        for k, terms in comps:
-            row[k] = sum(c * values[i] for c, i in terms)
+        for k in comps:
+            row[k] = value((i, k))
         if _echelon_add(rows, row):
             counts[degree - 1] += 1
     return counts

@@ -139,8 +139,8 @@ class Lattice:
             raise LatticeError("spacing must be positive")
         if any(not hi > lo for lo, hi in self.box):
             raise LatticeError("box intervals must be nonempty")
-        if tau is not None and tau <= 0:
-            raise LatticeError("tau must be positive")
+        if tau is not None and not 0 < tau < math.inf:
+            raise LatticeError(f"tau must be positive and finite; got {tau}")
         if n_random_controls is not None and n_random_controls < 0:
             raise LatticeError("the random control count must be nonnegative")
         self.shape = tuple(

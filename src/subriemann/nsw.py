@@ -14,13 +14,15 @@ combination expanded before them.
 Point queries (``f_k``, ``eval_lambda``, ``pointwise_nu``) read a merged
 form of each degree slot, built once with the polynomial: most lambda_I
 are rational multiples of one another, and |c p(x)| = |c| |p(x)|, so a
-slot is a short sum of weights times |primitive integer polynomial|.  A
-query clears the point's common denominator, evaluates each distinct
-monomial once in integers and builds one Fraction at the end.  The
-integer point evaluator is the one in ``polynomials`` that
-``fields.flag_at`` uses for its rows too, so Lambda, nu and the flag are
-all decided over the integers.  ``top_stratum`` certifies {nu = Q} as a
-coordinate subspace from the monomials of the slots below degree Q.
+slot is a short sum of weights times |primitive integer polynomial|.
+Each distinct primitive polynomial is one form of a
+``polynomials.IntegerForms``, the evaluator that ``fields.flag_at``
+reads its rows from too: a query clears the point's common denominator,
+evaluates each distinct monomial once in integers, sums only the forms
+of the slots it reads and builds one Fraction at the end, so Lambda, nu
+and the flag are all decided over the integers.  ``top_stratum``
+certifies {nu = Q} as a coordinate subspace from the monomials of the
+slots below degree Q.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fields import CommutatorBasis, FieldError, spec_lines
-from .polynomials import (
-    Polynomial,
-    PolynomialError,
-    _extend_minors,
-    _monomial_values,
-    _point_powers,
-    format_polynomial,
-)
+from .polynomials import IntegerForms, Polynomial, _extend_minors, format_polynomial
 
 # most C(q, n) index combinations ``build_nsw`` enumerates unless told
 # otherwise; it checks the count before enumerating any
@@ -97,7 +92,8 @@ class BallPolynomial:
     distinct primitive integer polynomials q of its entries, with
     w_q = scale * sum of multiplicity * |c| over the entries c * q.  One
     integer ``scale`` (the lcm of the weights' denominators) serves all
-    slots, and the distinct monomials of all slots are listed once.
+    slots, and each distinct q is one form of ``IntegerForms``, shared by
+    the slots that hold it.
     """
 
     def __init__(self, basis: CommutatorBasis, slots: dict[int, list[LambdaEntry]]):
@@ -119,49 +115,28 @@ class BallPolynomial:
                 key = tuple(sorted(q.items()))
                 weights[key] = weights.get(key, Fraction(0)) + e.multiplicity * abs(c)
         self._scale = math.lcm(*(w.denominator for ws in merged.values() for w in ws.values()))
-        index: dict[tuple[int, ...], int] = {}
-        self._slot_terms: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
-        for k, weights in merged.items():
-            self._slot_terms[k] = [
-                (int(w * self._scale), tuple((c, index.setdefault(e, len(index))) for e, c in key))
-                for key, w in weights.items()
-            ]
-        # x^e * D^(top - |e|) is an integer for x = a / D and every monomial
-        self._top = max(sum(e) for e in index)
-        self._degrees = [max(e[j] for e in index) for j in range(self.n)]
-        self._monomials = [
-            (self._top - sum(e), tuple((j, k) for j, k in enumerate(e) if k))
-            for e in index
-        ]
+        # forms are keyed by int ids: hashing a polynomial's term tuple on
+        # every read would cost more than many of the sums it keys
+        ids: dict[tuple, int] = {}
+        self._slot_terms: dict[int, list[tuple[int, int]]] = {
+            k: [(int(w * self._scale), ids.setdefault(key, len(ids))) for key, w in weights.items()]
+            for k, weights in merged.items()
+        }
+        self._forms = IntegerForms(self.n, {i: dict(key) for key, i in ids.items()})
 
-    def _point_values(self, x) -> tuple[list[int], int]:
-        """x^e * D^(top - |e|) for each monomial, in integers, and D^top.
-
-        D is the common denominator of the point's coordinates; the
-        values come from the integer point evaluator that ``flag_at``
-        uses too.
-        """
-        if len(x) != self.n:
-            raise PolynomialError(f"point length {len(x)} != dimension {self.n}")
-        powers = _point_powers(x, self._degrees, self._top)
-        return _monomial_values(self._monomials, powers), powers[1][self._top]
-
-    def _slot_sum(self, k: int, values: list[int]) -> int:
-        """scale * D^top * f_k(x), an integer."""
-        return sum(
-            w * abs(sum(c * values[i] for c, i in terms))
-            for w, terms in self._slot_terms[k]
-        )
+    def _slot_sum(self, k: int, value) -> int:
+        """scale * D^T * f_k(x), an integer, from the reader of ``IntegerForms.at``."""
+        return sum(w * abs(value(q)) for w, q in self._slot_terms[k])
 
     def f_k(self, k: int, x) -> Fraction:
         """Exact f_k(x) = sum over tuples of |lambda_I(x)|, from the merged slot.
 
         The per-degree reference that the merged slots are tested against.
         """
-        values, d_top = self._point_values(x)
+        d_top, value = self._forms.at(x)
         if k not in self._slot_terms:
             return Fraction(0)
-        return Fraction(self._slot_sum(k, values), self._scale * d_top)
+        return Fraction(self._slot_sum(k, value), self._scale * d_top)
 
     def degree_counts(self) -> dict[int, int]:
         """Ordered-tuple counts per degree k."""
@@ -275,16 +250,16 @@ def eval_lambda(nsw: BallPolynomial, x, r) -> Fraction:
     """Exact Lambda(x, r) for rational x and r > 0.
 
     With r = p/q and K the top degree, Lambda(x, r) is the integer
-    sum_k S_k p^k q^(K-k) over scale * D^top * q^K, where S_k is f_k(x)
-    on the common denominator scale * D^top of every slot.
+    sum_k S_k p^k q^(K-k) over scale * D^T * q^K, where S_k is f_k(x)
+    on the common denominator scale * D^T of every slot.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    values, d_top = nsw._point_values(x)
+    d_top, value = nsw._forms.at(x)
     p, q = r.numerator, r.denominator
     top = max(nsw.slots)
-    num = sum(nsw._slot_sum(k, values) * p ** k * q ** (top - k) for k in nsw.slots)
+    num = sum(nsw._slot_sum(k, value) * p ** k * q ** (top - k) for k in nsw.slots)
     return Fraction(num, nsw._scale * d_top * q ** top)
 
 
@@ -294,9 +269,9 @@ def pointwise_nu(nsw: BallPolynomial, x) -> int:
     f_k(x) is a sum of nonnegative terms, so it is nonzero exactly when
     some lambda_I of degree k is; the integer slot sums decide it.
     """
-    values, _ = nsw._point_values(x)
+    _, value = nsw._forms.at(x)
     for k in nsw.slots:
-        if nsw._slot_sum(k, values):
+        if nsw._slot_sum(k, value):
             return k
     raise FieldError(f"all lambda_I vanish at {x}; Hormander fails there")
 

@@ -13,10 +13,11 @@ Determinants have one kernel too: `poly_det` folds the Laplace step
 the rows of its index combinations.
 
 Point queries that decide a rank or a sign (`fields.flag_at`, and
-Lambda and nu in `nsw`) do not evaluate in Fractions: they write the
-point as x = a / D over one common denominator (`_integer_point`) and
-evaluate monomials as integers x^e D^(T - |e|) from powers computed once
-per point (`_point_powers`, `_monomial_values`).
+Lambda and nu in `nsw`) do not evaluate in Fractions: they compile their
+polynomials once into `IntegerForms`, which writes the point as
+x = a / D over one common denominator (`_integer_point`), evaluates each
+monomial once as the integer a^e D^(T - |e|) and sums a form only when
+it is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 
 class PolynomialError(ValueError):
@@ -73,40 +74,62 @@ def _integer_point(point) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in pt], d
 
 
-def _point_powers(point, degrees: Sequence[int], top: int) -> tuple[list[list[int]], list[int]]:
-    """a_j^k for k <= degrees[j] and D^k for k <= top, with x = a / D.
+class IntegerForms:
+    """Keyed integer-coefficient forms in ``dim`` variables, read exactly at rational points.
 
-    The point is split as in ``_integer_point``; ``degrees`` holds the
-    highest power of each coordinate that the caller's monomials use.
+    ``forms`` maps each key to its terms, {exponent tuple: int}.  The
+    distinct monomials of all forms are indexed once, with T the largest
+    total degree among them.  ``at`` writes the point as x = a / D
+    (``_integer_point``) and computes each monomial once as the integer
+    a^e D^(T - |e|) from the powers of a_j and D, so a form f reads as
+    the integer D^T f(x): every form shares the positive factor D^T, and
+    signs, zeros and ranks are those of the values.  A form is summed
+    only when it is read, so a caller that stops early (at full rank, at
+    the first nonzero slot) does not pay for the rest.
     """
-    a, d = _integer_point(point)
-    pa = []
-    for v, deg in zip(a, degrees):
-        p = [1]
-        for _ in range(deg):
-            p.append(p[-1] * v)
-        pa.append(p)
-    pd = [1]
-    for _ in range(top):
-        pd.append(pd[-1] * d)
-    return pa, pd
 
+    __slots__ = ("dim", "_forms", "_top", "_degrees", "_monomials")
 
-def _monomial_values(monomials, powers) -> list[int]:
-    """x^e * D^deficit in integers for each monomial (deficit, ((j, e_j), ...)).
+    def __init__(self, dim: int, forms: Mapping[Hashable, Mapping[tuple[int, ...], int]]):
+        index: dict[tuple[int, ...], int] = {}
+        self.dim = dim
+        self._forms = {
+            key: tuple((c, index.setdefault(e, len(index))) for e, c in terms.items())
+            for key, terms in forms.items()
+        }
+        self._top = max(map(sum, index), default=0)
+        self._degrees = [max((e[j] for e in index), default=0) for j in range(dim)]
+        # (T - |e|, nonzero (0-based axis, exponent) pairs) per monomial
+        self._monomials = [
+            (self._top - sum(e), tuple((j, k) for j, k in enumerate(e) if k)) for e in index
+        ]
 
-    ``powers`` is ``_point_powers`` of the point; the factors list the
-    nonzero exponents only, with 0-based j.  For a form of top total
-    degree T, deficit = T - |e| gives every monomial the same factor D^T.
-    """
-    pa, pd = powers
-    out = []
-    for deficit, factors in monomials:
-        v = pd[deficit]
-        for j, k in factors:
-            v *= pa[j][k]
-        out.append(v)
-    return out
+    def at(self, point) -> tuple[int, Callable[[Hashable], int]]:
+        """D^T and the reader that gives D^T * form(x), an integer, by key."""
+        if len(point) != self.dim:
+            raise PolynomialError(f"point length {len(point)} != dimension {self.dim}")
+        a, d = _integer_point(point)
+        pa = []
+        for v, deg in zip(a, self._degrees):
+            p = [1]
+            for _ in range(deg):
+                p.append(p[-1] * v)
+            pa.append(p)
+        pd = [1]
+        for _ in range(self._top):
+            pd.append(pd[-1] * d)
+        values = []
+        for deficit, factors in self._monomials:
+            v = pd[deficit]
+            for j, k in factors:
+                v *= pa[j][k]
+            values.append(v)
+        forms = self._forms
+
+        def value(key) -> int:
+            return sum(c * values[i] for c, i in forms[key])
+
+        return pd[-1], value
 
 
 class Polynomial:
@@ -307,20 +330,6 @@ class Polynomial:
             tdeg = sum(a * k for a, k in zip(w, e))
             out[e + (tdeg,)] = c
         return Polynomial(self.dim + 1, out)
-
-    def homogeneity_degree(self, weights: Sequence[int]) -> int | None:
-        """Common weighted degree of all monomials, or None if mixed.
-
-        The zero polynomial returns None (it is vacuously homogeneous of
-        every degree; callers flag that case separately).  Criterion 2
-        checks the Lambda slot entries with it.
-        """
-        if len(weights) != self.dim:
-            raise PolynomialError("weight count mismatch")
-        degs = {sum(a * k for a, k in zip(weights, e)) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def inhomogeneous_monomials(self, weights: Sequence[int], sigma: int) -> list[tuple[int, ...]]:
         """Exponent tuples whose weighted degree differs from sigma."""

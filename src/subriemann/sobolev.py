@@ -440,9 +440,10 @@ def minimize_quotient(
     the quasi-Newton model predicts along the L-BFGS direction d) is
     below max(``rel_tol``, `_DECREMENT_FLOOR`) times the quotient; the
     ratio is unchanged when the iterate is rescaled, and the floor
-    (1e-12) is where ``rel_tol=0`` stops.  At p = 2 the default 1e-9
-    ends within about 5e-9 (relative) of the ``rel_tol=0`` constant; at
-    p != 2 the decrement can be smaller than the true gap.  A start
+    (1e-12) is where ``rel_tol=0``, or any ``rel_tol`` below it, stops
+    (NaN is refused).  At p = 2 the default 1e-9 ends within about 5e-9
+    (relative) of the ``rel_tol=0`` constant; at p != 2 the decrement
+    can be smaller than the true gap.  A start
     stops with ``"stalled"`` when its line search finds no decrease
     beyond rounding, and with ``"max_iter"`` after ``max_iter``
     iterations.  The best start's normalized iterate, stop reason,
@@ -456,6 +457,8 @@ def minimize_quotient(
         raise SobolevError(f"need at least one start; got n_starts = {n_starts}")
     if max_iter < 0:
         raise SobolevError(f"need max_iter >= 0; got max_iter = {max_iter}")
+    if math.isnan(rel_tol):
+        raise SobolevError("rel_tol must be a number; got nan")
     if init is not None and init.domain.shape != domain.shape:
         raise SobolevError("explicit initial iterate lives on a different lattice")
     quotient = _Quotient(system, domain, p)
@@ -659,8 +662,8 @@ def exponent_probe(
     with admissibility.  The dilated support must stay inside the
     domain box for every probed t (checked on the support bounding box).
     """
-    if kappa <= 1:
-        raise SobolevError("kappa must exceed 1")
+    if not 1 < kappa < math.inf:
+        raise SobolevError(f"kappa must exceed 1 and be finite; got {kappa}")
     q = kappa / (kappa - 1.0)
     support = np.nonzero(u.values)
     if support[0].size == 0:

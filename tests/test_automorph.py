@@ -163,6 +163,13 @@ class TestFamilyParsing:
         ident = family.at([0, 0, 0])
         assert ident([1, 2, 3]) == [1, 2, 3]
 
+    @pytest.mark.parametrize("axis", [0, -1, 3])
+    def test_rejects_h_zero_axis_out_of_range(self, axis):
+        # axis 0 or -1 would pin a point coordinate; axis 3 would name no variable
+        text = fixture_path("grushin-1-1-2.family").read_text().replace("h_zero = 1", f"h_zero = {axis}")
+        with pytest.raises(FieldError, match=f"h_zero axis {axis} out of range 1..2"):
+            parse_family(text)
+
     def test_rejects_incomplete_spec(self):
         with pytest.raises(FieldError):
             parse_family("dim = 2\nT1 = x1\n")

@@ -229,6 +229,18 @@ class TestVerifyAuto:
         assert code == 3
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("axis", ["0", "-1", "3"])
+    def test_h_zero_axis_out_of_range_is_usage_error(self, capsys, tmp_path, axis):
+        text = fixture_path("grushin-1-1-2.family").read_text()
+        bad = tmp_path / "bad.family"
+        bad.write_text(text.replace("h_zero = 1", f"h_zero = {axis}"))
+        code, out, err = run(capsys, "verify-auto", vf("grushin-1-1-2.vf"), str(bad))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert f"h_zero axis {axis} out of range" in payload["message"]
+
 
 class TestProbeExponent:
     def test_flat_at_q(self, capsys):
@@ -367,8 +379,16 @@ class TestUsageAndErrors:
          "--center"),
         (("dist", "--source", "0,0", "--box=-1,1;-1,1;-1,1", "--spacing", "0.5"), "--box"),
         (("sobolev", "--box=-1,1;-1,1", "--spacing", "0.5,0.5,0.5"), "--spacing"),
+        # NaN passes a check written as x <= bound, so these must not parse
+        (("dist", "--source", "0,0", "--box=-1,1;-1,1", "--spacing", "0.25", "--tau", "nan"),
+         "--tau"),
+        (("probe-exponent", "--kappa", "nan", "--t", "1", "--box=-1,1;-1,1", "--spacing", "0.5"),
+         "--kappa"),
+        (("sobolev", "--box=-1,1;-1,1", "--spacing", "0.5", "--p", "nan"), "--p"),
+        (("sobolev", "--box=-1,1;-1,1", "--spacing", "0.5", "--tol", "nan"), "--tol"),
     ], ids=["box-interval", "source-value", "source-nan", "spacing-value", "radii", "kappa", "t",
-            "source-short", "center-long", "box-axes", "spacing-count"])
+            "source-short", "center-long", "box-axes", "spacing-count", "tau-nan",
+            "probe-kappa-nan", "p-nan", "tol-nan"])
     def test_bad_option_value_is_usage_error(self, capsys, argv, option):
         command, *options = argv
         code, out, err = run(capsys, command, vf("euclidean2.vf"), *options)

@@ -25,7 +25,7 @@ from subriemann.fields import (
     rational_rank,
 )
 from subriemann.nsw import build_nsw, pointwise_nu
-from subriemann.polynomials import Polynomial, _monomial_values, _point_powers, parse_polynomial
+from subriemann.polynomials import Polynomial, parse_polynomial
 
 from test_polynomials import assert_invariants, partial_var_poly, random_poly, random_point
 
@@ -332,17 +332,17 @@ class TestIncrementalElimination:
     def test_integer_rows_are_positive_multiples_of_values(self, wide_bases, query_points):
         """Each row is L * D^T times the entry's value, one factor for all components."""
         for name, basis in wide_bases.items():
-            degrees, top, forms = basis._integer_rows
+            forms, rows = basis._integer_rows
             entries = [e for e in sorted(basis, key=lambda e: e.degree)
                        if e.degree <= basis.system.weights[-1]]
-            assert [e.degree for e in entries] == [f[0] for f in forms]
+            assert [e.degree for e in entries] == [r[0] for r in rows]
             for x in query_points[name]:
-                powers = _point_powers(x, degrees, top)
-                for e, (_, monomials, comps) in zip(entries, forms):
-                    values = _monomial_values(monomials, powers)
+                _, value = forms.at(x)
+                for e, (_, i, comps) in zip(entries, rows):
+                    assert basis.entries[i] is e
                     row = [0] * basis.system.dim
-                    for k, terms in comps:
-                        row[k] = sum(c * values[i] for c, i in terms)
+                    for k in comps:
+                        row[k] = value((i, k))
                     exact = e.vf.at(x)
                     assert all(r == 0 for r, v in zip(row, exact) if not v)
                     factors = {Fraction(r) / v for r, v in zip(row, exact) if v}

@@ -66,6 +66,11 @@ class TestLatticeSpec:
         with pytest.raises(LatticeError):  # no node off the boundary shell
             Lattice([(0, 1)], 1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        with pytest.raises(LatticeError, match="tau"):
+            Lattice([(-1, 1), (-1, 1)], 0.25, tau=tau)
+
     def test_negative_control_count_is_refused(self):
         with pytest.raises(LatticeError, match="control count"):
             Lattice([(-1, 1), (-1, 1)], 0.25, n_random_controls=-3)

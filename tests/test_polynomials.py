@@ -261,11 +261,13 @@ class TestHomogeneity:
         p = parse_polynomial("x1^2 + x2", 2)
         d = p.dilate([1, 2])
         # both monomials acquire t-degree 2
-        assert d.homogeneity_degree([0, 0, 1]) == 2
+        assert d.inhomogeneous_monomials([0, 0, 1], 2) == []
+        assert d.inhomogeneous_monomials([0, 0, 1], 1) == [(0, 1, 2), (2, 0, 2)]
 
-    def test_homogeneity_degree_mixed(self):
+    def test_mixed_degrees_are_inhomogeneous_at_every_degree(self):
         p = parse_polynomial("x1 + x2", 2)
-        assert p.homogeneity_degree([1, 2]) is None
+        assert p.inhomogeneous_monomials([1, 2], 1) == [(0, 1)]
+        assert p.inhomogeneous_monomials([1, 2], 2) == [(1, 0)]
 
     def test_zero_is_vacuously_homogeneous(self):
         assert Polynomial.zero(3).inhomogeneous_monomials([1, 2, 3], 5) == []

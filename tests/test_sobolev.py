@@ -908,6 +908,12 @@ class TestMinimize:
         with pytest.raises(SobolevError, match="max_iter"):
             minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, max_iter=-1)
 
+    def test_nan_rel_tol_is_rejected(self):
+        # no decrement is below NaN, so the solve could only end stalled
+        dom = Lattice([(-3, 3), (-3, 3)], 0.375)
+        with pytest.raises(SobolevError, match="rel_tol"):
+            minimize_quotient(fx.grushin(), dom, p=2.0, n_starts=1, rel_tol=math.nan)
+
     def test_explicit_init_is_used(self):
         system = fx.grushin()
         dom = Lattice([(-3, 3), (-3, 3)], 0.375)
@@ -987,6 +993,9 @@ class TestExponentProbe:
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SobolevError):
             exponent_probe(fx.grushin(), None, 1.0, u, [1.0])
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(SobolevError, match="kappa"):
+                exponent_probe(fx.grushin(), None, kappa, u, [1.0])
 
 
 class TestRescale:
