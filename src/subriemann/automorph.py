@@ -6,6 +6,10 @@ generator and |det J_A| is identically 1.  Maps may carry formal
 parameters (used for transitive families T(w, .) with w ranging over the
 maximal level set), in which case residuals must vanish as polynomials
 in point and parameters jointly.
+
+Every substitution here is one `Polynomial.compose`: `certify` lifts the
+field coefficients into the map's variables, `TransitiveFamily` pins its
+``h_zero`` parameters to zero, and the anchor check sets the point to 0.
 """
 
 from __future__ import annotations
@@ -71,8 +75,15 @@ class AutomorphismCertificate:
     map: PolynomialMap
     residuals: list  # per field: list of residual component polynomials
     jacobian_det: Polynomial
-    pushforward_ok: bool
-    unimodular: bool
+
+    @property
+    def pushforward_ok(self) -> bool:
+        return all(p.is_zero() for res in self.residuals for p in res)
+
+    @property
+    def unimodular(self) -> bool:
+        det = self.jacobian_det
+        return det.is_constant() and abs(det.constant_value()) == 1
 
     @property
     def ok(self) -> bool:
@@ -97,26 +108,18 @@ def certify(system: VectorFieldSystem, pmap: PolynomialMap) -> AutomorphismCerti
     if pmap.dim != n:
         raise FieldError("map dimension does not match the system")
     total = n + pmap.n_params
+    point = [Polynomial.variable(total, j) for j in range(1, n + 1)]
     jac = [[pmap.components[k].partial(j) for j in range(1, n + 1)] for k in range(n)]
     residuals = []
-    all_zero = True
     for fld in system.fields:
-        lifted = [c.lift(total) for c in fld.coeffs]
-        res_field = []
-        for k in range(n):
-            lhs = Polynomial.zero(total)
-            for j in range(n):
-                if not jac[k][j].is_zero() and not lifted[j].is_zero():
-                    lhs = lhs + jac[k][j] * lifted[j]
-            rhs = fld.coeffs[k].compose(list(pmap.components))
-            res = lhs - rhs
-            res_field.append(res)
-            if not res.is_zero():
-                all_zero = False
-        residuals.append(res_field)
-    det = poly_det(jac)
-    unimodular = det.is_constant() and abs(det.constant_value()) == 1
-    return AutomorphismCertificate(pmap, residuals, det, all_zero, unimodular)
+        # X(x) read in the map's variables: point first, parameters unused
+        lifted = [c.compose(point) for c in fld.coeffs]
+        residuals.append([
+            sum((jac[k][j] * lifted[j] for j in range(n)), Polynomial.zero(total))
+            - fld.coeffs[k].compose(pmap.components)
+            for k in range(n)
+        ])
+    return AutomorphismCertificate(pmap, residuals, poly_det(jac))
 
 
 def translation_directions(system: VectorFieldSystem) -> set[int]:
@@ -160,12 +163,12 @@ class TransitiveFamily:
         for a in self.h_zero_axes:
             if not 1 <= a <= dim:
                 raise FieldError(f"h_zero axis {a} out of range 1..{dim}")
-        comps = []
-        for c in components:
-            for a in self.h_zero_axes:
-                c = c.substitute_value(dim + a, 0)
-            comps.append(c)
-        self.components = tuple(comps)
+        pin = [
+            Polynomial.zero(2 * dim) if j - dim in self.h_zero_axes
+            else Polynomial.variable(2 * dim, j)
+            for j in range(1, 2 * dim + 1)
+        ]
+        self.components = tuple(c.compose(pin) for c in components)
         self.witness = tuple(witness) if witness is not None else None
         if self.witness is not None:
             if len(self.witness) != dim:
@@ -233,18 +236,12 @@ def verify_transitive_family(
     if family.dim != n:
         raise FieldError("family dimension does not match the system")
     # (a) anchoring: substituting x = 0 must recover the parameter vector
-    anchored = True
-    for i, comp in enumerate(family.components, start=1):
-        at_zero = comp
-        for j in range(1, n + 1):
-            at_zero = at_zero.substitute_value(j, 0)
-        expected = (
-            Polynomial.zero(2 * n)
-            if i in family.h_zero_axes
-            else Polynomial.variable(2 * n, n + i)
-        )
-        if at_zero != expected:
-            anchored = False
+    zero = Polynomial.zero(2 * n)
+    params = [Polynomial.variable(2 * n, n + i) for i in range(1, n + 1)]
+    anchored = all(
+        comp.compose([zero] * n + params) == (zero if i in family.h_zero_axes else params[i - 1])
+        for i, comp in enumerate(family.components, start=1)
+    )
     # (b) the pushforward identity with formal parameters
     cert = certify(system, family.as_map())
     # (c) witness closure on sample pairs
@@ -260,7 +257,7 @@ def verify_transitive_family(
         if not family.in_candidate_h(w):
             bad.append((tuple(w), "witness leaves the candidate level set"))
             continue
-        image = family.at(w)(p)
+        image = [c.eval(p + w) for c in family.components]
         pair_results.append((tuple(p), tuple(q), tuple(w), image == q))
     return FamilyReport(anchored, cert, pair_results, bad)
 
@@ -288,14 +285,14 @@ def parse_family(text: str) -> TransitiveFamily:
     h_zero: list[int] = []
     t_lines: dict[int, str] = {}
     w_lines: dict[int, str] = {}
-    for raw, key, value in spec_lines(text):
+    for raw, key, value in spec_lines(text, FieldError):
         if key == "dim":
             dim = int(value)
         elif key == "h_zero":
             h_zero = [int(v) for v in value.split(",") if v.strip()]
-        elif re.fullmatch(r"T\d+", key):
+        elif re.fullmatch(r"T[1-9]\d*", key):
             t_lines[int(key[1:])] = value
-        elif re.fullmatch(r"W\d+", key):
+        elif re.fullmatch(r"W[1-9]\d*", key):
             w_lines[int(key[1:])] = value
         else:
             raise FieldError(f"unrecognized line in family spec: {raw!r}")

@@ -552,17 +552,24 @@ def parse_field(text: str, dim: int) -> VectorField:
     return VectorField(comps)
 
 
-def spec_lines(text: str):
+def spec_lines(text: str, error: type[Exception], repeatable: Sequence[str] = ()):
     """(raw line, key, value) for each ``key = value`` line of a spec file.
 
     ``#`` starts a comment and blank lines are skipped; key and value are
-    stripped.
+    stripped.  A key met a second time raises the parser's ``error``,
+    naming the line, unless it is ``repeatable``.  Parsers match numbered
+    keys (X1, T2) without leading zeros, so each slot has one spelling.
     """
-    for raw in text.splitlines():
+    seen = set()
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             key, _, value = line.partition("=")
-            yield raw, key.strip(), value.strip()
+            key = key.strip()
+            if key in seen and key not in repeatable:
+                raise error(f"line {number} repeats the key {key!r}: {raw.strip()!r}")
+            seen.add(key)
+            yield raw, key, value.strip()
 
 
 def parse_system(text: str) -> VectorFieldSystem:
@@ -570,14 +577,14 @@ def parse_system(text: str) -> VectorFieldSystem:
     weights = None
     name = ""
     field_lines: list[tuple[int, str]] = []
-    for raw, key, value in spec_lines(text):
+    for raw, key, value in spec_lines(text, FieldError):
         if key == "dim":
             dim = int(value)
         elif key == "weights":
             weights = [int(v) for v in value.split(",")]
         elif key == "name":
             name = value
-        elif re.fullmatch(r"X\d+", key):
+        elif re.fullmatch(r"X[1-9]\d*", key):
             field_lines.append((int(key[1:]), value))
         else:
             raise FieldError(f"unrecognized line in system spec: {raw!r}")

@@ -135,8 +135,10 @@ class Lattice:
         self.spacing = [float(h) for h in spacing]
         if len(self.spacing) != len(self.box):
             raise LatticeError("one spacing per axis is required")
-        if any(h <= 0 for h in self.spacing):
-            raise LatticeError("spacing must be positive")
+        if not all(0 < h < math.inf for h in self.spacing):
+            raise LatticeError(f"spacing must be positive and finite; got {self.spacing}")
+        if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in self.box):
+            raise LatticeError(f"box ends must be finite; got {self.box}")
         if any(not hi > lo for lo, hi in self.box):
             raise LatticeError("box intervals must be nonempty")
         if tau is not None and not 0 < tau < math.inf:

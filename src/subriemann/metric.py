@@ -283,8 +283,10 @@ def ball_volume(
     with the coefficients evaluated at the frontier nodes, instead of
     building tables, the mesh or coefficient grids for the whole box.
     The count is the one a full `distance_field` with the same seed
-    gives.
+    gives.  A negative r gives the empty ball; a NaN r is refused.
     """
+    if math.isnan(r):
+        raise MetricError("ball radius is NaN")
     if dfield is not None:
         lattice = dfield.lattice
         source = dfield.source

@@ -314,12 +314,13 @@ def parse_domain_spec(text: str) -> DomainSpec:
         closure = 0, 0, 0
 
     Membership is closed-box containment; `interior` and `closure`
-    lines (repeatable) list sample points with their tags.
+    lines (repeatable) list sample points with their tags.  Any other
+    key may appear once.
     """
     dim = None
     box = None
     samples: list[tuple[tuple[Fraction, ...], str]] = []
-    for raw, key, value in spec_lines(text):
+    for raw, key, value in spec_lines(text, ValueError, repeatable=("interior", "closure")):
         if key == "dim":
             dim = int(value)
         elif key == "box":

@@ -6,8 +6,11 @@ this layer (`lattice.eval_grid` evaluates on floats, and a float operand
 of `+`, `-` or `*` is a `TypeError`), so sign and vanishing decisions are
 exact.  Monomials are stored sparsely as a map from exponent tuples to
 nonzero coefficients, which makes structural equality a canonical-form
-comparison.  Products and `fields.lie_bracket` share one kernel,
-`_add_products`; its callers drop the sums that cancelled to zero.
+comparison.  Products, `Polynomial.compose` and `fields.lie_bracket`
+share one kernel, `_add_products`; its callers drop the sums that
+cancelled to zero.  `compose` is the one substitution: binding a
+variable to a value, pinning it to zero and lifting into more variables
+are all compositions, so `automorph` substitutes through it alone.
 Determinants have one kernel too: `poly_det` folds the Laplace step
 `_extend_minors` over a matrix's rows, and `nsw.build_nsw` folds it over
 the rows of its index combinations.
@@ -340,7 +343,15 @@ class Polynomial:
     # -- substitution -------------------------------------------------
 
     def compose(self, maps: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute x_j -> maps[j-1]; all maps share one dimension."""
+        """Substitute x_j -> maps[j-1], the exact layer's one substitution.
+
+        All maps share one dimension, and the result has it.  Binding x_j
+        to a value is a constant map, pinning it is a zero map, and
+        lifting into more variables maps each x_j to a variable of the
+        larger dimension.  The powers of each map are cached; every
+        monomial's product of them is added into one term dict by
+        ``_add_products``, and the sums that cancelled are dropped once.
+        """
         if len(maps) != self.dim:
             raise PolynomialError("substitution needs one polynomial per variable")
         if not maps:
@@ -349,53 +360,24 @@ class Polynomial:
         for m in maps:
             if m.dim != new_dim:
                 raise PolynomialError("substitution maps must share a dimension")
-        # cache powers of each map
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(new_dim, 1)} for _ in maps
-        ]
-        result = Polynomial.zero(new_dim)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(new_dim, c)
-            for j, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = powers[j]
-                if k not in cache:
-                    p = max(cache)
-                    acc = cache[p]
-                    while p < k:
-                        acc = acc * maps[j]
-                        p += 1
-                        cache[p] = acc
-                term = term * cache[k]
-            result = result + term
-        return result
+        unit = (0,) * new_dim
+        powers = [[m] for m in maps]  # powers[j][k - 1] = maps[j]^k
 
-    def lift(self, new_dim: int) -> "Polynomial":
-        """Embed into ``new_dim`` variables; the added ones come last, unused."""
-        if self.dim > new_dim:
-            raise PolynomialError("lift target too small")
-        pad = (0,) * (new_dim - self.dim)
-        return Polynomial(new_dim, {e + pad: c for e, c in self.terms.items()})
+        def power(j: int, k: int) -> dict:
+            cache = powers[j]
+            while len(cache) < k:
+                cache.append(cache[-1] * maps[j])
+            return cache[k - 1].terms
 
-    def substitute_value(self, j: int, value) -> "Polynomial":
-        """Set x_j = value (a rational constant), keeping the dimension."""
-        if not 1 <= j <= self.dim:
-            raise PolynomialError(f"axis {j} out of range 1..{self.dim}")
-        v = Fraction(value)
         out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
-            k = e[j - 1]
-            ne = list(e)
-            ne[j - 1] = 0
-            ne = tuple(ne)
-            add = c * v ** k if k else c
-            s = out.get(ne, _ZERO) + add
-            if s == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return Polynomial(self.dim, out)
+            factors = [power(j, k) for j, k in enumerate(e) if k]
+            prod = {unit: c}
+            for f in factors[:-1]:
+                prod, partial = {}, prod
+                _add_products(prod, partial, f)
+            _add_products(out, prod, factors[-1] if factors else {unit: 1})
+        return _clean(new_dim, {e: c for e, c in out.items() if c})
 
     # -- printing / parsing ------------------------------------------
 

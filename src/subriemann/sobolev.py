@@ -501,8 +501,8 @@ def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> Gri
     new lattice carries u(x).  This realizes u(delta_{1/t} .) without
     interpolation, so the discrete scaling identities hold exactly.
     """
-    if t <= 0:
-        raise SobolevError("dilation parameter must be positive")
+    if not 0 < t < math.inf:
+        raise SobolevError(f"dilation parameter must be positive and finite; got {t}")
     scale = [float(t) ** a for a in system.weights]
     box = [(lo * s, hi * s) for (lo, hi), s in zip(u.domain.box, scale)]
     spacing = [h * s for h, s in zip(u.domain.spacing, scale)]
@@ -532,8 +532,8 @@ def rescale(
     # import, and nothing else needs it
     from scipy import ndimage
 
-    if rho <= 0:
-        raise SobolevError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise SobolevError(f"rho must be positive and finite; got {rho}")
     dom = u.domain
     Q = sum(system.weights)
     ps = _pstar(Q, p)
@@ -551,7 +551,8 @@ def rescale(
     )
     out = GridFunction(dom, float(rho) ** ((Q - p) / p) * sampled)
     ref = u.norm(ps)
-    if ref > 0 and abs(out.norm(ps) - ref) > 0.05 * ref:
+    # written so that a NaN norm fails it
+    if not abs(out.norm(ps) - ref) <= 0.05 * ref:
         raise SupportEscape(
             f"rescale(w={tuple(map(float, w))}, rho={rho}) lost more than 5% of the mass"
         )

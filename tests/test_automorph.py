@@ -123,6 +123,14 @@ class TestTransitiveFamilies:
         )
         assert not rep.ok
         assert not rep.certificate.pushforward_ok
+        # the benchmark reads `.residuals`: exactly slot 3 of X1 and X2 is off, by x5^2
+        residuals = rep.certificate.residuals
+        assert len(residuals) == 2
+        for res in residuals:
+            assert [p.is_zero() for p in res] == [True, True, False]
+            assert res[2] == parse_polynomial("x5^2", 6)
+        assert str(rep.certificate).endswith(
+            "  X1 residual slot 3: x5^2\n  X2 residual slot 3: x5^2")
 
     def test_parameter_outside_level_set_rejected(self):
         family = load_family("martinet.family")
@@ -168,6 +176,21 @@ class TestFamilyParsing:
         # axis 0 or -1 would pin a point coordinate; axis 3 would name no variable
         text = fixture_path("grushin-1-1-2.family").read_text().replace("h_zero = 1", f"h_zero = {axis}")
         with pytest.raises(FieldError, match=f"h_zero axis {axis} out of range 1..2"):
+            parse_family(text)
+
+    @pytest.mark.parametrize("line", ["dim = 2", "h_zero = 2", "T2 = x2", "W2 = 0"])
+    def test_rejects_repeated_key(self, line):
+        # the last T2 line would otherwise be the map certified
+        text = fixture_path("grushin-1-1-2.family").read_text() + line + "\n"
+        key = line.split(" =")[0]
+        with pytest.raises(FieldError, match=f"line 7 repeats the key '{key}'"):
+            parse_family(text)
+
+    @pytest.mark.parametrize("line", ["T02 = x2", "W02 = 0"])
+    def test_rejects_leading_zero_keys(self, line):
+        # T02 would name the slot of T2 and replace it
+        text = fixture_path("grushin-1-1-2.family").read_text() + line + "\n"
+        with pytest.raises(FieldError, match="unrecognized line"):
             parse_family(text)
 
     def test_rejects_incomplete_spec(self):

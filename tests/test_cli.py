@@ -282,6 +282,26 @@ class TestSobolev:
 
 
 class TestUsageAndErrors:
+    @pytest.mark.parametrize("command, spec, line", [
+        ("analyze", "grushin-1-1-2.vf", "weights = 1,1"),
+        ("verify-auto", "grushin-1-1-2.family", "T2 = x2"),
+        ("growth", "ex31.domain", "box = 0,2 ; -1,1 ; -1,1"),
+    ], ids=["analyze", "verify-auto", "growth"])
+    def test_repeated_key_is_usage_error(self, capsys, tmp_path, command, spec, line):
+        bad = tmp_path / spec
+        bad.write_text(fixture_path(spec).read_text() + line + "\n")
+        argv = {
+            "analyze": [str(bad)],
+            "verify-auto": [vf("grushin-1-1-2.vf"), str(bad)],
+            "growth": [vf("ex31.vf"), "--domain", str(bad), "--kappa", "4.0"],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert f"repeats the key '{line.split(' =')[0]}'" in payload["message"]
+
     def test_missing_required_option_exits_1(self, capsys):
         code, _, err = run(capsys, "dist", vf("euclidean2.vf"))
         assert code == 1

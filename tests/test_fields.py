@@ -433,6 +433,14 @@ class TestSpecFiles:
         vf = parse_field("(x1^2 - 2*x1*x2 + x2^2)*d3", 3)
         assert vf.coeffs[2] == parse_polynomial("x1^2 - 2*x1*x2 + x2^2", 3)
 
+    @pytest.mark.parametrize("line", ["dim = 2", "weights = 1,1", "X1 = 1*d2"])
+    def test_rejects_repeated_key(self, line):
+        # the second line would win silently: weights 1,1 fail H.1 instead
+        text = fx.fixture_path("grushin-1-1-2.vf").read_text() + line + "\n"
+        key = line.split(" =")[0]
+        with pytest.raises(FieldError, match=f"line 6 repeats the key '{key}'"):
+            parse_system(text)
+
     def test_rejects_gap_in_field_numbering(self):
         text = "dim = 2\nweights = 1,2\nX1 = 1*d1\nX3 = 1*d2\n"
         with pytest.raises(FieldError):

@@ -66,6 +66,14 @@ class TestLatticeSpec:
         with pytest.raises(LatticeError):  # no node off the boundary shell
             Lattice([(0, 1)], 1.0)
 
+    @pytest.mark.parametrize("box, spacing", [
+        ([(0, math.inf)], 0.5), ([(-math.inf, 0)], 0.5), ([(math.nan, 1)], 0.5),
+        ([(0, 1)], math.nan), ([(0, 1)], math.inf), ([(0, 1), (0, 1)], [0.25, math.nan]),
+    ], ids=["hi-inf", "lo-inf", "lo-nan", "h-nan", "h-inf", "h2-nan"])
+    def test_box_and_spacing_must_be_finite(self, box, spacing):
+        with pytest.raises(LatticeError, match="finite"):
+            Lattice(box, spacing)
+
     @pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf])
     def test_tau_must_be_positive_and_finite(self, tau):
         with pytest.raises(LatticeError, match="tau"):
@@ -373,6 +381,14 @@ class TestBallVolume:
             ball_volume(system, [1, 1], 0.5, dfield=df)
         at_source = ball_volume(system, [0, 0], 0.5, dfield=df)
         assert ball_volume(system, [0.01, -0.01], 0.5, dfield=df) == at_source
+
+    def test_nan_radius_is_refused_and_negative_is_empty(self, euclid_field):
+        system, df = euclid_field
+        lat = Lattice([(-1, 1), (-1, 1)], 0.25, n_random_controls=4, tau=0.5)
+        for path in ({"dfield": df}, {"lattice": lat}):
+            with pytest.raises(MetricError, match="NaN"):
+                ball_volume(system, [0, 0], math.nan, **path)
+            assert ball_volume(system, [0, 0], -1.0, **path).sample_count == 0
 
 
 class TestBallExtent:

@@ -403,6 +403,11 @@ class TestDomainSpec:
             parse_domain_spec("box = 0,1\n")
         with pytest.raises(ValueError):
             parse_domain_spec("dim = 1\nbox = 0,1\nwhatever = 3\n")
+        # only `interior` and `closure` lines may repeat
+        with pytest.raises(ValueError, match="line 3 repeats the key 'box'"):
+            parse_domain_spec("dim = 1\nbox = 0,1\nbox = 0,2\n")
+        assert len(parse_domain_spec("dim = 1\nbox = 0,1\ninterior = 1/2\ninterior = 1/4\n"
+                                     "closure = 0\nclosure = 1\n").sample_points()) == 4
 
     def test_domain_spec_tags(self):
         with pytest.raises(ValueError):

@@ -243,17 +243,26 @@ class TestSubstitution:
             maps = [random_poly(rng, inner_dim) for _ in range(dim)]
             pt = random_point(rng, inner_dim)
             composed = p.compose(maps)
+            assert_invariants(composed, inner_dim)
             assert composed.eval(pt) == p.eval([m.eval(pt) for m in maps])
 
-    def test_substitute_value(self):
+    def test_compose_binds_a_value(self):
         p = parse_polynomial("x1^2*x2 + 3*x2", 2)
-        q = p.substitute_value(1, Fraction(1, 2))
+        q = p.compose([Polynomial.constant(2, Fraction(1, 2)), Polynomial.variable(2, 2)])
+        assert_invariants(q, 2)
         assert q == parse_polynomial("13/4*x2", 2)
 
-    def test_lift_keeps_values(self):
+    def test_compose_lifts_into_more_variables(self):
         p = parse_polynomial("x1*x2 - 1", 2)
-        lifted = p.lift(4)
+        lifted = p.compose([Polynomial.variable(4, 1), Polynomial.variable(4, 2)])
+        assert_invariants(lifted, 4)
         assert lifted.eval([2, 3, 99, 99]) == p.eval([2, 3])
+
+    def test_compose_drops_cancelled_sums(self):
+        y = Polynomial.variable(3, 2)
+        q = parse_polynomial("x1 - x2", 2).compose([y, y])
+        assert_invariants(q, 3)
+        assert q.is_zero() and q == Polynomial.zero(3)
 
 
 class TestHomogeneity:

@@ -940,8 +940,9 @@ class TestDilation:
     def test_rejects_bad_t(self):
         dom = Lattice([(-2, 2), (-2, 2)], 0.25)
         u = bump(dom, [0, 0], 0.7)
-        with pytest.raises(SobolevError):
-            dilate_function(fx.grushin(), u, 0.0)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(SobolevError, match="dilation parameter"):
+                dilate_function(fx.grushin(), u, t)
 
 
 class TestExponentProbe:
@@ -1033,6 +1034,26 @@ class TestRescale:
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SupportEscape):
             rescale(system, u, [0, 5.9], 1.0, family)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_rejects_non_finite_rho(self, rho):
+        from subriemann.automorph import parse_family
+        from subriemann.fixtures import fixture_path
+
+        family = parse_family(fixture_path("grushin-1-1-2.family").read_text())
+        u = bump(Lattice([(-3, 3), (-3, 3)], 0.25), [0, 0], 0.5)
+        with pytest.raises(SobolevError, match="rho"):
+            rescale(fx.grushin(), u, [0, 0], rho, family)
+
+    def test_nan_mass_fails_the_mass_check(self):
+        from subriemann.automorph import parse_family
+        from subriemann.fixtures import fixture_path
+
+        family = parse_family(fixture_path("grushin-1-1-2.family").read_text())
+        u = bump(Lattice([(-3, 3), (-3, 3)], 0.25), [0, 0], 0.5)
+        u.values[12, 12] = math.nan
+        with pytest.raises(SupportEscape, match="5%"):
+            rescale(fx.grushin(), u, [0, 0], 1.0, family)
 
 
 class TestLevyConcentration:
