@@ -38,7 +38,7 @@ def main():
     for r in (0.25, 0.5, 1.0):
         lat = lattice_for_ball(basis, [0.0, 0.0], r)
         vol = ball_volume(system, [0.0, 0.0], r, lattice=lat, seed=1)
-        lam = float(eval_lambda(nsw, [0, 0], round(r * 4096) / 4096))
+        lam = float(eval_lambda(nsw, [0, 0], r))
         print(f"  r = {r}: |B| ~ {vol.estimate:.5f}, Lambda = {lam:.5f}, "
               f"ratio {vol.estimate / lam:.3f}")
 

@@ -10,6 +10,9 @@ in point and parameters jointly.
 Every substitution here is one `Polynomial.compose`: `certify` lifts the
 field coefficients into the map's variables, `TransitiveFamily` pins its
 ``h_zero`` parameters to zero, and the anchor check sets the point to 0.
+Nothing binds parameters to values: a family is evaluated at the 2n
+coordinates (x, w) at once, exactly by the witness pairs and in floats
+by `sobolev.rescale`.
 """
 
 from __future__ import annotations
@@ -57,17 +60,9 @@ class PolynomialMap:
     def __call__(self, point):
         """Exact image of a rational point (parameter-free maps only)."""
         if self.n_params:
-            raise FieldError("parametric map needs parameter values; use at_params()")
+            raise FieldError("a parametric map is evaluated at (point, parameters): "
+                             "call eval(point + params) on its components")
         return [c.eval(point) for c in self.components]
-
-    def at_params(self, params: Sequence) -> "PolynomialMap":
-        """Bind the formal parameters to rational values."""
-        if len(params) != self.n_params:
-            raise FieldError("parameter count mismatch")
-        n = self.dim
-        args = [Polynomial.variable(n, j) for j in range(1, n + 1)]
-        args += [Polynomial.constant(n, v) for v in params]
-        return PolynomialMap([c.compose(args) for c in self.components])
 
 
 @dataclass
@@ -183,13 +178,6 @@ class TransitiveFamily:
     def as_map(self) -> PolynomialMap:
         """T with the unconstrained w-components left formal."""
         return PolynomialMap(list(self.components), n_params=self.dim)
-
-    def at(self, w_point) -> PolynomialMap:
-        if len(w_point) != self.dim:
-            raise FieldError("parameter point dimension mismatch")
-        if not self.in_candidate_h(w_point):
-            raise FieldError(f"parameter {w_point} is not in the candidate level set")
-        return self.as_map().at_params(w_point)
 
     def witness_for(self, p, q) -> list[Fraction]:
         if self.witness is None:

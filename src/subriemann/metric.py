@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -393,28 +392,17 @@ def ball_box_scan(
     radius is resolved at a comparable number of shells.  Each volume
     is a radius-bounded `ball_volume` search with the given seed: it
     labels only the ball, not the whole lattice, and counts the same
-    cells as a full distance field would.
+    cells as a full distance field would.  Lambda is evaluated exactly
+    at the given centre and radius, a float at its exact binary value.
     """
     rows = []
     for center in centers:
-        rat_center = [_snap_rational(v) for v in center]
         for r in radii:
             vol = ball_volume(system, center, r, lattice=lattice_for(center, r), seed=seed,
                               check_truncation=False).estimate
-            lam = float(eval_lambda(nsw, rat_center, _snap_rational(r)))
+            lam = float(eval_lambda(nsw, center, r))
             rows.append(RatioRow(tuple(map(float, center)), float(r), vol, lam))
     return BallBoxReport(rows)
-
-
-def _snap_rational(x, max_den: int = 1 << 16) -> Fraction:
-    """A float snapped to a nearby rational with denominator <= 2^16.
-
-    ``int`` and ``Fraction`` inputs are exact already and pass through
-    unchanged, so exact plan rows are evaluated where they are.
-    """
-    if isinstance(x, (int, Fraction)):
-        return x
-    return Fraction(float(x)).limit_denominator(max_den)
 
 
 @dataclass
@@ -431,7 +419,8 @@ def growth_exponent_scan(
     """Empirical inf over the plan of Lambda(x,r) / r^kappa, per kappa.
 
     The ball-volume polynomial stands in for |B(x,r)|: the two are
-    equivalent up to fixed constants.
+    equivalent up to fixed constants.  It is evaluated exactly at each
+    plan row, a float at its exact binary value.
     """
     Q = nsw.Q
     for kappa in kappas:
@@ -440,7 +429,7 @@ def growth_exponent_scan(
     table = []
     infima = {float(k): math.inf for k in kappas}
     for x, r in plan:
-        vol = float(eval_lambda(nsw, [_snap_rational(v) for v in x], _snap_rational(r)))
+        vol = float(eval_lambda(nsw, x, r))
         for kappa in kappas:
             value = vol / float(r) ** kappa
             table.append((float(kappa), tuple(x), float(r), value))

@@ -139,7 +139,7 @@ class Polynomial:
     """Sparse polynomial in ``dim`` variables with Fraction coefficients.
 
     Immutable by convention: no public method mutates ``terms`` after
-    construction, so instances can be shared freely across workers.
+    construction, so instances can be shared freely.
     """
 
     __slots__ = ("dim", "terms")

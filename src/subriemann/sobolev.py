@@ -46,12 +46,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .fields import VectorFieldSystem
+from .fields import FieldError, VectorFieldSystem
 from .lattice import Lattice, eval_grid
 from .nsw import DomainSpec
 
@@ -494,6 +493,20 @@ def minimize_quotient(
                           grad_norm, decrement)
 
 
+def _powers(t: float, exponents, name: str) -> list[float]:
+    """t^e for each exponent e, the scales of delta_t; SobolevError unless each is in (0, inf)."""
+    if not 0 < t < math.inf:
+        raise SobolevError(f"{name} must be positive and finite; got {t}")
+    try:
+        powers = [float(t) ** e for e in exponents]
+    except OverflowError:
+        powers = [math.inf]
+    if not all(0 < s < math.inf for s in powers):
+        raise SobolevError(f"{name} = {t} is out of range: a power of it overflows or "
+                           f"underflows (exponents {list(exponents)})")
+    return powers
+
+
 def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> GridFunction:
     """u composed with the inverse dilation, on the dilated lattice.
 
@@ -501,9 +514,7 @@ def dilate_function(system: VectorFieldSystem, u: GridFunction, t: float) -> Gri
     new lattice carries u(x).  This realizes u(delta_{1/t} .) without
     interpolation, so the discrete scaling identities hold exactly.
     """
-    if not 0 < t < math.inf:
-        raise SobolevError(f"dilation parameter must be positive and finite; got {t}")
-    scale = [float(t) ** a for a in system.weights]
+    scale = _powers(t, system.weights, "dilation parameter t")
     box = [(lo * s, hi * s) for (lo, hi), s in zip(u.domain.box, scale)]
     spacing = [h * s for h, s in zip(u.domain.spacing, scale)]
     new_dom = Lattice(box, spacing)
@@ -522,8 +533,10 @@ def rescale(
 ) -> GridFunction:
     """rho^{(Q-p)/p} * u(T(w, delta_rho(x))), resampled on u's lattice.
 
-    ``family`` is a certified TransitiveFamily; off-node arguments use
-    multilinear interpolation.  The map is unimodular and the dilation
+    ``family`` is a certified TransitiveFamily and w must lie exactly in
+    its candidate level set (FieldError otherwise); T is evaluated in
+    floats at (delta_rho(x), w), and off-node arguments use multilinear
+    interpolation.  The map is unimodular and the dilation
     scales volume by rho^Q, so the L^{p*} norm is preserved in the
     continuum; a deviation beyond 5% means the support escaped the box
     and raises SupportEscape.  Kept for moving minimizers by certified maps.
@@ -532,24 +545,25 @@ def rescale(
     # import, and nothing else needs it
     from scipy import ndimage
 
-    if not 0 < rho < math.inf:
-        raise SobolevError(f"rho must be positive and finite; got {rho}")
-    dom = u.domain
     Q = sum(system.weights)
     ps = _pstar(Q, p)
-    tmap = family.at([Fraction(v).limit_denominator(1 << 20) for v in w])
-    # argument of u at every target node: T(w, delta_rho(x))
-    scaled = [
-        dom.mesh[k] * float(rho) ** system.weights[k] for k in range(dom.dim)
-    ]
-    args = [eval_grid(comp, scaled) for comp in tmap.components]
+    # the axis scales of delta_rho and, last, the amplitude rho^{(Q-p)/p}
+    *scale, amplitude = _powers(rho, [*system.weights, (Q - p) / p], "rho")
+    dom = u.domain
+    if len(w) != dom.dim:
+        raise FieldError("parameter point dimension mismatch")
+    if not family.in_candidate_h(w):
+        raise FieldError(f"parameter {w} is not in the candidate level set")
+    # argument of u at every target node: T(w, delta_rho(x)), with w broadcast
+    point = [dom.mesh[k] * scale[k] for k in range(dom.dim)] + [float(v) for v in w]
+    args = [eval_grid(comp, point) for comp in family.components]
     coords = [
         (args[k] - dom.box[k][0]) / dom.spacing[k] for k in range(dom.dim)
     ]
     sampled = ndimage.map_coordinates(
         u.values, np.stack(coords), order=1, mode="constant", cval=0.0
     )
-    out = GridFunction(dom, float(rho) ** ((Q - p) / p) * sampled)
+    out = GridFunction(dom, amplitude * sampled)
     ref = u.norm(ps)
     # written so that a NaN norm fails it
     if not abs(out.norm(ps) - ref) <= 0.05 * ref:
@@ -677,10 +691,10 @@ def exponent_probe(
     ts = [float(t) for t in t_grid]
     for t in ts:
         if domain_spec is not None:
+            scale = _powers(t, system.weights, "dilation parameter t")
             for k, (lo, hi) in enumerate(bounds):
-                s = t ** system.weights[k]
                 blo, bhi = float(domain_spec.box[k][0]), float(domain_spec.box[k][1])
-                if lo * s < blo - 1e-12 or hi * s > bhi + 1e-12:
+                if lo * scale[k] < blo - 1e-12 or hi * scale[k] > bhi + 1e-12:
                     raise SupportEscape(
                         f"dilated support leaves the domain box at t = {t}"
                     )

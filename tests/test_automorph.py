@@ -29,13 +29,6 @@ class TestPolynomialMap:
         tr = PolynomialMap.translation([Fraction(1, 2), -1])
         assert tr([0, 0]) == [Fraction(1, 2), -1]
 
-    def test_at_params_binds_parameters(self):
-        # A(x) = x1 + w in one ambient variable, one parameter
-        comp = parse_polynomial("x1 + x2", 2)
-        pmap = PolynomialMap([comp], n_params=1)
-        bound = pmap.at_params([Fraction(3)])
-        assert bound([2]) == [5]
-
     def test_parametric_map_rejects_direct_call(self):
         pmap = PolynomialMap([parse_polynomial("x1 + x2", 2)], n_params=1)
         with pytest.raises(FieldError):
@@ -132,16 +125,25 @@ class TestTransitiveFamilies:
         assert str(rep.certificate).endswith(
             "  X1 residual slot 3: x5^2\n  X2 residual slot 3: x5^2")
 
-    def test_parameter_outside_level_set_rejected(self):
+    def test_parameter_outside_level_set_rejected(self, systems):
+        # the family is read at (x, w) only for w in {x1 = 0}; rescale checks w exactly
+        from subriemann.lattice import Lattice
+        from subriemann.sobolev import bump, rescale
+
         family = load_family("martinet.family")
-        with pytest.raises(FieldError):
-            family.at([1, 0, 0])
+        u = bump(Lattice([(-2, 2)] * 3, 0.5), [0, 0, 0], 0.5)
+        for w in ([1, 0, 0], [2.0 ** -60, 0, 0]):
+            with pytest.raises(FieldError, match="not in the candidate level set"):
+                rescale(systems["martinet"], u, w, 1.0, family)
+        with pytest.raises(FieldError, match="dimension mismatch"):
+            rescale(systems["martinet"], u, [0, 0], 1.0, family)
 
     def test_witness_lands_in_level_set(self):
         family = load_family("grushin-1-1-2.family")
-        w = family.witness_for([0, Fraction(1, 2)], [0, 3])
+        p = [0, Fraction(1, 2)]
+        w = family.witness_for(p, [0, 3])
         assert family.in_candidate_h(w)
-        assert family.at(w)([0, Fraction(1, 2)]) == [0, 3]
+        assert [c.eval(p + w) for c in family.components] == [0, 3]
 
     def test_bad_sample_pair_reported(self, systems, nsw_polys):
         family = load_family("grushin-1-1-2.family")
@@ -168,8 +170,8 @@ class TestFamilyParsing:
         family = load_family("martinet.family")
         assert family.dim == 3
         assert family.h_zero_axes == (1,)
-        ident = family.at([0, 0, 0])
-        assert ident([1, 2, 3]) == [1, 2, 3]
+        # T(0, x) = x
+        assert [c.eval([1, 2, 3, 0, 0, 0]) for c in family.components] == [1, 2, 3]
 
     @pytest.mark.parametrize("axis", [0, -1, 3])
     def test_rejects_h_zero_axis_out_of_range(self, axis):

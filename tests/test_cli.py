@@ -176,6 +176,18 @@ class TestGrowth:
         assert summary["nu_tilde"] == 6
         assert out_file.read_text().startswith("kappa,center,r,")
 
+    def test_default_plan(self, capsys, tmp_path):
+        # without --plan: every domain sample point at r = 1/2 ... 1/256
+        out_file = tmp_path / "growth.csv"
+        code, out, _ = run(capsys, "growth", vf("ex31.vf"),
+                           "--domain", str(fixture_path("ex31.domain")),
+                           "--kappa", "3.9,4", "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out)["nu_tilde"] == 6
+        rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+        assert len(rows) == 3 * 8 * 2
+        assert {float(row[2]) for row in rows} == {2.0 ** -k for k in range(1, 9)}
+
 
 ROWS = "<rows.csv>"  # stands for a file with the one row 0,0,1/2
 
@@ -251,6 +263,18 @@ class TestProbeExponent:
         body = out[out.index("{"):]
         summary = json.loads(body)
         assert abs(float(summary["spread"]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("t", ["1e200", "1e-200"])
+    def test_t_out_of_float_range_exits_3(self, capsys, t):
+        # t^3 overflows, or underflows to a zero spacing, for Grushin's weights (1, 3)
+        code, out, err = run(capsys, "probe-exponent", vf("grushin-1-1-2.vf"),
+                             "--kappa", "4", "--t", f"1,{t}",
+                             "--box=-2,2;-2,2", "--spacing", "0.25")
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "property"
+        assert f"dilation parameter t = {float(t)} is out of range" in payload["message"]
 
 
 class TestSobolev:

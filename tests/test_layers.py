@@ -1,6 +1,7 @@
 """Layer boundaries: the exact layer imports no numerics, statically and
-at run time; the numerical layers load no scipy at import time and no
-``scipy.linalg``; and the benchmark's imports from the library exist."""
+at run time; the numerical layers snap no floats to rationals, load no
+scipy at import time and no ``scipy.linalg``; and the benchmark's
+imports from the library exist."""
 
 import ast
 import importlib
@@ -39,6 +40,18 @@ def test_exact_layer_imports_no_numerics(module):
     for name in imported_modules(path):
         parts = set(name.split("."))
         assert not parts & FORBIDDEN, f"{module} imports {name}"
+
+
+@pytest.mark.parametrize("module", ["lattice", "metric", "sobolev"])
+def test_numerical_layers_snap_no_floats(module):
+    """The numerical layers hand floats to the exact layer as they are,
+    and the exact layer reads each at its exact binary value; a
+    ``fractions`` import or a ``limit_denominator`` here would be a
+    second float-to-rational rule."""
+    path = Path(subriemann.__file__).parent / f"{module}.py"
+    roots = {name.split(".")[0] for name in imported_modules(path)}
+    assert "fractions" not in roots, f"{module} imports fractions"
+    assert "limit_denominator" not in path.read_text()
 
 
 EXACT_PROBE = f"""

@@ -16,7 +16,6 @@ from subriemann.metric import (
     RatioRow,
     _frontier_steps,
     _neighbor_tables,
-    _snap_rational,
     ball_box_scan,
     ball_extent,
     ball_volume,
@@ -257,14 +256,13 @@ class TestFrontierBFS:
 
 
 def reference_ball_box_scan(system, nsw, centers, radii, lattice_for, seed=0):
-    """The scan as it was: a full distance field per (center, radius)."""
+    """The scan as it was: a full distance field per (center, radius); Lambda read exactly."""
     rows = []
     for center in centers:
-        rat_center = [Fraction(float(v)).limit_denominator(1 << 16) for v in center]
         for r in radii:
             dfield = distance_field(system, center, lattice_for(center, r), seed=seed)
             vol = ball_volume(system, center, r, dfield=dfield, check_truncation=False).estimate
-            lam = float(eval_lambda(nsw, rat_center, Fraction(float(r)).limit_denominator(1 << 16)))
+            lam = float(eval_lambda(nsw, [Fraction(float(v)) for v in center], Fraction(float(r))))
             rows.append(RatioRow(tuple(map(float, center)), float(r), vol, lam))
     return rows
 
@@ -423,6 +421,13 @@ class TestBallBoxScan:
         assert report.min_ratio > 0
         assert report.spread < 50
 
+    def test_lambda_is_read_at_the_scan_radius(self, systems, bases, nsw_polys):
+        # 1e-5 is no dyadic rational; a denominator <= 2^16 snap read it as 1/65536
+        name, center, r = "grushin-1-1-2", [0.5, 0.0], 1e-5
+        report = ball_box_scan(systems[name], nsw_polys[name], [center], [r],
+                               lambda c, r: lattice_for_ball(bases[name], c, r, nodes_per_axis=16))
+        assert report.rows[0].lam == float(eval_lambda(nsw_polys[name], center, r))
+
 
 class TestGrowthScan:
     def test_lambda_mode_exact_values(self, nsw_polys):
@@ -443,7 +448,12 @@ class TestGrowthScan:
         for (x, r), (_, center, radius, value) in zip(plan, report.table):
             assert center == tuple(x) and radius == float(r)
             assert value == float(eval_lambda(nsw, x, r)) / float(r)
-        assert _snap_rational(3) == 3 and _snap_rational(Fraction(1, 3)) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("r", [1e-5, 3e-5, 1e-6])
+    def test_small_float_radii_are_read_exactly(self, nsw_polys, r):
+        # Lambda(0, r) = 24 r^4; below 2^-17 a denominator <= 2^16 snap read r as 0
+        report = growth_exponent_scan(nsw_polys["grushin-1-1-2"], [4.0], [([0.0, 0.0], r)])
+        assert report.kappa_infima[4.0] == pytest.approx(24.0, rel=1e-12)
 
     def test_kappa_range_enforced(self, nsw_polys):
         with pytest.raises(ValueError):

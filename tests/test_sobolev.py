@@ -1,6 +1,7 @@
 """Discrete Sobolev quotient: energies, minimization, diagnostics."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -944,6 +945,14 @@ class TestDilation:
             with pytest.raises(SobolevError, match="dilation parameter"):
                 dilate_function(fx.grushin(), u, t)
 
+    @pytest.mark.parametrize("t", [1e200, 1e-200])
+    def test_t_whose_scale_leaves_the_float_range(self, t):
+        # t^3 overflows, or underflows to a zero spacing, for Grushin's weights (1, 3)
+        u = bump(Lattice([(-2, 2), (-2, 2)], 0.25), [0, 0], 0.7)
+        message = re.escape(f"dilation parameter t = {t} is out of range")
+        with pytest.raises(SobolevError, match=message):
+            dilate_function(fx.grushin(), u, t)
+
 
 class TestExponentProbe:
     def test_critical_kappa_is_flat(self):
@@ -998,6 +1007,15 @@ class TestExponentProbe:
             with pytest.raises(SobolevError, match="kappa"):
                 exponent_probe(fx.grushin(), None, kappa, u, [1.0])
 
+    @pytest.mark.parametrize("t", [1e200, 1e-200])
+    @pytest.mark.parametrize("box", [None, "-2,2 ; -2,2"], ids=["no-domain", "support-check"])
+    def test_t_whose_scale_leaves_the_float_range(self, t, box):
+        spec = parse_domain_spec(f"dim = 2\nbox = {box}\n") if box else None
+        u = bump(Lattice([(-2, 2), (-2, 2)], 0.25), [0, 0], 0.5)
+        message = re.escape(f"dilation parameter t = {t} is out of range")
+        with pytest.raises(SobolevError, match=message):
+            exponent_probe(fx.grushin(), spec, 4.0, u, [1.0, t])
+
 
 class TestRescale:
     def test_identity_parameters(self):
@@ -1034,6 +1052,27 @@ class TestRescale:
         u = bump(dom, [0, 0], 0.5)
         with pytest.raises(SupportEscape):
             rescale(system, u, [0, 5.9], 1.0, family)
+
+    @pytest.mark.parametrize("w2", [1e-7, 4e-7])
+    def test_small_parameter_moves_u(self, w2):
+        # w2 is read as it is: a denominator <= 2^20 snap read both as 0
+        from subriemann.automorph import parse_family
+        from subriemann.fixtures import fixture_path
+
+        family = parse_family(fixture_path("grushin-1-1-2.family").read_text())
+        u = bump(Lattice([(-3, 3), (-3, 3)], 0.25), [0, 0], 0.5)
+        moved = np.abs(rescale(fx.grushin(), u, [0, w2], 1.0, family).values - u.values).max()
+        assert 0 < moved < 10 * w2
+
+    @pytest.mark.parametrize("rho", [1e200, 1e-200])
+    def test_rho_whose_scale_leaves_the_float_range(self, rho):
+        from subriemann.automorph import parse_family
+        from subriemann.fixtures import fixture_path
+
+        family = parse_family(fixture_path("grushin-1-1-2.family").read_text())
+        u = bump(Lattice([(-3, 3), (-3, 3)], 0.25), [0, 0], 0.5)
+        with pytest.raises(SobolevError, match=re.escape(f"rho = {rho} is out of range")):
+            rescale(fx.grushin(), u, [0, 0], rho, family)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf])
     def test_rejects_non_finite_rho(self, rho):
